@@ -16,15 +16,14 @@ import sys
 
 import numpy as np
 
-from .data import (FLOAT_FMT, load_split_bundle, parse_csv, parse_libsvm,
-                   save_split_bundle, stratified_split)
-from .metrics import MetricsReport
+from .data import (load_split_bundle, parse_csv, parse_libsvm,
+                   save_split_bundle, stratified_split, write_table)
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
 from .sensitivity import compute_scores, scores_to_csv
-from .tuner import (TrialResult, compare_to_baselines, refine_best, run_grid,
-                    trials_to_csv)
+from .tuner import (TrialResult, compare_to_baselines, curve_rows, refine_best,
+                    run_grid, trials_to_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -142,17 +141,6 @@ def _best_config_path(cfg: RunConfig) -> str:
     return os.path.join(cfg.output_dir, "best_config.json")
 
 
-def _metrics_to_dict(report: MetricsReport) -> dict:
-    return report.to_dict()
-
-
-def _metrics_from_dict(d: dict) -> MetricsReport:
-    return MetricsReport(f1=d["f1"], balanced_accuracy=d["balanced_accuracy"],
-                         accuracy=d["accuracy"], roc_auc=d["roc_auc"],
-                         average_precision=d["average_precision"],
-                         confusion=(d["tp"], d["fp"], d["tn"], d["fn"]))
-
-
 def cmd_tune(cfg: RunConfig) -> int:
     bundle, _ = _load_splits(cfg)
     grid = cfg.grid_spec()
@@ -162,20 +150,8 @@ def cmd_tune(cfg: RunConfig) -> int:
         trials_to_csv(result, tmp,
                       header_comment=f"config_hash={cfg.config_hash()}")
     best = result.best
-    best_record = {
-        "config_hash": cfg.config_hash(),
-        "provider": best.provider,
-        "provider_params": cfg.provider_params,
-        "cell_index": best.cell_index,
-        "repeat": best.repeat,
-        "seed": best.seed,
-        "coreset_ratio": best.coreset_ratio,
-        "regularization": best.regularization,
-        "vanilla": best.vanilla,
-        "sampler": best.config.to_dict(),
-        "validation": _metrics_to_dict(best.validation),
-        "test": _metrics_to_dict(best.test),
-    }
+    best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
+                   "provider_params": cfg.provider_params}
     with atomic_output(_best_config_path(cfg)) as tmp:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
@@ -183,10 +159,10 @@ def cmd_tune(cfg: RunConfig) -> int:
     _log(cfg, f"tune: {len(result.trials)} trials, {len(result.failures)} failed "
               f"cells; best validation F1 {best.validation.f1:.4f} "
               f"-> {trials_out}")
-    if result.failures:
-        _log(cfg, f"tune: partial grid; first failure: {result.failures[0].error}")
-        return EXIT_PARTIAL
-    return EXIT_OK
+    for failure in result.failures:
+        _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
+                  f"seed {failure.seed}: {failure.error}")
+    return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
 def _load_best(cfg: RunConfig) -> TrialResult:
@@ -195,29 +171,7 @@ def _load_best(cfg: RunConfig) -> TrialResult:
         raise ArtifactMissingError(
             f"no best-config record at {path}; run the tune command first")
     with open(path) as fh:
-        record = json.load(fh)
-    from .sampler import SamplerConfig
-    from .tuner import CoresetStats
-
-    sampler = record["sampler"]
-    config = SamplerConfig(
-        coreset_size=int(sampler["coreset_size"]),
-        det_ratio=float(sampler["det_ratio"]),
-        weight_strategy=sampler["weight_strategy"],
-        class_allocation=(sampler["class_allocation"]
-                          if sampler["class_allocation"] == "proportional"
-                          else {int(k): float(v)
-                                for k, v in sampler["class_allocation"].items()}),
-        seed=int(sampler["seed"]))
-    return TrialResult(
-        cell_index=int(record["cell_index"]), repeat=int(record["repeat"]),
-        seed=int(record["seed"]), provider=record["provider"], config=config,
-        coreset_ratio=float(record["coreset_ratio"]),
-        regularization=float(record["regularization"]),
-        validation=_metrics_from_dict(record["validation"]),
-        test=_metrics_from_dict(record["test"]),
-        coreset_stats=CoresetStats(0, 0.0, ()),
-        vanilla=bool(record["vanilla"]))
+        return TrialResult.from_dict(json.load(fh))
 
 
 def cmd_refine(cfg: RunConfig) -> int:
@@ -244,77 +198,45 @@ def cmd_refine(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_trial_rows(cfg: RunConfig) -> list[dict]:
+def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
+    """Per-cell (coreset_ratio, vanilla, mean_validation_f1, mean_test_f1)
+    from the trials table, in its rank order."""
     path = os.path.join(cfg.output_dir, "trials.csv")
     if not os.path.exists(path):
         raise ArtifactMissingError(
             f"no trials table at {path}; run the tune command first")
-    rows = []
     with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                continue
-            rows.append(dict(zip(header, line.split(","))))
-    return rows
+        lines = [line.rstrip("\n") for line in fh
+                 if line.strip() and not line.startswith("#")]
+    header = lines[0].split(",")
+    cells: dict[str, list[dict]] = {}
+    for line in lines[1:]:
+        row = dict(zip(header, line.split(",")))
+        cells.setdefault(row["cell_index"], []).append(row)
+    return [(float(rows[0]["coreset_ratio"]), rows[0]["vanilla"] == "1",
+             float(rows[0]["mean_validation_f1"]),
+             float(np.mean([float(r["test_f1"]) for r in rows])))
+            for rows in cells.values()]
 
 
 def cmd_report(cfg: RunConfig) -> int:
     bundle, _ = _load_splits(cfg)
-    rows = _load_trial_rows(cfg)
+    cells = _load_trial_cells(cfg)
     best = _load_best(cfg)
     comparison = compare_to_baselines(bundle, best, cfg.train_config(),
                                       provider_params=cfg.provider_params)
+    comment = f"config_hash={cfg.config_hash()}"
     comp_out = os.path.join(cfg.output_dir, "comparison.csv")
     with atomic_output(comp_out) as tmp:
-        with open(tmp, "w") as fh:
-            fh.write(f"# config_hash={cfg.config_hash()}\n")
-            fh.write("method,split,balanced_accuracy,f1,roc_auc\n")
-            for row in comparison:
-                fh.write(f"{row.method},{row.split},"
-                         f"{FLOAT_FMT % row.balanced_accuracy},"
-                         f"{FLOAT_FMT % row.f1},{FLOAT_FMT % row.roc_auc}\n")
-    curves = _curves_from_rows(rows)
+        write_table(tmp, ("method", "split", "balanced_accuracy", "f1", "roc_auc"),
+                    [(r.method, r.split, r.balanced_accuracy, r.f1, r.roc_auc)
+                     for r in comparison], comment)
     curve_out = os.path.join(cfg.output_dir, "curves.csv")
     with atomic_output(curve_out) as tmp:
-        with open(tmp, "w") as fh:
-            fh.write(f"# config_hash={cfg.config_hash()}\n")
-            fh.write("coreset_ratio,method,split,f1\n")
-            for ratio, method, split, f1_value in curves:
-                fh.write(f"{FLOAT_FMT % ratio},{method},{split},"
-                         f"{FLOAT_FMT % f1_value}\n")
+        write_table(tmp, ("coreset_ratio", "method", "split", "f1"),
+                    curve_rows(cells), comment)
     _log(cfg, f"report: wrote {comp_out} and {curve_out}")
     return EXIT_OK
-
-
-def _curves_from_rows(rows: list[dict]) -> list[tuple[float, str, str, float]]:
-    """Recompute the tuned/vanilla F1-vs-ratio curve from the trials table."""
-    cells: dict[int, dict] = {}
-    for row in rows:
-        idx = int(row["cell_index"])
-        cell = cells.setdefault(idx, {
-            "ratio": float(row["coreset_ratio"]),
-            "vanilla": row["vanilla"] == "1",
-            "mean_val_f1": float(row["mean_validation_f1"]),
-            "test_f1": []})
-        cell["test_f1"].append(float(row["test_f1"]))
-    curves = []
-    for ratio in sorted({c["ratio"] for c in cells.values()}):
-        at_ratio = {i: c for i, c in cells.items() if c["ratio"] == ratio}
-        best_idx = min(at_ratio, key=lambda i: (-at_ratio[i]["mean_val_f1"], i))
-        tuned = at_ratio[best_idx]
-        curves.append((ratio, "tuned", "validation", tuned["mean_val_f1"]))
-        curves.append((ratio, "tuned", "test", float(np.mean(tuned["test_f1"]))))
-        vanilla = [c for c in at_ratio.values() if c["vanilla"]]
-        if vanilla:
-            curves.append((ratio, "vanilla", "validation", vanilla[0]["mean_val_f1"]))
-            curves.append((ratio, "vanilla", "test",
-                           float(np.mean(vanilla[0]["test_f1"]))))
-    return curves
 
 
 COMMANDS = {

@@ -371,6 +371,18 @@ def write_libsvm(data: Dataset, path) -> None:
             fh.write(" ".join(toks) + "\n")
 
 
+def write_table(path, columns, rows, header_comment: str | None = None) -> None:
+    """Write a comma-separated table: an optional ``# comment`` line, the
+    header, then one line per row. Floats use FLOAT_FMT, other cells str()."""
+    with open(path, "w") as fh:
+        if header_comment:
+            fh.write(f"# {header_comment}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(FLOAT_FMT % v if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 SPLIT_FILES = {"train": "train.libsvm", "validation": "validation.libsvm",
                "test": "test.libsvm"}
 MANIFEST_FILE = "manifest.json"

@@ -45,15 +45,6 @@ class TrainConfig:
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "loss": self.loss,
-            "regularization": self.regularization,
-            "tolerance": self.tolerance,
-            "max_iterations": self.max_iterations,
-            "fit_intercept": self.fit_intercept,
-        }
-
 
 @dataclass(frozen=True)
 class LinearModel:
@@ -281,28 +272,3 @@ def predict_probabilities(model: LinearModel, features) -> np.ndarray:
         raise UnsupportedOperationError(
             f"{model.loss} models expose decision scores only")
     return expit(decision_scores(model, features))
-
-
-def save_model(model: LinearModel, path) -> None:
-    """Flat text: loss, C, converged, intercept, coefficients."""
-    from .data import FLOAT_FMT
-
-    with open(path, "w") as fh:
-        fh.write(f"loss {model.loss}\n")
-        fh.write(f"regularization {FLOAT_FMT % model.regularization}\n")
-        fh.write(f"converged {int(model.converged)}\n")
-        fh.write(f"intercept {FLOAT_FMT % model.intercept}\n")
-        fh.write("coefficients " + " ".join(FLOAT_FMT % c for c in model.coefficients)
-                 + "\n")
-
-
-def load_model(path) -> LinearModel:
-    fields = {}
-    with open(path) as fh:
-        for line in fh:
-            key, _, rest = line.strip().partition(" ")
-            fields[key] = rest
-    return LinearModel(
-        np.array([float(v) for v in fields["coefficients"].split()]),
-        float(fields["intercept"]), fields["loss"],
-        bool(int(fields["converged"])), float(fields["regularization"]))

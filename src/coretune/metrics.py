@@ -11,9 +11,6 @@ from scipy.stats import rankdata
 METRIC_NAMES = ("f1", "balanced_accuracy", "accuracy", "roc_auc",
                 "average_precision")
 
-REPORT_CSV_HEADER = ("run_id,split,config_hash," + ",".join(METRIC_NAMES)
-                     + ",tp,fp,tn,fn")
-
 
 class UndefinedMetricError(ValueError):
     pass
@@ -40,14 +37,11 @@ class MetricsReport:
                 "average_precision": self.average_precision,
                 "tp": tp, "fp": fp, "tn": tn, "fn": fn}
 
-    def to_csv_row(self, run_id: str, split: str, config_hash: str) -> str:
-        """One CSV data row keyed by (run_id, split, config_hash); see
-        REPORT_CSV_HEADER for the column order."""
-        from .data import FLOAT_FMT
-
-        values = [FLOAT_FMT % getattr(self, name) for name in METRIC_NAMES]
-        return ",".join([run_id, split, config_hash, *values,
-                         *(str(c) for c in self.confusion)])
+    @classmethod
+    def from_dict(cls, d: dict) -> "MetricsReport":
+        """Inverse of :meth:`to_dict`."""
+        return cls(*(d[name] for name in METRIC_NAMES),
+                   confusion=(d["tp"], d["fp"], d["tn"], d["fn"]))
 
 
 def _check_binary(values: np.ndarray, what: str) -> np.ndarray:

@@ -17,12 +17,10 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data import Dataset, FLOAT_FMT
+from .data import Dataset, write_table
 from .learners import LinearModel, TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, classification_report
 from .sampler import Coreset, PROVENANCE_ACTIVE
-
-QUERY_STRATEGIES = ("margin", "least_confidence", "entropy")
 
 MetricFn = Callable[[LinearModel, Dataset], float]
 
@@ -40,7 +38,6 @@ class RefineConfig:
     batch_size: int
     patience: int = 1
     metric: Union[str, MetricFn] = "f1"
-    query_strategy: str = "margin"
     max_rounds: int | None = None
 
     def __post_init__(self):
@@ -50,16 +47,8 @@ class RefineConfig:
             raise ValueError("patience must be >= 1")
         if isinstance(self.metric, str) and self.metric not in METRIC_NAMES:
             raise ValueError(f"metric must be one of {METRIC_NAMES} or a callable")
-        if self.query_strategy not in QUERY_STRATEGIES:
-            raise ValueError(f"query_strategy must be one of {QUERY_STRATEGIES}")
         if self.max_rounds is not None and self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
-
-    def to_dict(self) -> dict:
-        metric = self.metric if isinstance(self.metric, str) else "<callable>"
-        return {"batch_size": self.batch_size, "patience": self.patience,
-                "metric": metric, "query_strategy": self.query_strategy,
-                "max_rounds": self.max_rounds}
 
 
 @dataclass(frozen=True)
@@ -91,28 +80,17 @@ def _phi(config: RefineConfig, model: LinearModel, validation: Dataset) -> float
     return value
 
 
-def uncertainty_query(model: LinearModel, pool: Dataset, k: int,
-                      strategy: str = "margin") -> np.ndarray:
+def uncertainty_query(model: LinearModel, pool: Dataset, k: int) -> np.ndarray:
     """point_ids of the k pool points with the smallest |decision score|.
 
     Ties break by ascending point_id. For binary linear models the margin,
-    least-confidence, and entropy criteria induce the same ranking, so the
-    strategy names are aliases.
+    least-confidence, and entropy criteria induce this same ranking.
     """
-    if strategy not in QUERY_STRATEGIES:
-        raise ValueError(f"unknown query strategy {strategy!r}")
     if k >= pool.n:
         return pool.point_ids.copy()
     magnitude = np.abs(decision_scores(model, pool.features))
     order = np.lexsort((pool.point_ids, magnitude))
     return pool.point_ids[order[:k]]
-
-
-def _train_on(ids, weights, labels, train_set: Dataset, config: TrainConfig):
-    rows = train_set.subset_by_ids(ids)
-    if not np.array_equal(rows.labels, np.asarray(labels)):
-        raise ValueError("coreset labels disagree with the training data")
-    return train(rows.features, rows.labels, weights, config)
 
 
 def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
@@ -133,20 +111,15 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
         max_rounds = max(1, math.ceil(train_set.n / config.batch_size))
 
     trace = RefineTrace()
-    cur_ids = coreset.point_ids.copy()
-    cur_weights = coreset.weights.copy()
-    cur_labels = coreset.labels.copy()
-    cur_prov = coreset.provenance.copy()
-    cur_counts = coreset.counts.copy()
-
-    model = _train_on(cur_ids, cur_weights, cur_labels, train_set, train_config)
+    current = coreset
+    model = train(*current.materialize(train_set), train_config)
     phi_original = _phi(config, model, validation)
     phi_current = phi_original
 
     patience = 0
     rounds = 0
     while patience < config.patience and rounds < max_rounds:
-        in_coreset = np.isin(train_set.point_ids, cur_ids)
+        in_coreset = np.isin(train_set.point_ids, current.point_ids)
         pool_positions = np.flatnonzero(~in_coreset)
         if len(pool_positions) == 0:
             if rounds == 0:
@@ -155,24 +128,17 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
                 trace.note = "pool exhausted"
             break
         pool = train_set.take(pool_positions)
-        queried = uncertainty_query(model, pool, config.batch_size,
-                                    config.query_strategy)
-        new_rows = train_set.subset_by_ids(queried)
-
-        cand_ids = np.concatenate([cur_ids, queried])
-        cand_weights = np.concatenate([cur_weights, np.ones(len(queried))])
-        cand_labels = np.concatenate([cur_labels, new_rows.labels])
-        candidate = _train_on(cand_ids, cand_weights, cand_labels, train_set,
-                              train_config)
+        queried = uncertainty_query(model, pool, config.batch_size)
+        added = len(queried)
+        current = Coreset(
+            np.concatenate([current.point_ids, queried]),
+            np.concatenate([current.weights, np.ones(added)]),
+            np.concatenate([current.labels, train_set.subset_by_ids(queried).labels]),
+            np.concatenate([current.provenance,
+                            np.full(added, PROVENANCE_ACTIVE, dtype=object)]),
+            np.concatenate([current.counts, np.ones(added, dtype=np.int64)]))
+        candidate = train(*current.materialize(train_set), train_config)
         phi_candidate = _phi(config, candidate, validation)
-
-        cur_ids = cand_ids
-        cur_weights = cand_weights
-        cur_labels = cand_labels
-        cur_prov = np.concatenate(
-            [cur_prov, np.full(len(queried), PROVENANCE_ACTIVE, dtype=object)])
-        cur_counts = np.concatenate(
-            [cur_counts, np.ones(len(queried), dtype=np.int64)])
 
         if phi_current < phi_candidate:
             patience = 0
@@ -191,20 +157,15 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
     trace.phi_refined = phi_current
     if phi_original < phi_current:
         trace.decision = "kept_refined"
-        refined = Coreset(cur_ids, cur_weights, cur_labels, cur_prov, cur_counts)
-        return refined, trace
+        return current, trace
     trace.decision = "kept_original"
     return coreset, trace
 
 
 def trace_to_csv(trace: RefineTrace, path, header_comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("round,pool_size,phi_before,phi_after,patience,decision\n")
-        for rec in trace.rounds:
-            fh.write(f"{rec.round},{rec.pool_size},{FLOAT_FMT % rec.phi_before},"
-                     f"{FLOAT_FMT % rec.phi_after},{rec.patience},{trace.decision}\n")
-        if not trace.rounds:
-            fh.write(f"0,0,{FLOAT_FMT % trace.phi_original},"
-                     f"{FLOAT_FMT % trace.phi_original},0,{trace.decision}\n")
+    rows = [(r.round, r.pool_size, r.phi_before, r.phi_after, r.patience,
+             trace.decision) for r in trace.rounds]
+    if not rows:
+        rows = [(0, 0, trace.phi_original, trace.phi_original, 0, trace.decision)]
+    write_table(path, ("round", "pool_size", "phi_before", "phi_after", "patience",
+                       "decision"), rows, header_comment)

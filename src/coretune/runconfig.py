@@ -142,12 +142,16 @@ class RunConfig:
         if "refine" not in self.raw:
             return None
         r = self.raw["refine"]
+        # Refinement always queries by smallest |decision score| ("margin").
+        if r.get("query_strategy", "margin") != "margin":
+            raise ConfigError(f"{self.path}: refine.query_strategy "
+                              f"{r['query_strategy']!r} is not supported; use "
+                              "'margin' or omit the field")
         try:
             return RefineConfig(
                 batch_size=int(r["batch_size"]),
                 patience=int(r.get("patience", 1)),
                 metric=r.get("metric", "f1"),
-                query_strategy=r.get("query_strategy", "margin"),
                 max_rounds=(int(r["max_rounds"]) if r.get("max_rounds") else None))
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"{self.path}: refine: {exc}") from exc

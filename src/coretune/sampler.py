@@ -16,12 +16,11 @@ draws of one point are folded into its weight, with the multiplicity kept in
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, FLOAT_FMT, largest_remainder
+from .data import Dataset, largest_remainder, write_table
 from .sensitivity import ProbabilityVector, SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -59,10 +58,10 @@ class SamplerConfig:
                              f"got {self.weight_strategy!r}")
         if isinstance(self.class_allocation, dict):
             alloc = {int(k): float(v) for k, v in self.class_allocation.items()}
-            if any(v <= 0 for v in alloc.values()):
-                raise ValueError("explicit class fractions must be positive")
-            if abs(sum(alloc.values()) - 1.0) > 1e-9:
-                raise ValueError("explicit class fractions must sum to 1")
+            if any(v <= 0 for v in alloc.values()) or \
+                    abs(sum(alloc.values()) - 1.0) > 1e-9:
+                raise ValueError(f"class allocation {alloc} must have positive "
+                                 "fractions summing to 1")
             object.__setattr__(self, "class_allocation", alloc)
         elif self.class_allocation != "proportional":
             raise ValueError("class_allocation must be 'proportional' or a "
@@ -180,9 +179,8 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
         if open_quotas.sum() <= 0:
             open_quotas = np.where(room > 0, room.astype(np.float64), 0.0)
         extra = largest_remainder(open_quotas, excess)
-        budgets = np.minimum(budgets + extra, counts)
-        if budgets.sum() == target:
-            break
+        # Unclipped: the next pass clips and redistributes any new overflow.
+        budgets = budgets + extra
     # Largest-remainder can starve a tiny class; budgets must stay positive.
     while np.any(budgets == 0):
         needy = int(np.argmin(budgets))
@@ -371,14 +369,9 @@ def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfi
 
 
 def coreset_to_csv(coreset: Coreset, path, header_comment: str | None = None) -> None:
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("point_id,class,weight,provenance,count\n")
-        for pid, cls, w, prov, cnt in zip(coreset.point_ids, coreset.labels,
-                                          coreset.weights, coreset.provenance,
-                                          coreset.counts):
-            fh.write(f"{int(pid)},{int(cls)},{FLOAT_FMT % w},{prov},{int(cnt)}\n")
+    write_table(path, ("point_id", "class", "weight", "provenance", "count"),
+                zip(coreset.point_ids, coreset.labels, coreset.weights,
+                    coreset.provenance, coreset.counts), header_comment)
 
 
 def coreset_from_csv(path) -> Coreset:
@@ -396,7 +389,3 @@ def coreset_from_csv(path) -> Coreset:
             counts.append(int(cnt))
     return Coreset(np.array(ids), np.array(weights), np.array(classes),
                    np.array(prov, dtype=object), np.array(counts))
-
-
-def config_to_json(config: SamplerConfig) -> str:
-    return json.dumps(config.to_dict(), sort_keys=True)

@@ -15,7 +15,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from .data import Dataset, FLOAT_FMT
+from .data import Dataset, write_table
 
 
 class DegenerateScoresError(ValueError):
@@ -228,10 +228,6 @@ register_provider("lewis", _lewis_provider)
 def scores_to_csv(scores: SensitivityScores, point_ids: np.ndarray, path,
                   header_comment: str | None = None) -> None:
     """Export (point_id, sensitivity, probability) rows for the report pipeline."""
-    probs = to_probabilities(scores).probabilities
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write("point_id,sensitivity,probability\n")
-        for pid, s, p in zip(point_ids, scores.values, probs):
-            fh.write(f"{int(pid)},{FLOAT_FMT % s},{FLOAT_FMT % p}\n")
+    write_table(path, ("point_id", "sensitivity", "probability"),
+                zip(point_ids, scores.values, to_probabilities(scores).probabilities),
+                header_comment)

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import FLOAT_FMT, SplitBundle
+from .data import SplitBundle, write_table
 from .learners import TrainConfig, decision_scores, train
-from .metrics import MetricsReport, classification_report
+from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
 from .sampler import (AllocationError, Coreset, SamplerConfig,
                       StrategyInfeasibleError, build_coreset)
@@ -54,20 +54,10 @@ class GridSpec:
                 raise ValueError(f"{name} must be nonempty")
         if any(not (0 < r <= 1) for r in self.coreset_ratios):
             raise ValueError("coreset ratios must lie in (0, 1]")
-        if any(not (0 <= r < 1) for r in self.det_ratios):
-            raise ValueError("deterministic ratios must lie in [0, 1)")
-        for strategy in self.weight_strategies:
-            if strategy not in ("keep", "inv", "prop"):
-                raise ValueError(f"unknown weight strategy {strategy!r}")
-        for alloc in self.class_allocations:
-            if isinstance(alloc, tuple):
-                fractions = [v for _, v in alloc]
-                if any(v <= 0 for v in fractions) or \
-                        abs(sum(fractions) - 1.0) > 1e-9:
-                    raise ValueError(f"class allocation {dict(alloc)} must have "
-                                     "positive fractions summing to 1")
-            elif alloc != "proportional":
-                raise ValueError(f"bad class allocation {alloc!r}")
+        # SamplerConfig owns the knob checks; fail here, before any scoring.
+        for det, strategy, alloc in itertools.product(
+                self.det_ratios, self.weight_strategies, self.class_allocations):
+            SamplerConfig(1, det, strategy, _thaw_allocation(alloc))
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
@@ -121,7 +111,8 @@ class CoresetStats:
 @dataclass(frozen=True)
 class TrialResult:
     """Metrics of one (cell, repeat) evaluation; validation and test come
-    from the same trained model."""
+    from the same trained model. ``coreset_stats`` is None for a trial read
+    back with :meth:`from_dict`."""
 
     cell_index: int
     repeat: int
@@ -132,8 +123,26 @@ class TrialResult:
     regularization: float
     validation: MetricsReport
     test: MetricsReport
-    coreset_stats: CoresetStats
+    coreset_stats: CoresetStats | None
     vanilla: bool = False
+
+    def to_dict(self) -> dict:
+        """JSON-ready record of every field except ``coreset_stats``."""
+        return {"cell_index": self.cell_index, "repeat": self.repeat,
+                "seed": self.seed, "provider": self.provider,
+                "sampler": self.config.to_dict(),
+                "coreset_ratio": self.coreset_ratio,
+                "regularization": self.regularization,
+                "validation": self.validation.to_dict(),
+                "test": self.test.to_dict(), "vanilla": self.vanilla}
+
+    @classmethod
+    def from_dict(cls, d: dict) -> "TrialResult":
+        """Inverse of :meth:`to_dict`; other keys in ``d`` are ignored."""
+        return cls(d["cell_index"], d["repeat"], d["seed"], d["provider"],
+                   SamplerConfig(**d["sampler"]), d["coreset_ratio"],
+                   d["regularization"], MetricsReport.from_dict(d["validation"]),
+                   MetricsReport.from_dict(d["test"]), None, d["vanilla"])
 
 
 @dataclass(frozen=True)
@@ -207,21 +216,25 @@ def enumerate_cells(grid: GridSpec) -> list[Cell]:
     return cells
 
 
+def _fit_and_score(splits: SplitBundle, features, labels, weights,
+                   train_config: TrainConfig) -> tuple[MetricsReport, MetricsReport]:
+    """Train one model; return its (validation, test) reports."""
+    model = train(features, labels, weights, train_config)
+    return tuple(classification_report(split.labels,
+                                       decision_scores(model, split.features))
+                 for split in (splits.validation, splits.test))
+
+
 def _evaluate_config(splits: SplitBundle, scores: SensitivityScores,
                      config: SamplerConfig, train_config: TrainConfig,
                      regularization: float | None):
     """Build -> train -> evaluate; shared by grid cells and baselines."""
     coreset = build_coreset(splits.train, scores, config)
-    features, labels, weights = coreset.materialize(splits.train)
     cfg = train_config
     if regularization is not None:
         cfg = replace(train_config, regularization=regularization)
-    model = train(features, labels, weights, cfg)
-    val = classification_report(
-        splits.validation.labels, decision_scores(model, splits.validation.features))
-    test = classification_report(
-        splits.test.labels, decision_scores(model, splits.test.features))
-    return coreset, model, val, test, cfg
+    val, test = _fit_and_score(splits, *coreset.materialize(splits.train), cfg)
+    return coreset, val, test, cfg
 
 
 def _run_cell(splits, scores, cell: Cell, repeat: int, seed: int,
@@ -234,7 +247,7 @@ def _run_cell(splits, scores, cell: Cell, repeat: int, seed: int,
                            class_allocation=_thaw_allocation(cell.class_allocation),
                            seed=seed)
     try:
-        coreset, _, val, test, cfg = _evaluate_config(
+        coreset, val, test, cfg = _evaluate_config(
             splits, scores, config, train_config, cell.regularization)
     except (AllocationError, StrategyInfeasibleError) as exc:
         return FailedCell(cell.index, repeat, seed, str(exc))
@@ -339,20 +352,15 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
             rows.append(ComparisonRow(method, split_name, report.balanced_accuracy,
                                       report.f1, report.roc_auc))
 
-    _, _, val, test, _ = _evaluate_config(splits, scores, best.config,
-                                          train_config, best.regularization)
+    _, val, test, _ = _evaluate_config(splits, scores, best.config,
+                                       train_config, best.regularization)
     add("tuned", val, test)
-    _, _, val, test, _ = _evaluate_config(splits, scores, base, train_config, None)
+    _, val, test, _ = _evaluate_config(splits, scores, base, train_config, None)
     add("vanilla", val, test)
-    _, _, val, test, _ = _evaluate_config(splits, uniform, base, train_config, None)
+    _, val, test, _ = _evaluate_config(splits, uniform, base, train_config, None)
     add("random", val, test)
-    model = train(train_split.features, train_split.labels, train_split.weights,
-                  train_config)
-    add("full",
-        classification_report(splits.validation.labels,
-                              decision_scores(model, splits.validation.features)),
-        classification_report(splits.test.labels,
-                              decision_scores(model, splits.test.features)))
+    add("full", *_fit_and_score(splits, train_split.features, train_split.labels,
+                                train_split.weights, train_config))
     return rows
 
 
@@ -372,32 +380,32 @@ def refine_best(splits: SplitBundle, best: TrialResult,
     cfg = replace(train_config, regularization=best.regularization)
     refined, trace = refine(splits.train, splits.validation, coreset, cfg,
                             refine_config)
-    features, labels, weights = refined.materialize(splits.train)
-    model = train(features, labels, weights, cfg)
-    val = classification_report(
-        splits.validation.labels, decision_scores(model, splits.validation.features))
-    test = classification_report(
-        splits.test.labels, decision_scores(model, splits.test.features))
-    result = TrialResult(best.cell_index, best.repeat, best.seed, best.provider,
-                         best.config, best.coreset_ratio, best.regularization,
-                         val, test, CoresetStats.of(refined), vanilla=best.vanilla)
+    val, test = _fit_and_score(splits, *refined.materialize(splits.train), cfg)
+    result = replace(best, validation=val, test=test,
+                     coreset_stats=CoresetStats.of(refined))
     return RefinedBest(result, trace, refined)
 
 
-def curve_rows(result: GridSearchResult) -> list[tuple[float, str, str, float]]:
-    """(coreset_ratio, method, split, f1) rows for ratio-vs-F1 plots."""
+def curve_rows(cells) -> list[tuple[float, str, str, float]]:
+    """(coreset_ratio, method, split, f1) rows for ratio-vs-F1 plots.
+
+    ``cells`` is a GridSearchResult, or (coreset_ratio, vanilla,
+    mean_validation_f1, mean_test_f1) tuples in rank order. The tuned curve
+    takes the best-ranked cell at each ratio.
+    """
+    if isinstance(cells, GridSearchResult):
+        cells = [(s.cell.coreset_ratio, s.cell.vanilla, s.mean_validation_f1,
+                  s.mean_test_f1) for s in cells.summaries]
     rows = []
-    ratios = sorted({s.cell.coreset_ratio for s in result.summaries})
-    for ratio in ratios:
-        at_ratio = [s for s in result.summaries if s.cell.coreset_ratio == ratio]
-        tuned = min(at_ratio, key=lambda s: (-s.mean_validation_f1, s.cell.index))
-        rows.append((ratio, "tuned", "validation", tuned.mean_validation_f1))
-        rows.append((ratio, "tuned", "test", tuned.mean_test_f1))
-        vanilla = [s for s in at_ratio if s.cell.vanilla]
+    for ratio in sorted({c[0] for c in cells}):
+        at_ratio = [c for c in cells if c[0] == ratio]
+        tuned = at_ratio[0]
+        rows.append((ratio, "tuned", "validation", tuned[2]))
+        rows.append((ratio, "tuned", "test", tuned[3]))
+        vanilla = [c for c in at_ratio if c[1]]
         if vanilla:
-            rows.append((ratio, "vanilla", "validation",
-                         vanilla[0].mean_validation_f1))
-            rows.append((ratio, "vanilla", "test", vanilla[0].mean_test_f1))
+            rows.append((ratio, "vanilla", "validation", vanilla[0][2]))
+            rows.append((ratio, "vanilla", "test", vanilla[0][3]))
     return rows
 
 
@@ -418,30 +426,14 @@ def trials_to_csv(result: GridSearchResult, path,
                   header_comment: str | None = None) -> None:
     mean_f1 = {s.cell.index: s.mean_validation_f1 for s in result.summaries}
     rank = {s.cell.index: r for r, s in enumerate(result.summaries)}
-    with open(path, "w") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        fh.write(",".join(TRIAL_COLUMNS) + "\n")
-        for t in result.trials:
-            alloc = allocation_label(t.config.class_allocation).replace(",", ";")
-            counts = json.dumps(dict(t.coreset_stats.per_class_counts)).replace(",", ";")
-            row = [rank[t.cell_index], t.cell_index, t.repeat, t.seed, t.provider,
-                   FLOAT_FMT % t.coreset_ratio, t.config.coreset_size,
-                   FLOAT_FMT % t.config.det_ratio, t.config.weight_strategy,
-                   alloc, FLOAT_FMT % t.regularization, int(t.vanilla),
-                   FLOAT_FMT % mean_f1[t.cell_index],
-                   FLOAT_FMT % t.validation.f1,
-                   FLOAT_FMT % t.validation.balanced_accuracy,
-                   FLOAT_FMT % t.validation.accuracy,
-                   FLOAT_FMT % t.validation.roc_auc,
-                   FLOAT_FMT % t.validation.average_precision,
-                   FLOAT_FMT % t.test.f1,
-                   FLOAT_FMT % t.test.balanced_accuracy,
-                   FLOAT_FMT % t.test.accuracy,
-                   FLOAT_FMT % t.test.roc_auc,
-                   FLOAT_FMT % t.test.average_precision,
-                   *t.test.confusion,
-                   t.coreset_stats.unique_points,
-                   FLOAT_FMT % t.coreset_stats.total_weight,
-                   counts]
-            fh.write(",".join(str(v) for v in row) + "\n")
+    rows = ([rank[t.cell_index], t.cell_index, t.repeat, t.seed, t.provider,
+             t.coreset_ratio, t.config.coreset_size, t.config.det_ratio,
+             t.config.weight_strategy,
+             allocation_label(t.config.class_allocation).replace(",", ";"),
+             t.regularization, int(t.vanilla), mean_f1[t.cell_index],
+             *(t.validation.value(m) for m in METRIC_NAMES),
+             *(t.test.value(m) for m in METRIC_NAMES), *t.test.confusion,
+             t.coreset_stats.unique_points, t.coreset_stats.total_weight,
+             json.dumps(dict(t.coreset_stats.per_class_counts)).replace(",", ";")]
+            for t in result.trials)
+    write_table(path, TRIAL_COLUMNS, rows, header_comment)

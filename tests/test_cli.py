@@ -1,10 +1,14 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coretune.cli import main
+from coretune.data import load_split_bundle
+from coretune.runconfig import load_run_config
+from coretune.tuner import TrialResult, curve_rows, run_grid
 
 
 @pytest.fixture()
@@ -116,6 +120,36 @@ class TestPipeline:
         assert manifest["config_hash"] == hash_from_scores.split("=")[1]
 
 
+def tune_in_process(config_path):
+    cfg = load_run_config(config_path)
+    bundle, _ = load_split_bundle(os.path.join(cfg.output_dir, "splits"))
+    return run_grid(bundle, cfg.grid_spec(), cfg.train_config())
+
+
+class TestTrialRecord:
+    def test_best_config_reads_back_as_the_tuned_best(self, workdir):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune") == 0
+        with open(tmp_path / "run" / "best_config.json") as fh:
+            loaded = TrialResult.from_dict(json.load(fh))
+        best = tune_in_process(config_path).best
+        assert loaded == replace(best, coreset_stats=None)
+
+    def test_report_curves_equal_curve_rows(self, workdir):
+        tmp_path, _, config = workdir
+        config = dict(config, grid=dict(config["grid"], repeats=2))
+        config_path = str(tmp_path / "repeats.json")
+        with open(config_path, "w") as fh:
+            json.dump(config, fh)
+        for command in ("split", "tune", "report"):
+            assert run(config_path, command) == 0, command
+        lines = (tmp_path / "run" / "curves.csv").read_text().splitlines()
+        written = [(float(r), m, s, float(f))
+                   for r, m, s, f in (line.split(",") for line in lines[2:])]
+        assert written == curve_rows(tune_in_process(config_path))
+
+
 class TestSparseLibsvmPipeline:
     def test_one_hot_data_with_lewis_and_hinge(self, tmp_path):
         import scipy.sparse as sp
@@ -193,7 +227,7 @@ class TestErrorsAndExitCodes:
     def test_partial_grid_exit_code(self, workdir):
         tmp_path, config_path, config = workdir
         partial = dict(config)
-        partial["grid"] = {"coreset_ratios": [0.25],
+        partial["grid"] = {"coreset_ratios": [0.25, 0.4],
                            "det_ratios": [0.0],
                            "weight_strategies": ["inv"],
                            "class_allocations": [{"0": 1.0}],
@@ -202,6 +236,31 @@ class TestErrorsAndExitCodes:
         partial_path.write_text(json.dumps(partial))
         assert run(str(partial_path), "split") == 0
         assert run(str(partial_path), "tune") == 3
+        log = (tmp_path / "run" / "run.log").read_text()
+        assert log.count("tune: failed cell") == 2
+
+    def test_bad_weight_strategy_fails_before_scoring(self, workdir, monkeypatch,
+                                                      capsys):
+        _, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scores computed before the grid was validated")
+
+        monkeypatch.setattr("coretune.tuner.compute_scores", no_scoring)
+        assert run(config_path, "tune", "--override",
+                   'grid.weight_strategies=["inv", "mean"]') == 1
+        assert "weight_strategy" in capsys.readouterr().err
+
+    def test_retired_query_strategy_names_margin(self, workdir, capsys):
+        _, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune") == 0
+        assert run(config_path, "refine", "--override",
+                   "refine.query_strategy=entropy") == 1
+        assert "'margin'" in capsys.readouterr().err
+        assert run(config_path, "refine", "--override",
+                   "refine.query_strategy=margin") == 0
 
     def test_dataset_file_missing(self, workdir, capsys):
         tmp_path, config_path, config = workdir

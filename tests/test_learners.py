@@ -5,8 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from coretune.learners import (LinearModel, TrainConfig, UnsupportedOperationError,
-                               decision_scores, load_model, predict_labels,
-                               predict_probabilities, save_model, train,
+                               decision_scores, predict_labels,
+                               predict_probabilities, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective, weighted_loss)
 
@@ -181,19 +181,6 @@ class TestPredictions:
         model = LinearModel(np.array([1.0]), 0.0, "hinge", True)
         with pytest.raises(UnsupportedOperationError):
             predict_probabilities(model, np.ones((2, 1)))
-
-
-class TestSerialization:
-    def test_round_trip(self, tmp_path):
-        X, y, w = random_instance(seed=23)
-        model = train(X, y, w, TrainConfig())
-        path = tmp_path / "model.txt"
-        save_model(model, path)
-        back = load_model(path)
-        assert np.array_equal(model.coefficients, back.coefficients)
-        assert model.intercept == back.intercept
-        assert model.loss == back.loss
-        assert model.converged == back.converged
 
 
 class TestTrainConfig:

@@ -166,15 +166,3 @@ class TestClassificationReport:
         report = MetricsReport(1, 1, 1, 1, 1, (1, 0, 1, 0))
         with pytest.raises(KeyError):
             report.value("brier")
-
-    def test_csv_row_keyed_by_run_split_and_hash(self):
-        from coretune.metrics import REPORT_CSV_HEADER
-
-        report = MetricsReport(0.5, 0.75, 0.8, 0.9, 0.6, (2, 1, 6, 1))
-        row = report.to_csv_row("run42", "validation", "abc123")
-        cells = row.split(",")
-        header = REPORT_CSV_HEADER.split(",")
-        assert len(cells) == len(header)
-        assert cells[:3] == ["run42", "validation", "abc123"]
-        assert float(cells[header.index("f1")]) == 0.5
-        assert cells[header.index("tp")] == "2"

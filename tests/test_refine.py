@@ -46,14 +46,6 @@ class TestUncertaintyQuery:
         picked = uncertainty_query(model, pool, k=1)
         assert picked.tolist() == [3]
 
-    def test_strategy_aliases_agree(self):
-        rng = np.random.default_rng(2)
-        pool = Dataset(rng.normal(size=(30, 3)), rng.integers(0, 2, size=30))
-        model = LinearModel(rng.normal(size=3), 0.1, "logistic", True)
-        results = [uncertainty_query(model, pool, 7, s).tolist()
-                   for s in ("margin", "least_confidence", "entropy")]
-        assert results[0] == results[1] == results[2]
-
 
 def simulate_patience(improvements, patience_limit, max_rounds):
     """Independent counter simulation: returns per-round patience values."""
@@ -251,7 +243,3 @@ class TestRefineConfig:
     def test_unknown_metric_name(self):
         with pytest.raises(ValueError):
             RefineConfig(batch_size=2, metric="mcc")
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            RefineConfig(batch_size=2, query_strategy="random")

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from coretune.data import Dataset
@@ -46,6 +46,7 @@ class TestAllocateClassBudgets:
                            max_size=5),
            st.integers(2, 200), st.booleans())
     @settings(max_examples=100, deadline=None)
+    @example(counts={0: 1, 1: 1, 2: 1, 3: 2, 4: 3}, m=8, proportional=False)
     def test_budget_properties(self, counts, m, proportional):
         if m < len(counts):
             return

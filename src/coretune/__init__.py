@@ -12,7 +12,7 @@ from .sensitivity import (ProbabilityVector, SensitivityScores, compute_scores,
                           leverage_sensitivities, lewis_weight_sensitivities,
                           register_provider, to_probabilities, uniform_scores)
 from .tuner import (GridSpec, TrialResult, compare_to_baselines, refine_best,
-                    run_grid, vanilla_config)
+                    run_grid)
 
 __version__ = "0.1.0"
 
@@ -26,5 +26,5 @@ __all__ = [
     "parse_libsvm", "predict_labels", "predict_probabilities", "refine",
     "refine_best", "register_provider", "run_grid", "stratified_split",
     "to_probabilities", "train", "uncertainty_query", "uniform_scores",
-    "vanilla_config", "weighted_loss",
+    "weighted_loss",
 ]

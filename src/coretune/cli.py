@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .data import (load_split_bundle, parse_csv, parse_libsvm,
+from .data import (load_split_bundle, parse_csv, parse_libsvm, read_table,
                    save_split_bundle, stratified_split, write_table)
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
@@ -205,13 +205,10 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
     if not os.path.exists(path):
         raise ArtifactMissingError(
             f"no trials table at {path}; run the tune command first")
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh
-                 if line.strip() and not line.startswith("#")]
-    header = lines[0].split(",")
+    columns, table = read_table(path)
     cells: dict[str, list[dict]] = {}
-    for line in lines[1:]:
-        row = dict(zip(header, line.split(",")))
+    for values in table:
+        row = dict(zip(columns, values))
         cells.setdefault(row["cell_index"], []).append(row)
     return [(float(rows[0]["coreset_ratio"]), rows[0]["vanilla"] == "1",
              float(rows[0]["mean_validation_f1"]),

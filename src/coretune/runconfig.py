@@ -213,7 +213,8 @@ def load_run_config(path: str, overrides: list[str] | None = None,
         _set_path(raw, key.strip(), _parse_override_value(value), path)
     if seed is not None:
         raw.setdefault("split", {})["seed"] = seed
-        raw.setdefault("grid", {})["base_seed"] = seed
+        if "grid" in raw:
+            raw["grid"]["base_seed"] = seed
         raw.setdefault("build", {})["seed"] = seed
     if workers is not None:
         raw["workers"] = workers

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, largest_remainder, write_table
+from .data import Dataset, largest_remainder, read_table, write_table
 from .sensitivity import ProbabilityVector, SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -214,15 +214,16 @@ def select_deterministic(probs: ProbabilityVector, budget: int, det_ratio: float
 
 
 def sample_residual(probs: ProbabilityVector, q_positions: np.ndarray, draws: int,
-                    rng: np.random.Generator) -> dict[int, int]:
+                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``draws`` points i.i.d. with replacement from outside Q.
 
     Probabilities over the complement of Q are renormalized to sum 1; the
-    result maps sampled positions to multiplicities summing to ``draws``.
+    result is the ascending sampled positions and their multiplicities, which
+    sum to ``draws``.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    p = probs.probabilities.copy()
+    p = probs.probabilities
     mask = np.ones(len(p), dtype=bool)
     mask[np.asarray(q_positions, dtype=np.int64)] = False
     residual = np.flatnonzero(mask)
@@ -230,18 +231,21 @@ def sample_residual(probs: ProbabilityVector, q_positions: np.ndarray, draws: in
         raise ValueError("no residual probability mass outside the deterministic set")
     rp = p[residual] / p[residual].sum()
     picks = rng.choice(len(residual), size=draws, replace=True, p=rp)
-    positions, counts = np.unique(residual[picks], return_counts=True)
-    return {int(pos): int(c) for pos, c in zip(positions, counts)}
+    return np.unique(residual[picks], return_counts=True)
 
 
-def assign_weights(strategy: str, q_positions: np.ndarray, counts: dict[int, int],
-                   probs: ProbabilityVector, m: int, source_weights: np.ndarray,
-                   prev_w: float) -> dict[int, float]:
+def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray,
+                   counts: np.ndarray, probs: ProbabilityVector, m: int,
+                   source_weights: np.ndarray,
+                   prev_w: float) -> tuple[np.ndarray, np.ndarray]:
     """Weight the deterministic set Q and the sampled multiset.
 
-    ``probs`` and ``m`` are the sampling problem's probability vector and
-    size (the class probabilities and class budget when sampling per class);
-    ``prev_w`` is the total source weight of the problem's points.
+    ``positions`` and ``counts`` are the sampled positions and their
+    multiplicities; the result is (weights of ``q_positions``, weights of
+    ``positions``), in the same orders. ``probs`` and ``m`` are the sampling
+    problem's probability vector and size (the class probabilities and class
+    budget when sampling per class); ``prev_w`` is the total source weight of
+    the problem's points.
 
     keep: Q keeps its source weights; sampled points get inverse-probability
         weights under the residual-renormalized probabilities, scaled so their
@@ -255,58 +259,42 @@ def assign_weights(strategy: str, q_positions: np.ndarray, counts: dict[int, int
     if strategy not in WEIGHT_STRATEGIES:
         raise ValueError(f"unknown weight strategy {strategy!r}")
     q_positions = np.asarray(q_positions, dtype=np.int64)
-    if set(q_positions.tolist()) & set(counts):
+    if np.isin(positions, q_positions).any():
         raise ValueError("deterministic set and sampled counts must be disjoint")
     p = probs.probabilities
     w = np.asarray(source_weights, dtype=np.float64)
-    out: dict[int, float] = {}
-    sampled = sorted(counts)
+    w_q = w[q_positions]
 
     if strategy == "inv":
-        for q in q_positions:
-            out[int(q)] = w[q] / (p[q] * m)
-        for pos in sampled:
-            out[pos] = counts[pos] * w[pos] / (p[pos] * m)
-        return out
+        return (w_q / (p[q_positions] * m),
+                counts * w[positions] / (p[positions] * m))
 
     # keep and prop share the residual-renormalized inverse-probability shape.
     mask = np.ones(len(p), dtype=bool)
     mask[q_positions] = False
     residual_mass = p[mask].sum()
-    raw = {pos: counts[pos] * w[pos] / (p[pos] / residual_mass) for pos in sampled}
-    raw_total = sum(raw.values())
+    raw = counts * w[positions] / (p[positions] / residual_mass)
+    # Left-to-right, not numpy's pairwise sum: the weights are artifact bytes.
+    raw_total = sum(raw.tolist())
 
     if strategy == "keep":
-        det_mass = float(w[q_positions].sum())
+        det_mass = float(w_q.sum())
         remaining = prev_w - det_mass
         if remaining <= 0 or raw_total <= 0:
             raise StrategyInfeasibleError(
                 f"keep: deterministic weights ({det_mass}) exhaust the weight "
                 f"budget ({prev_w})")
-        for q in q_positions:
-            out[int(q)] = float(w[q])
-        scale = remaining / raw_total
-        for pos in sampled:
-            out[pos] = raw[pos] * scale
-        return out
+        return w_q, raw * (remaining / raw_total)
 
     # prop
     q_share = len(q_positions) / m
-    det_target = q_share * prev_w
-    if len(q_positions):
-        det_w = w[q_positions]
-        det_sum = det_w.sum()
-        if det_sum <= 0:
-            raise StrategyInfeasibleError(
-                "prop: deterministic points carry zero source weight")
-        for q, wq in zip(q_positions, det_w):
-            out[int(q)] = det_target * wq / det_sum
+    if len(q_positions) and w_q.sum() <= 0:
+        raise StrategyInfeasibleError(
+            "prop: deterministic points carry zero source weight")
     if raw_total <= 0:
         raise StrategyInfeasibleError("prop: sampled side has zero raw weight")
-    sampled_target = (1.0 - q_share) * prev_w
-    for pos in sampled:
-        out[pos] = sampled_target * raw[pos] / raw_total
-    return out
+    return (q_share * prev_w * w_q / w_q.sum(),
+            (1.0 - q_share) * prev_w * raw / raw_total)
 
 
 def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfig,
@@ -322,50 +310,41 @@ def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfi
         raise ValueError(f"scores cover {len(scores)} points, dataset has {data.n}")
     if rng is None:
         rng = np.random.default_rng(config.seed)
-    classes = data.classes
-    class_counts = {int(c): int(np.sum(data.labels == c)) for c in classes}
-    budgets = allocate_class_budgets(config.coreset_size, class_counts,
+    classes, class_sizes = np.unique(data.labels, return_counts=True)
+    budgets = allocate_class_budgets(config.coreset_size,
+                                     dict(zip(classes.tolist(), class_sizes.tolist())),
                                      config.class_allocation)
     class_seeds = rng.integers(0, 2**63 - 1, size=len(classes))
 
-    ids_out: list[np.ndarray] = []
-    weights_out: list[np.ndarray] = []
-    labels_out: list[np.ndarray] = []
-    prov_out: list[np.ndarray] = []
-    counts_out: list[np.ndarray] = []
-
-    for cls, cls_seed in zip(classes, class_seeds):
-        cls = int(cls)
+    # Per class: Q's (positions, weights, counts), then the sampled side's.
+    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for cls, cls_seed in zip(classes.tolist(), class_seeds):
         pos = np.flatnonzero(data.labels == cls)
-        ids_c = data.point_ids[pos]
         w_c = data.weights[pos]
         v_c = scores.values[pos]
         probs_c = ProbabilityVector(v_c / v_c.sum())
         budget = budgets[cls]
-        q = select_deterministic(probs_c, budget, config.det_ratio, point_ids=ids_c)
-        draws = budget - len(q)
-        counts = sample_residual(probs_c, q, draws, np.random.default_rng(cls_seed))
+        q = select_deterministic(probs_c, budget, config.det_ratio,
+                                 point_ids=data.point_ids[pos])
+        sampled, counts = sample_residual(probs_c, q, budget - len(q),
+                                          np.random.default_rng(cls_seed))
         try:
-            weight_map = assign_weights(config.weight_strategy, q, counts, probs_c,
-                                        budget, w_c, float(w_c.sum()))
+            q_w, sampled_w = assign_weights(config.weight_strategy, q, sampled,
+                                            counts, probs_c, budget, w_c,
+                                            float(w_c.sum()))
         except StrategyInfeasibleError as exc:
             raise StrategyInfeasibleError(f"class {cls}: {exc}") from exc
+        parts += [(pos[q], q_w, np.ones(len(q), dtype=np.int64)),
+                  (pos[sampled], sampled_w, counts)]
 
-        rows = ([(int(ids_c[i]), weight_map[int(i)], PROVENANCE_DETERMINISTIC, 1)
-                 for i in q]
-                + [(int(ids_c[i]), weight_map[i], PROVENANCE_SAMPLED, counts[i])
-                   for i in sorted(counts)])
-        rows.sort(key=lambda r: r[0])
-        ids_out.append(np.array([r[0] for r in rows], dtype=np.int64))
-        weights_out.append(np.array([r[1] for r in rows], dtype=np.float64))
-        labels_out.append(np.full(len(rows), cls, dtype=np.int64))
-        prov_out.append(np.array([r[2] for r in rows], dtype=object))
-        counts_out.append(np.array([r[3] for r in rows], dtype=np.int64))
-
-    coreset = Coreset(np.concatenate(ids_out), np.concatenate(weights_out),
-                      np.concatenate(labels_out), np.concatenate(prov_out),
-                      np.concatenate(counts_out))
-    return coreset
+    chosen, weights, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+    provenance = np.repeat(
+        np.array([PROVENANCE_DETERMINISTIC, PROVENANCE_SAMPLED] * len(classes),
+                 dtype=object), [len(part[0]) for part in parts])
+    order = np.lexsort((data.point_ids[chosen], data.labels[chosen]))
+    chosen = chosen[order]
+    return Coreset(data.point_ids[chosen], weights[order], data.labels[chosen],
+                   provenance[order], counts[order])
 
 
 def coreset_to_csv(coreset: Coreset, path, header_comment: str | None = None) -> None:
@@ -375,17 +354,8 @@ def coreset_to_csv(coreset: Coreset, path, header_comment: str | None = None) ->
 
 
 def coreset_from_csv(path) -> Coreset:
-    ids, classes, weights, prov, counts = [], [], [], [], []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#") or line.startswith("point_id"):
-                continue
-            pid, cls, w, p, cnt = line.split(",")
-            ids.append(int(pid))
-            classes.append(int(cls))
-            weights.append(float(w))
-            prov.append(p)
-            counts.append(int(cnt))
-    return Coreset(np.array(ids), np.array(weights), np.array(classes),
-                   np.array(prov, dtype=object), np.array(counts))
+    columns, rows = read_table(path)
+    cells = dict(zip(columns, zip(*rows)))
+    # Coreset.__post_init__ parses each string column into its dtype.
+    return Coreset(cells["point_id"], cells["weight"], cells["class"],
+                   cells["provenance"], cells["count"])

@@ -25,6 +25,11 @@ from .sampler import (AllocationError, Coreset, SamplerConfig,
                       StrategyInfeasibleError, build_coreset)
 from .sensitivity import SensitivityScores, compute_scores
 
+# The untuned baseline knobs: no deterministic inclusion, inverse-probability
+# weights, proportional class allocation.
+VANILLA = {"det_ratio": 0.0, "weight_strategy": "inv",
+           "class_allocation": "proportional"}
+
 
 @dataclass(frozen=True)
 class GridSpec:
@@ -176,18 +181,6 @@ class GridSearchResult:
         return self.trials[0]
 
 
-def vanilla_config(coreset_ratio: float, class_counts: dict[int, int],
-                   seed: int = 0) -> SamplerConfig:
-    """The untuned baseline: no deterministic inclusion, inverse-probability
-    weights, proportional class allocation."""
-    if not (0 < coreset_ratio <= 1):
-        raise ValueError(f"coreset_ratio must lie in (0, 1], got {coreset_ratio}")
-    n = int(sum(class_counts.values()))
-    m = coreset_size_for(coreset_ratio, n, len(class_counts))
-    return SamplerConfig(coreset_size=m, det_ratio=0.0, weight_strategy="inv",
-                         class_allocation="proportional", seed=seed)
-
-
 def coreset_size_for(ratio: float, n: int, n_classes: int) -> int:
     """round(ratio * n), clamped to [n_classes, n]."""
     return int(min(n, max(n_classes, round(ratio * n))))
@@ -200,8 +193,8 @@ def enumerate_cells(grid: GridSpec) -> list[Cell]:
     cells: list[Cell] = []
     seen = set()
     for ratio in grid.coreset_ratios:
-        cell = Cell(len(cells), ratio, 0.0, "inv", "proportional", None,
-                    vanilla=True)
+        cell = Cell(len(cells), coreset_ratio=ratio, regularization=None,
+                    vanilla=True, **VANILLA)
         if cell.key() not in seen:
             seen.add(cell.key())
             cells.append(cell)
@@ -340,10 +333,7 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
     train_split = splits.train
     scores = compute_scores(best.provider, train_split, **(provider_params or {}))
     uniform = compute_scores("uniform", train_split)
-    base = vanilla_config(best.coreset_ratio,
-                          {int(c): int(np.sum(train_split.labels == c))
-                           for c in train_split.classes}, seed=best.seed)
-    base = replace(base, coreset_size=best.config.coreset_size)
+    base = replace(best.config, **VANILLA)
 
     rows: list[ComparisonRow] = []
 

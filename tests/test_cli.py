@@ -293,6 +293,16 @@ class TestOverrides:
         assert run(config_path, "build", "--seed", "99") == 0
         assert (out / "coreset.csv").read_text() != base
 
+    def test_seed_flag_without_grid_section(self, workdir):
+        tmp_path, _, config = workdir
+        del config["grid"]
+        config_path = tmp_path / "no_grid.json"
+        config_path.write_text(json.dumps(config))
+        assert run(str(config_path), "split", "--seed", "3") == 0
+        manifest = json.loads(
+            (tmp_path / "run" / "splits" / "manifest.json").read_text())
+        assert manifest["seed"] == 3
+
     def test_override_requires_key_value(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "build", "--override", "det_ratio") == 1

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -86,16 +88,18 @@ class TestSelectDeterministic:
 class TestSampleResidual:
     def test_forced_single_point(self):
         probs = ProbabilityVector(np.array([0.4, 0.3, 0.3]))
-        counts = sample_residual(probs, np.array([0, 1]), draws=5,
-                                 rng=np.random.default_rng(0))
-        assert counts == {2: 5}
+        positions, counts = sample_residual(probs, np.array([0, 1]), draws=5,
+                                            rng=np.random.default_rng(0))
+        assert positions.tolist() == [2]
+        assert counts.tolist() == [5]
 
     def test_binomial_oracle_three_sigma(self):
         draws = 10**5
         probs = ProbabilityVector(np.array([0.5, 0.5]))
-        counts = sample_residual(probs, np.array([], dtype=int), draws,
-                                 rng=np.random.default_rng(42))
+        positions, counts = sample_residual(probs, np.array([], dtype=int), draws,
+                                            rng=np.random.default_rng(42))
         sigma = np.sqrt(draws * 0.25)
+        assert positions.tolist() == [0, 1]
         assert abs(counts[0] - draws / 2) <= 3 * sigma
         assert abs(counts[1] - draws / 2) <= 3 * sigma
         assert counts[0] + counts[1] == draws
@@ -104,7 +108,8 @@ class TestSampleResidual:
         probs = ProbabilityVector(np.array([0.2, 0.3, 0.5]))
         a = sample_residual(probs, np.array([1]), 50, np.random.default_rng(9))
         b = sample_residual(probs, np.array([1]), 50, np.random.default_rng(9))
-        assert a == b
+        assert np.array_equal(a[0], b[0])
+        assert np.array_equal(a[1], b[1])
 
     def test_all_mass_excluded(self):
         probs = ProbabilityVector(np.array([0.5, 0.5]))
@@ -112,64 +117,72 @@ class TestSampleResidual:
             sample_residual(probs, np.array([0, 1]), 3, np.random.default_rng(0))
 
 
+NO_Q = np.array([], dtype=int)
+
+
 class TestAssignWeights:
     def test_inv_formula(self):
         probs = ProbabilityVector(np.array([0.1, 0.9]))
-        weights = assign_weights("inv", np.array([], dtype=int), {0: 1}, probs,
-                                 m=10, source_weights=np.ones(2), prev_w=2.0)
+        _, weights = assign_weights("inv", NO_Q, np.array([0]), np.array([1]),
+                                    probs, m=10, source_weights=np.ones(2),
+                                    prev_w=2.0)
         assert weights[0] == pytest.approx(1.0)
 
     def test_inv_deterministic_points_use_same_formula(self):
         probs = ProbabilityVector(np.array([0.5, 0.25, 0.25]))
-        weights = assign_weights("inv", np.array([0]), {1: 2}, probs, m=4,
-                                 source_weights=np.ones(3), prev_w=3.0)
-        assert weights[0] == pytest.approx(1.0 / (0.5 * 4))
-        assert weights[1] == pytest.approx(2.0 / (0.25 * 4))
+        q_weights, weights = assign_weights("inv", np.array([0]), np.array([1]),
+                                            np.array([2]), probs, m=4,
+                                            source_weights=np.ones(3), prev_w=3.0)
+        assert q_weights[0] == pytest.approx(1.0 / (0.5 * 4))
+        assert weights[0] == pytest.approx(2.0 / (0.25 * 4))
 
     def test_prop_deterministic_share(self):
         probs = ProbabilityVector(np.full(100, 0.01))
         q = np.array([0, 1])
-        counts = {5: 4, 6: 4}
-        weights = assign_weights("prop", q, counts, probs, m=10,
-                                 source_weights=np.ones(100), prev_w=100.0)
-        assert weights[0] == pytest.approx(10.0)
-        assert weights[1] == pytest.approx(10.0)
-        assert weights[0] + weights[1] == pytest.approx(20.0)
-        assert sum(weights.values()) == pytest.approx(100.0)
+        q_weights, weights = assign_weights("prop", q, np.array([5, 6]),
+                                            np.array([4, 4]), probs, m=10,
+                                            source_weights=np.ones(100),
+                                            prev_w=100.0)
+        assert q_weights[0] == pytest.approx(10.0)
+        assert q_weights[1] == pytest.approx(10.0)
+        assert q_weights[0] + q_weights[1] == pytest.approx(20.0)
+        assert q_weights.sum() + weights.sum() == pytest.approx(100.0)
 
     def test_keep_empty_q_matches_hand_summation(self):
         # Five points, three of them sampled; by hand:
         # raw_i = count_i / p_i -> raw = {0: 2/.4, 2: 1/.1, 4: 2/.2} = {5,10,10}
         # scale = prev_w / 25 = 13/25 -> weights {2.6, 5.2, 5.2}
         probs = ProbabilityVector(np.array([0.4, 0.2, 0.1, 0.1, 0.2]))
-        counts = {0: 2, 2: 1, 4: 2}
-        weights = assign_weights("keep", np.array([], dtype=int), counts, probs,
-                                 m=5, source_weights=np.ones(5), prev_w=13.0)
+        q_weights, weights = assign_weights("keep", NO_Q, np.array([0, 2, 4]),
+                                            np.array([2, 1, 2]), probs, m=5,
+                                            source_weights=np.ones(5), prev_w=13.0)
+        assert len(q_weights) == 0
         assert weights[0] == pytest.approx(13.0 * 5 / 25)
+        assert weights[1] == pytest.approx(13.0 * 10 / 25)
         assert weights[2] == pytest.approx(13.0 * 10 / 25)
-        assert weights[4] == pytest.approx(13.0 * 10 / 25)
-        assert sum(weights.values()) == pytest.approx(13.0)
+        assert weights.sum() == pytest.approx(13.0)
 
     def test_keep_respects_source_weights(self):
         probs = ProbabilityVector(np.array([0.5, 0.25, 0.25]))
         source = np.array([3.0, 1.0, 2.0])
-        weights = assign_weights("keep", np.array([0]), {1: 1, 2: 1}, probs,
-                                 m=3, source_weights=source, prev_w=6.0)
-        assert weights[0] == 3.0
-        assert sum(weights.values()) == pytest.approx(6.0)
+        q_weights, weights = assign_weights("keep", np.array([0]), np.array([1, 2]),
+                                            np.array([1, 1]), probs, m=3,
+                                            source_weights=source, prev_w=6.0)
+        assert q_weights[0] == 3.0
+        assert q_weights.sum() + weights.sum() == pytest.approx(6.0)
 
     def test_keep_infeasible_when_budget_exhausted(self):
         probs = ProbabilityVector(np.array([0.8, 0.1, 0.1]))
         source = np.array([5.0, 0.0, 0.0])
         with pytest.raises(StrategyInfeasibleError):
-            assign_weights("keep", np.array([0]), {1: 1}, probs, m=3,
-                           source_weights=source, prev_w=5.0)
+            assign_weights("keep", np.array([0]), np.array([1]), np.array([1]),
+                           probs, m=3, source_weights=source, prev_w=5.0)
 
     def test_overlap_rejected(self):
         probs = ProbabilityVector(np.array([0.5, 0.5]))
         with pytest.raises(ValueError, match="disjoint"):
-            assign_weights("inv", np.array([0]), {0: 1}, probs, m=2,
-                           source_weights=np.ones(2), prev_w=2.0)
+            assign_weights("inv", np.array([0]), np.array([0]), np.array([1]),
+                           probs, m=2, source_weights=np.ones(2), prev_w=2.0)
 
 
 def gaussian_instance(n=200, d=4, pos_fraction=0.4, seed=0):
@@ -298,6 +311,68 @@ class TestBuildCoreset:
                                weight_strategy="keep", seed=0)
         with pytest.raises(StrategyInfeasibleError, match="class 0"):
             build_coreset(data, scores, config)
+
+
+GOLDEN_MAP = {0: 0.4, 1: 0.35, 2: 0.25}
+
+# sha256 over point_ids, labels, weights and counts bytes, then the provenance
+# tags. A digest that moves means every coreset artifact moves with it.
+GOLDEN_DIGESTS = {
+    ("inv", 0.0, "proportional"):
+        "b7477bea751abae62ebac0a05aba43b1077fe697fde05f65ca940977fd92b76c",
+    ("inv", 0.0, "map"):
+        "96795f320f61f000122acfe084b7412659e37befb1d5e7cfdeda0434b92f2f47",
+    ("inv", 0.3, "proportional"):
+        "c479a873affdb4a9b503c4802b420d10dcdd7701c8da20dabb0e7a96b04d76bc",
+    ("inv", 0.3, "map"):
+        "21f10aafea369cec9e74490852575ea2f29a90e76e5e1a79d6be66103087a8e0",
+    ("keep", 0.0, "proportional"):
+        "b77ba5cc53dbac90fd19ca3b509148c7855a767f2c2b42378b13f885347b9869",
+    ("keep", 0.0, "map"):
+        "ac4cb12a9953ce064eb153b285f71c4f0e9b3f574a72ab12a1de18908713261d",
+    ("keep", 0.3, "proportional"):
+        "004cdbcecf3d8e33f91759e02c81594d99fded4e060b91877aeff18b4d53bb22",
+    ("keep", 0.3, "map"):
+        "bf3ad224c10a71c27ce0aa95f526df2f908b1928088f1436dd040dfeb4969172",
+    ("prop", 0.0, "proportional"):
+        "05d5ea5298d884dfb6a473c724a216f4ac146e6639ab3deb393c1af5fdfc71a3",
+    ("prop", 0.0, "map"):
+        "75646197a0c71c2720f10488a9fd3522c29a636cfa170e7648a63984d2b33b45",
+    ("prop", 0.3, "proportional"):
+        "fecc5efe52f2d5d99aad81313620cba43550c4a1f891e9d0411c42756457cf60",
+    ("prop", 0.3, "map"):
+        "2b826a28e84868b401cde3605553f4a970e86bc362b31b4d094318314f8ad4b0",
+}
+
+
+def golden_instance():
+    """90 weighted points in 3 classes (45/30/15) with shuffled, gapped
+    point_ids and skewed scores, so draws repeat and rows need reordering."""
+    rng = np.random.default_rng(2024)
+    labels = np.repeat([0, 1, 2], [45, 30, 15])
+    perm = rng.permutation(90)
+    values = rng.exponential(1.0, 90)
+    data = Dataset(np.zeros((90, 1)), labels[perm],
+                   weights=rng.uniform(0.5, 2.0, 90),
+                   point_ids=1000 + 7 * rng.permutation(90))
+    return data, SensitivityScores(values, float(values.sum()), "manual")
+
+
+class TestBuildCoresetGolden:
+    @pytest.mark.parametrize("key", sorted(GOLDEN_DIGESTS),
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_bytes_pinned(self, key):
+        strategy, det_ratio, alloc = key
+        data, scores = golden_instance()
+        config = SamplerConfig(30, det_ratio, strategy,
+                               GOLDEN_MAP if alloc == "map" else alloc, seed=17)
+        coreset = build_coreset(data, scores, config)
+        digest = hashlib.sha256()
+        for arr in (coreset.point_ids, coreset.labels, coreset.weights,
+                    coreset.counts):
+            digest.update(arr.tobytes())
+        digest.update(",".join(coreset.provenance).encode())
+        assert digest.hexdigest() == GOLDEN_DIGESTS[key]
 
 
 class TestCoresetInvariantsAndIo:

@@ -6,7 +6,7 @@ from coretune.learners import TrainConfig
 from coretune.refine import RefineConfig
 from coretune.tuner import (Cell, GridSpec, coreset_size_for, compare_to_baselines,
                             curve_rows, enumerate_cells, refine_best, run_grid,
-                            trials_to_csv, vanilla_config)
+                            trials_to_csv)
 
 
 def imbalanced_problem(n=400, d=5, pos_fraction=0.25, seed=0, sep=1.5):
@@ -26,23 +26,6 @@ SMALL_GRID = GridSpec(coreset_ratios=(0.2, 0.35),
                       class_allocations=("proportional", {0: 0.5, 1: 0.5}),
                       sensitivity_provider="leverage",
                       repeats=2, base_seed=7)
-
-
-class TestVanillaConfig:
-    def test_definition(self):
-        config = vanilla_config(0.1, {0: 600, 1: 400})
-        assert config.det_ratio == 0.0
-        assert config.weight_strategy == "inv"
-        assert config.class_allocation == "proportional"
-        assert config.coreset_size == 100
-
-    def test_two_calls_equal(self):
-        assert vanilla_config(0.25, {0: 30, 1: 10}) == \
-            vanilla_config(0.25, {0: 30, 1: 10})
-
-    def test_zero_ratio_rejected(self):
-        with pytest.raises(ValueError):
-            vanilla_config(0.0, {0: 5, 1: 5})
 
 
 class TestEnumerateCells:
@@ -66,6 +49,15 @@ class TestEnumerateCells:
         cells = enumerate_cells(grid)
         assert len(cells) == 1  # the product cell IS the vanilla cell
         assert cells[0].vanilla
+
+    def test_vanilla_cells_use_vanilla_knobs(self):
+        cells = enumerate_cells(SMALL_GRID)
+        vanilla = [c for c in cells if c.vanilla]
+        assert [c.coreset_ratio for c in vanilla] == list(SMALL_GRID.coreset_ratios)
+        for cell in vanilla:
+            assert cell.det_ratio == 0.0
+            assert cell.weight_strategy == "inv"
+            assert cell.class_allocation == "proportional"
 
     def test_indices_are_serial(self):
         cells = enumerate_cells(SMALL_GRID)
@@ -259,6 +251,8 @@ class TestGridSpecValidation:
     def test_ratio_range(self):
         with pytest.raises(ValueError):
             GridSpec(coreset_ratios=(1.5,))
+        with pytest.raises(ValueError):
+            GridSpec(coreset_ratios=(0.0,))
 
     def test_det_ratio_range(self):
         with pytest.raises(ValueError):

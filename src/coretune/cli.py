@@ -21,7 +21,7 @@ from .data import (load_split_bundle, parse_csv, parse_libsvm, read_table,
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
-from .sensitivity import compute_scores, scores_to_csv
+from .sensitivity import SensitivityScores, compute_scores, scores_to_csv
 from .tuner import (TrialResult, compare_to_baselines, curve_rows, refine_best,
                     run_grid, trials_to_csv)
 
@@ -99,6 +99,35 @@ def _load_splits(cfg: RunConfig):
         ) from None
 
 
+def _train_scores(cfg: RunConfig, bundle, manifest: dict,
+                  provider: str) -> SensitivityScores:
+    """The train split's ``provider`` scores under the configured params.
+
+    They come from ``<output_dir>/scores.npz`` when its key (provider,
+    params, train-split digest) matches; otherwise they are computed once
+    and stored there, replacing any scores of another key.
+    """
+    key = json.dumps([provider, cfg.provider_params,
+                      manifest["splits"]["train"]["sha256"]], sort_keys=True)
+    path = os.path.join(cfg.output_dir, "scores.npz")
+    if os.path.exists(path):
+        with np.load(path, allow_pickle=False) as stored:
+            if str(stored["key"]) == key:
+                return SensitivityScores(
+                    stored["values"], float(stored["total"]),
+                    str(stored["provider_name"]), bool(stored["converged"]),
+                    bool(stored["ridge_fallback"]))
+    scores = compute_scores(provider, bundle.train, **cfg.provider_params)
+    with atomic_output(path) as tmp:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, key=np.asarray(key), values=scores.values,
+                     total=scores.total,
+                     provider_name=np.asarray(scores.provider_name),
+                     converged=scores.converged,
+                     ridge_fallback=scores.ridge_fallback)
+    return scores
+
+
 def cmd_split(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
     bundle = stratified_split(dataset, cfg.split_fractions, cfg.split_seed)
@@ -112,8 +141,8 @@ def cmd_split(cfg: RunConfig) -> int:
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    bundle, _ = _load_splits(cfg)
-    scores = compute_scores(cfg.provider, bundle.train, **cfg.provider_params)
+    bundle, manifest = _load_splits(cfg)
+    scores = _train_scores(cfg, bundle, manifest, cfg.provider)
     out = os.path.join(cfg.output_dir, "scores.csv")
     with atomic_output(out) as tmp:
         scores_to_csv(scores, bundle.train.point_ids, tmp,
@@ -123,10 +152,10 @@ def cmd_score(cfg: RunConfig) -> int:
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    bundle, _ = _load_splits(cfg)
+    bundle, manifest = _load_splits(cfg)
     train = bundle.train
     config = cfg.build_config(train.n, len(train.classes))
-    scores = compute_scores(cfg.provider, train, **cfg.provider_params)
+    scores = _train_scores(cfg, bundle, manifest, cfg.provider)
     coreset = build_coreset(train, scores, config)
     out = os.path.join(cfg.output_dir, "coreset.csv")
     with atomic_output(out) as tmp:
@@ -142,9 +171,10 @@ def _best_config_path(cfg: RunConfig) -> str:
 
 
 def cmd_tune(cfg: RunConfig) -> int:
-    bundle, _ = _load_splits(cfg)
+    bundle, manifest = _load_splits(cfg)
     grid = cfg.grid_spec()
-    result = run_grid(bundle, grid, cfg.train_config(), workers=cfg.workers)
+    result = run_grid(bundle, grid, cfg.train_config(), workers=cfg.workers,
+                      scores=_train_scores(cfg, bundle, manifest, cfg.provider))
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
     with atomic_output(trials_out) as tmp:
         trials_to_csv(result, tmp,
@@ -175,13 +205,13 @@ def _load_best(cfg: RunConfig) -> TrialResult:
 
 
 def cmd_refine(cfg: RunConfig) -> int:
-    bundle, _ = _load_splits(cfg)
+    bundle, manifest = _load_splits(cfg)
     best = _load_best(cfg)
     refine_cfg = cfg.refine_config()
     if refine_cfg is None:
         refine_cfg = RefineConfig(batch_size=max(1, bundle.train.n // 20))
     outcome = refine_best(bundle, best, refine_cfg, cfg.train_config(),
-                          provider_params=cfg.provider_params)
+                          _train_scores(cfg, bundle, manifest, best.provider))
     coreset_out = os.path.join(cfg.output_dir, "refined_coreset.csv")
     with atomic_output(coreset_out) as tmp:
         coreset_to_csv(outcome.coreset, tmp,
@@ -217,11 +247,12 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    bundle, _ = _load_splits(cfg)
+    bundle, manifest = _load_splits(cfg)
     cells = _load_trial_cells(cfg)
     best = _load_best(cfg)
-    comparison = compare_to_baselines(bundle, best, cfg.train_config(),
-                                      provider_params=cfg.provider_params)
+    comparison = compare_to_baselines(
+        bundle, best, cfg.train_config(),
+        _train_scores(cfg, bundle, manifest, best.provider))
     comment = f"config_hash={cfg.config_hash()}"
     comp_out = os.path.join(cfg.output_dir, "comparison.csv")
     with atomic_output(comp_out) as tmp:

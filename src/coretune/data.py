@@ -8,7 +8,9 @@ starting at 0 ({-1,+1} inputs are remapped to {0,1}).
 
 from __future__ import annotations
 
+import hashlib
 import json
+import os
 import re
 from dataclasses import dataclass, field
 
@@ -392,21 +394,48 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
 
 
-SPLIT_FILES = {"train": "train.libsvm", "validation": "validation.libsvm",
-               "test": "test.libsvm"}
 MANIFEST_FILE = "manifest.json"
+
+
+def _split_arrays(split: Dataset) -> dict[str, np.ndarray]:
+    """The arrays one split file holds: ``features`` for a dense matrix, or
+    ``data``/``indices``/``indptr``/``shape`` for a CSR one, plus
+    ``labels``, ``weights`` and ``point_ids``."""
+    if sp.issparse(split.features):
+        matrix = split.features.tocsr()
+        arrays = {"data": matrix.data, "indices": matrix.indices,
+                  "indptr": matrix.indptr,
+                  "shape": np.asarray(matrix.shape, dtype=np.int64)}
+    else:
+        arrays = {"features": np.asarray(split.features)}
+    arrays.update(labels=split.labels, weights=split.weights,
+                  point_ids=split.point_ids)
+    return arrays
+
+
+def _arrays_digest(arrays: dict[str, np.ndarray]) -> str:
+    """sha256 over each array's name, dtype, shape and bytes, in name order.
+
+    The digest covers content only: ``np.savez`` stamps zip times into the
+    file, so the file bytes of two saves of one split differ.
+    """
+    digest = hashlib.sha256()
+    for name in sorted(arrays):
+        arr = np.ascontiguousarray(arrays[name])
+        digest.update(f"{name}:{arr.dtype.str}:{arr.shape};".encode())
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
 
 
 def save_split_bundle(bundle: SplitBundle, directory, seed: int,
                       fractions: tuple[float, float, float],
                       extra: dict | None = None) -> None:
-    """Write the three splits as LIBSVM files plus a JSON manifest.
+    """Write each split as ``<name>.npz`` plus a JSON manifest.
 
-    The manifest records seed, fractions, per-split sizes and point_ids; the
-    point_ids restore split identity when the bundle is reloaded.
+    A split keeps its layout: dense stays dense and CSR stays CSR. The
+    manifest records seed, fractions, dimension, per-split file, size and
+    sha256 digest of the split's arrays, and the ``extra`` entries.
     """
-    import os
-
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "seed": int(seed),
@@ -417,35 +446,43 @@ def save_split_bundle(bundle: SplitBundle, directory, seed: int,
     if extra:
         manifest.update(extra)
     for name, split in zip(bundle.names, bundle):
-        write_libsvm(split, os.path.join(directory, SPLIT_FILES[name]))
-        manifest["splits"][name] = {
-            "file": SPLIT_FILES[name],
-            "size": int(split.n),
-            "point_ids": split.point_ids.tolist(),
-            "weights": None if np.all(split.weights == 1.0) else split.weights.tolist(),
-        }
+        arrays = _split_arrays(split)
+        np.savez(os.path.join(directory, f"{name}.npz"), **arrays)
+        manifest["splits"][name] = {"file": f"{name}.npz", "size": int(split.n),
+                                    "sha256": _arrays_digest(arrays)}
     with open(os.path.join(directory, MANIFEST_FILE), "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
 
 def load_split_bundle(directory) -> tuple[SplitBundle, dict]:
-    """Inverse of save_split_bundle; returns the bundle and its manifest."""
-    import os
+    """Inverse of save_split_bundle; returns the bundle and its manifest.
 
+    Each split's arrays must match the manifest digest.
+    """
     manifest_path = os.path.join(directory, MANIFEST_FILE)
     if not os.path.exists(manifest_path):
         raise FileNotFoundError(f"no split manifest at {manifest_path}")
     with open(manifest_path) as fh:
         manifest = json.load(fh)
-    dim = manifest.get("dimension")
     splits = []
     for name in ("train", "validation", "test"):
         meta = manifest["splits"][name]
-        parsed = parse_libsvm(os.path.join(directory, meta["file"]), dimension_hint=dim)
-        weights = meta.get("weights")
-        splits.append(Dataset(
-            parsed.features, parsed.labels,
-            np.asarray(weights, dtype=np.float64) if weights else None,
-            np.asarray(meta["point_ids"], dtype=np.int64)))
+        if "sha256" not in meta:
+            raise SplitError(f"{manifest_path}: split {name!r} has no content "
+                             "digest (an older split format); rerun the split "
+                             "command")
+        path = os.path.join(directory, meta["file"])
+        with np.load(path, allow_pickle=False) as stored:
+            arrays = {key: stored[key] for key in stored.files}
+        if _arrays_digest(arrays) != meta["sha256"]:
+            raise SplitError(f"{path}: contents do not match the manifest digest")
+        if "features" in arrays:
+            features = arrays["features"]
+        else:
+            features = sp.csr_matrix(
+                (arrays["data"], arrays["indices"], arrays["indptr"]),
+                shape=tuple(int(k) for k in arrays["shape"]))
+        splits.append(Dataset(features, arrays["labels"], arrays["weights"],
+                              arrays["point_ids"]))
     return SplitBundle(*splits), manifest

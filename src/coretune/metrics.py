@@ -6,7 +6,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 METRIC_NAMES = ("f1", "balanced_accuracy", "accuracy", "roc_auc",
                 "average_precision")
@@ -95,6 +94,20 @@ def accuracy(confusion: tuple[int, int, int, int]) -> float:
     return (tp + tn) / total
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks, ties sharing the mean of their ranks (exact halves);
+    all NaN when any value is NaN."""
+    if np.isnan(values).any():
+        return np.full(len(values), np.nan)
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(values)]
+    ranks = np.empty(len(values), dtype=np.float64)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def roc_auc(true_labels, scores) -> float:
     """Probability a random positive outscores a random negative, ties 1/2.
 
@@ -108,7 +121,7 @@ def roc_auc(true_labels, scores) -> float:
     n_neg = len(y) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise UndefinedMetricError("roc_auc needs both classes present")
-    ranks = rankdata(scores, method="average")
+    ranks = _average_ranks(scores)
     rank_sum = float(ranks[y == 1].sum())
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

@@ -38,6 +38,11 @@ class StrategyInfeasibleError(ValueError):
     """A weight strategy cannot produce positive weights for a class."""
 
 
+class ZeroWeightPointError(StrategyInfeasibleError):
+    """The coreset drew training points of source weight 0; every strategy
+    would give them coreset weight 0."""
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     """Tunable sampling parameters for one coreset build."""
@@ -334,6 +339,13 @@ def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfi
                                             float(w_c.sum()))
         except StrategyInfeasibleError as exc:
             raise StrategyInfeasibleError(f"class {cls}: {exc}") from exc
+        drawn = np.concatenate([q, sampled])
+        zero_ids = data.point_ids[pos[drawn[w_c[drawn] == 0]]]
+        if len(zero_ids):
+            raise ZeroWeightPointError(
+                f"class {cls}: drew {len(zero_ids)} point(s) of source weight 0 "
+                f"(point_ids {np.sort(zero_ids)[:10].tolist()}); they would "
+                "get coreset weight 0")
         parts += [(pos[q], q_w, np.ones(len(q), dtype=np.int64)),
                   (pos[sampled], sampled_w, counts)]
 

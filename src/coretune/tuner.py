@@ -265,16 +265,19 @@ def _worker_task(flat_index: int):
 
 
 def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
-             workers: int = 1) -> GridSearchResult:
+             workers: int = 1,
+             scores: SensitivityScores | None = None) -> GridSearchResult:
     """Evaluate every cell x repeat and rank by mean validation F1.
 
-    The seed of the trial with flat index i (cell-major, repeats within a
-    cell) is base_seed + i, so a fixed GridSpec is fully reproducible.
-    Infeasible cells are recorded as failures and excluded from the ranking;
-    the run continues.
+    ``scores`` are the train split's scores under the grid's provider and
+    params; when None they are computed here. The seed of the trial with
+    flat index i (cell-major, repeats within a cell) is base_seed + i, so a
+    fixed GridSpec is fully reproducible. Infeasible cells are recorded as
+    failures and excluded from the ranking; the run continues.
     """
-    scores = compute_scores(grid.sensitivity_provider, splits.train,
-                            **grid.provider_params)
+    if scores is None:
+        scores = compute_scores(grid.sensitivity_provider, splits.train,
+                                **grid.provider_params)
     cells = enumerate_cells(grid)
     n_tasks = len(cells) * grid.repeats
     if workers > 1 and n_tasks > 1:
@@ -323,15 +326,15 @@ class ComparisonRow:
 
 def compare_to_baselines(splits: SplitBundle, best: TrialResult,
                          train_config: TrainConfig,
-                         provider_params: dict | None = None) -> list[ComparisonRow]:
+                         scores: SensitivityScores) -> list[ComparisonRow]:
     """Tuned vs vanilla vs uniform-sampling vs full-data training rows.
 
     All coresets use the best trial's size and seed; tuned and vanilla share
-    the best trial's sensitivity provider, while the random baseline samples
-    uniformly. Full-data training appears exactly once per split.
+    ``scores``, the train split's scores under the best trial's provider,
+    while the random baseline samples uniformly. Full-data training appears
+    exactly once per split.
     """
     train_split = splits.train
-    scores = compute_scores(best.provider, train_split, **(provider_params or {}))
     uniform = compute_scores("uniform", train_split)
     base = replace(best.config, **VANILLA)
 
@@ -363,9 +366,9 @@ class RefinedBest:
 
 def refine_best(splits: SplitBundle, best: TrialResult,
                 refine_config: RefineConfig, train_config: TrainConfig,
-                provider_params: dict | None = None) -> RefinedBest:
-    """Rebuild the best coreset, refine it, and re-evaluate the winner."""
-    scores = compute_scores(best.provider, splits.train, **(provider_params or {}))
+                scores: SensitivityScores) -> RefinedBest:
+    """Rebuild the best coreset from ``scores`` (the train split's scores
+    under the best trial's provider), refine it, and re-evaluate the winner."""
     coreset = build_coreset(splits.train, scores, best.config)
     cfg = replace(train_config, regularization=best.regularization)
     refined, trace = refine(splits.train, splits.validation, coreset, cfg,

@@ -60,7 +60,7 @@ class TestPipeline:
         out = tmp_path / "run"
         assert run(config_path, "split") == 0
         assert (out / "splits" / "manifest.json").exists()
-        assert (out / "splits" / "train.libsvm").exists()
+        assert (out / "splits" / "train.npz").exists()
 
         assert run(config_path, "score") == 0
         scores_text = (out / "scores.csv").read_text()
@@ -307,3 +307,94 @@ class TestOverrides:
         _, config_path, _ = workdir
         assert run(config_path, "build", "--override", "det_ratio") == 1
         assert "key=value" in capsys.readouterr().err
+
+
+HASHED = ("scores.csv", "coreset.csv", "trials.csv", "best_config.json",
+          "refined_coreset.csv", "refine_trace.csv", "comparison.csv",
+          "curves.csv")
+DOWNSTREAM = ("score", "build", "tune", "refine", "report")
+
+
+class TestScoresArtifact:
+    def test_chain_scores_the_train_split_once(self, workdir, monkeypatch):
+        import coretune.cli
+        import coretune.tuner
+
+        _, config_path, config = workdir
+        assert run(config_path, "split") == 0
+        cli_calls, tuner_calls = [], []
+
+        def counting(calls, original):
+            def compute(name, data, **params):
+                calls.append(name)
+                return original(name, data, **params)
+            return compute
+
+        monkeypatch.setattr("coretune.cli.compute_scores",
+                            counting(cli_calls, coretune.cli.compute_scores))
+        monkeypatch.setattr("coretune.tuner.compute_scores",
+                            counting(tuner_calls, coretune.tuner.compute_scores))
+        for command in DOWNSTREAM:
+            assert run(config_path, command) == 0, command
+        assert cli_calls == [config["sensitivity"]["provider"]]
+        # only the random baseline's uniform scores are computed in report
+        assert tuner_calls == ["uniform"]
+
+    def test_changed_params_recompute_and_match_a_fresh_run(self, workdir):
+        import shutil
+
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        override = ("--override", "sensitivity.params.mix=0.3")
+        for command in ("split", *DOWNSTREAM):
+            assert run(config_path, command, *override) == 0, command
+        fresh = {name: (out / name).read_bytes() for name in HASHED}
+        shutil.rmtree(out)
+        for command in ("split", *DOWNSTREAM):
+            assert run(config_path, command) == 0, command
+        assert (out / "scores.csv").read_bytes() != fresh["scores.csv"]
+        for command in DOWNSTREAM:
+            assert run(config_path, command, *override) == 0, command
+        assert {name: (out / name).read_bytes() for name in HASHED} == fresh
+
+    def test_bad_grid_fails_before_scoring(self, workdir, monkeypatch):
+        _, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("scores computed before the grid was validated")
+
+        monkeypatch.setattr("coretune.cli.compute_scores", no_scoring)
+        assert run(config_path, "tune", "--override",
+                   'grid.weight_strategies=["inv", "mean"]') == 1
+
+
+class TestZeroWeightPoints:
+    def test_tune_records_the_cell_and_exits_partial(self, workdir):
+        from coretune.data import Dataset, SplitBundle, save_split_bundle
+        from coretune.sensitivity import compute_scores
+
+        tmp_path, config_path, config = workdir
+        splits_dir = tmp_path / "run" / "splits"
+        assert run(config_path, "split") == 0
+        bundle, manifest = load_split_bundle(splits_dir)
+        train = bundle.train
+        # Zero the weight of class 0's highest-scoring point: deterministic
+        # inclusion always takes it, small samples rarely draw it.
+        scores = compute_scores("leverage", train, **config["sensitivity"]["params"])
+        in_class = np.flatnonzero(train.labels == 0)
+        top = in_class[np.argmax(scores.values[in_class])]
+        weights = train.weights.copy()
+        weights[top] = 0.0
+        zeroed = Dataset(train.features, train.labels, weights, train.point_ids)
+        save_split_bundle(SplitBundle(zeroed, bundle.validation, bundle.test),
+                          splits_dir, manifest["seed"], manifest["fractions"])
+        grid = dict(config["grid"], coreset_ratios=[0.05], det_ratios=[0.0, 0.5],
+                    weight_strategies=["inv"], class_allocations=["proportional"])
+        assert run(config_path, "tune", "--override",
+                   f"grid={json.dumps(grid)}") == 3
+        failed = [line for line in
+                  (tmp_path / "run" / "run.log").read_text().splitlines()
+                  if "tune: failed cell" in line]
+        assert len(failed) == 1
+        assert f"point_ids [{int(train.point_ids[top])}]" in failed[0]

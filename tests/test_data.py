@@ -242,6 +242,50 @@ class TestSplitBundleFiles:
             assert np.array_equal(orig.labels, back.labels)
             assert np.allclose(orig.dense_features(), back.dense_features())
 
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_round_trip_is_bit_exact_and_keeps_layout(self, tmp_path, sparse):
+        rng = np.random.default_rng(6)
+        X = rng.normal(size=(90, 7)) * (rng.random((90, 7)) < 0.3)
+        if sparse:
+            X = sp.csr_matrix(X)
+            X.data[::4] = 0.0  # explicit zeros stay stored entries
+        data = Dataset(X, (rng.random(90) < 0.4).astype(int),
+                       rng.random(90) * 3.0, rng.permutation(1000)[:90] + 7)
+        bundle = stratified_split(data, (0.6, 0.2, 0.2), seed=2)
+        save_split_bundle(bundle, tmp_path / "splits", 2, (0.6, 0.2, 0.2),
+                          extra={"source": "x"})
+        loaded, manifest = load_split_bundle(tmp_path / "splits")
+        assert manifest["source"] == "x"
+        for name, orig, back in zip(bundle.names, bundle, loaded):
+            assert manifest["splits"][name]["file"] == f"{name}.npz"
+            assert manifest["splits"][name]["size"] == orig.n
+            assert sp.issparse(back.features) == sparse
+            if sparse:
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(orig.features, part),
+                                          getattr(back.features, part))
+                assert back.features.shape == orig.features.shape
+                assert back.features.data.dtype == orig.features.data.dtype
+            else:
+                assert back.features.dtype == orig.features.dtype
+                assert back.features.tobytes() == orig.features.tobytes()
+            for field in ("labels", "weights", "point_ids"):
+                assert getattr(back, field).tobytes() == getattr(orig, field).tobytes()
+        if sparse:
+            assert (loaded.train.features.data == 0.0).any()
+
+    def test_digest_mismatch_rejected(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(30, 2)), (rng.random(30) < 0.5).astype(int))
+        save_split_bundle(stratified_split(data, (0.6, 0.2, 0.2), seed=1),
+                          tmp_path, 1, (0.6, 0.2, 0.2))
+        other = Dataset(rng.normal(size=(30, 2)), (rng.random(30) < 0.5).astype(int))
+        save_split_bundle(stratified_split(other, (0.6, 0.2, 0.2), seed=1),
+                          tmp_path / "other", 1, (0.6, 0.2, 0.2))
+        (tmp_path / "other" / "train.npz").replace(tmp_path / "train.npz")
+        with pytest.raises(SplitError, match="digest"):
+            load_split_bundle(tmp_path)
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_split_bundle(tmp_path / "nope")

@@ -123,6 +123,23 @@ class TestRocAuc:
         after = roc_auc(y, np.exp(scores / 50.0) + 3.0)
         assert before == pytest.approx(after, abs=1e-12)
 
+    def test_equals_rankdata_auc_exactly(self):
+        from scipy.stats import rankdata
+
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            n = int(rng.integers(2, 200))
+            y = rng.integers(0, 2, size=n)
+            if y.min() == y.max():
+                y[0] = 1 - y[0]
+            # few distinct values: most scores tie with others
+            scores = rng.integers(0, int(rng.integers(1, 12)), size=n) * 0.37 - 1.0
+            n_pos = int(y.sum())
+            ranks = rankdata(scores, method="average")
+            expected = ((float(ranks[y == 1].sum()) - n_pos * (n_pos + 1) / 2.0)
+                        / (n_pos * (n - n_pos)))
+            assert roc_auc(y, scores) == expected
+
 
 class TestAveragePrecision:
     def test_perfect_ranking(self):

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from coretune.data import Dataset
 from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
-                              StrategyInfeasibleError, allocate_class_budgets,
-                              assign_weights, build_coreset, coreset_from_csv,
-                              coreset_to_csv, sample_residual, select_deterministic)
+                              StrategyInfeasibleError, ZeroWeightPointError,
+                              allocate_class_budgets, assign_weights,
+                              build_coreset, coreset_from_csv, coreset_to_csv,
+                              sample_residual, select_deterministic)
 from coretune.sensitivity import (ProbabilityVector, SensitivityScores,
                                   compute_scores, uniform_scores)
 
@@ -196,6 +197,19 @@ def gaussian_instance(n=200, d=4, pos_fraction=0.4, seed=0):
 
 
 class TestBuildCoreset:
+    @pytest.mark.parametrize("strategy", ["inv", "keep", "prop"])
+    def test_drawn_zero_weight_points_raise_a_typed_error(self, strategy):
+        base = gaussian_instance(n=40)
+        weights = np.tile([1.0, 0.0], 20)
+        data = Dataset(base.features, base.labels, weights)
+        config = SamplerConfig(10, weight_strategy=strategy, seed=0)
+        with pytest.raises(ZeroWeightPointError) as info:
+            build_coreset(data, uniform_scores(40), config)
+        assert isinstance(info.value, StrategyInfeasibleError)
+        named = [int(t) for t in
+                 str(info.value).split("point_ids [")[1].split("]")[0].split(",")]
+        assert named and all(weights[pid] == 0.0 for pid in named)
+
     def test_inverse_probability_identity_at_full_size(self):
         data = gaussian_instance(n=100)
         scores = uniform_scores(100)

@@ -4,6 +4,7 @@ import pytest
 from coretune.data import Dataset, stratified_split
 from coretune.learners import TrainConfig
 from coretune.refine import RefineConfig
+from coretune.sensitivity import compute_scores
 from coretune.tuner import (Cell, GridSpec, coreset_size_for, compare_to_baselines,
                             curve_rows, enumerate_cells, refine_best, run_grid,
                             trials_to_csv)
@@ -73,6 +74,19 @@ class TestRunGrid:
         assert len(result.trials) == 1
         assert result.best is result.trials[0]
         assert result.best.vanilla
+
+    def test_zero_weight_points_fail_cells_not_the_grid(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(200, 3))
+        y = (rng.random(200) < 0.3).astype(int)
+        data = Dataset(X, y, np.tile([1.0, 0.0], 100))
+        splits = stratified_split(data, (0.6, 0.2, 0.2), seed=0)
+        grid = GridSpec(coreset_ratios=(0.1, 0.3), det_ratios=(0.0, 0.2))
+        result = run_grid(splits, grid, TrainConfig())
+        assert result.trials == []
+        assert len(result.failures) == len(enumerate_cells(grid))
+        for failure in result.failures:
+            assert "source weight 0" in failure.error
 
     def test_determinism(self):
         splits = imbalanced_problem(seed=1)
@@ -151,7 +165,8 @@ class TestCompareAndCurves:
         grid = GridSpec(coreset_ratios=(0.3,), det_ratios=(0.0, 0.2),
                         sensitivity_provider="leverage", base_seed=2)
         result = run_grid(splits, grid, TrainConfig())
-        rows = compare_to_baselines(splits, result.best, TrainConfig())
+        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+                                    compute_scores(result.provider, splits.train))
         methods = [(r.method, r.split) for r in rows]
         for method in ("tuned", "vanilla", "random", "full"):
             assert methods.count((method, "validation")) == 1
@@ -163,7 +178,8 @@ class TestCompareAndCurves:
                         base_seed=3)
         result = run_grid(splits, grid, TrainConfig())
         assert result.best.vanilla
-        rows = compare_to_baselines(splits, result.best, TrainConfig())
+        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+                                    compute_scores(result.provider, splits.train))
         by_key = {(r.method, r.split): r for r in rows}
         for split in ("validation", "test"):
             tuned = by_key[("tuned", split)]
@@ -210,7 +226,8 @@ class TestRefineBest:
         outcome = refine_best(splits, result.best,
                               RefineConfig(batch_size=10, patience=1,
                                            metric=never_better),
-                              TrainConfig())
+                              TrainConfig(),
+                              compute_scores(result.provider, splits.train))
         assert outcome.trace.decision == "kept_original"
         assert outcome.result.validation.f1 == pytest.approx(
             result.best.validation.f1)
@@ -223,7 +240,8 @@ class TestRefineBest:
         result = run_grid(splits, grid, TrainConfig())
         outcome = refine_best(splits, result.best,
                               RefineConfig(batch_size=15, patience=2, metric="f1"),
-                              TrainConfig())
+                              TrainConfig(),
+                              compute_scores(result.provider, splits.train))
         assert outcome.trace.phi_original == pytest.approx(
             result.best.validation.f1)
         if outcome.trace.decision == "kept_refined":
@@ -239,7 +257,8 @@ class TestRefineBest:
         outcome = refine_best(splits, result.best,
                               RefineConfig(batch_size=5, patience=50,
                                            max_rounds=3, metric="f1"),
-                              TrainConfig())
+                              TrainConfig(),
+                              compute_scores(result.provider, splits.train))
         assert len(outcome.trace.rounds) <= 3
 
 

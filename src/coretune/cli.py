@@ -100,15 +100,18 @@ def _load_splits(cfg: RunConfig):
 
 
 def _train_scores(cfg: RunConfig, bundle, manifest: dict,
-                  provider: str) -> SensitivityScores:
-    """The train split's ``provider`` scores under the configured params.
+                  sensitivity: tuple[str, dict] | None = None
+                  ) -> SensitivityScores:
+    """The train split's scores under ``sensitivity``, the (provider,
+    params) recorded with the tuned best, or by default the configured ones.
 
     They come from ``<output_dir>/scores.npz`` when its key (provider,
     params, train-split digest) matches; otherwise they are computed once
     and stored there, replacing any scores of another key.
     """
-    key = json.dumps([provider, cfg.provider_params,
-                      manifest["splits"]["train"]["sha256"]], sort_keys=True)
+    provider, params = sensitivity or (cfg.provider, cfg.provider_params)
+    key = json.dumps([provider, params, manifest["splits"]["train"]["sha256"]],
+                     sort_keys=True)
     path = os.path.join(cfg.output_dir, "scores.npz")
     if os.path.exists(path):
         with np.load(path, allow_pickle=False) as stored:
@@ -117,7 +120,7 @@ def _train_scores(cfg: RunConfig, bundle, manifest: dict,
                     stored["values"], float(stored["total"]),
                     str(stored["provider_name"]), bool(stored["converged"]),
                     bool(stored["ridge_fallback"]))
-    scores = compute_scores(provider, bundle.train, **cfg.provider_params)
+    scores = compute_scores(provider, bundle.train, **params)
     with atomic_output(path) as tmp:
         with open(tmp, "wb") as fh:
             np.savez(fh, key=np.asarray(key), values=scores.values,
@@ -142,7 +145,7 @@ def cmd_split(cfg: RunConfig) -> int:
 
 def cmd_score(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
-    scores = _train_scores(cfg, bundle, manifest, cfg.provider)
+    scores = _train_scores(cfg, bundle, manifest)
     out = os.path.join(cfg.output_dir, "scores.csv")
     with atomic_output(out) as tmp:
         scores_to_csv(scores, bundle.train.point_ids, tmp,
@@ -155,7 +158,7 @@ def cmd_build(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     train = bundle.train
     config = cfg.build_config(train.n, len(train.classes))
-    scores = _train_scores(cfg, bundle, manifest, cfg.provider)
+    scores = _train_scores(cfg, bundle, manifest)
     coreset = build_coreset(train, scores, config)
     out = os.path.join(cfg.output_dir, "coreset.csv")
     with atomic_output(out) as tmp:
@@ -174,7 +177,7 @@ def cmd_tune(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     grid = cfg.grid_spec()
     result = run_grid(bundle, grid, cfg.train_config(), workers=cfg.workers,
-                      scores=_train_scores(cfg, bundle, manifest, cfg.provider))
+                      scores=_train_scores(cfg, bundle, manifest))
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
     with atomic_output(trials_out) as tmp:
         trials_to_csv(result, tmp,
@@ -195,23 +198,26 @@ def cmd_tune(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
-def _load_best(cfg: RunConfig) -> TrialResult:
+def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict]]:
+    """The tuned best trial and the (provider, params) it was scored with."""
     path = _best_config_path(cfg)
     if not os.path.exists(path):
         raise ArtifactMissingError(
             f"no best-config record at {path}; run the tune command first")
     with open(path) as fh:
-        return TrialResult.from_dict(json.load(fh))
+        record = json.load(fh)
+    return (TrialResult.from_dict(record),
+            (record["provider"], record["provider_params"]))
 
 
 def cmd_refine(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
-    best = _load_best(cfg)
+    best, sensitivity = _load_best(cfg)
     refine_cfg = cfg.refine_config()
     if refine_cfg is None:
         refine_cfg = RefineConfig(batch_size=max(1, bundle.train.n // 20))
     outcome = refine_best(bundle, best, refine_cfg, cfg.train_config(),
-                          _train_scores(cfg, bundle, manifest, best.provider))
+                          _train_scores(cfg, bundle, manifest, sensitivity))
     coreset_out = os.path.join(cfg.output_dir, "refined_coreset.csv")
     with atomic_output(coreset_out) as tmp:
         coreset_to_csv(outcome.coreset, tmp,
@@ -249,10 +255,10 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
 def cmd_report(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     cells = _load_trial_cells(cfg)
-    best = _load_best(cfg)
+    best, sensitivity = _load_best(cfg)
     comparison = compare_to_baselines(
         bundle, best, cfg.train_config(),
-        _train_scores(cfg, bundle, manifest, best.provider))
+        _train_scores(cfg, bundle, manifest, sensitivity))
     comment = f"config_hash={cfg.config_hash()}"
     comp_out = os.path.join(cfg.output_dir, "comparison.csv")
     with atomic_output(comp_out) as tmp:

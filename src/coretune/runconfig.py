@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
+from .sensitivity import available_providers
 from .tuner import GridSpec
 
 
@@ -72,6 +73,10 @@ class RunConfig:
             raise ConfigError(f"{self.path}: split.fractions must be 3 positive "
                               f"reals, got {fractions}")
         self._require("output_dir")
+        provider = self._require("sensitivity.provider")
+        if provider not in available_providers():
+            raise ConfigError(f"{self.path}: unknown sensitivity.provider "
+                              f"{provider!r}; available: {available_providers()}")
         if "grid" in self.raw:
             self._require("grid.coreset_ratios")
 
@@ -125,9 +130,8 @@ class RunConfig:
                 coreset_ratios=tuple(float(r) for r in g["coreset_ratios"]),
                 det_ratios=tuple(float(r) for r in g.get("det_ratios", [0.0])),
                 weight_strategies=tuple(g.get("weight_strategies", ["inv"])),
-                class_allocations=tuple(
-                    _parse_allocation(a, self.path)
-                    for a in g.get("class_allocations", ["proportional"])),
+                class_allocations=tuple(g.get("class_allocations",
+                                              ["proportional"])),
                 sensitivity_provider=self.provider,
                 provider_params=self.provider_params,
                 repeats=int(g.get("repeats", 1)),
@@ -170,26 +174,13 @@ class RunConfig:
                 coreset_size=coreset_size_for(ratio, n_train, n_classes),
                 det_ratio=float(b.get("det_ratio", 0.0)),
                 weight_strategy=b.get("weight_strategy", "inv"),
-                class_allocation=_parse_allocation(
-                    b.get("class_allocation", "proportional"), self.path),
+                class_allocation=b.get("class_allocation", "proportional"),
                 seed=int(b.get("seed", 0)))
         except ValueError as exc:
             raise ConfigError(f"{self.path}: build: {exc}") from exc
 
     def config_hash(self) -> str:
         return config_hash(self.raw)
-
-
-def _parse_allocation(value, where: str):
-    if value == "proportional":
-        return "proportional"
-    if isinstance(value, dict):
-        try:
-            return {int(k): float(v) for k, v in value.items()}
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}: bad class allocation {value!r}") from exc
-    raise ConfigError(f"{where}: class allocation must be 'proportional' or a "
-                      f"class -> fraction map, got {value!r}")
 
 
 def load_run_config(path: str, overrides: list[str] | None = None,

@@ -16,6 +16,7 @@ draws of one point are folded into its weight, with the multiplicity kept in
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,12 +46,19 @@ class ZeroWeightPointError(StrategyInfeasibleError):
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Tunable sampling parameters for one coreset build."""
+    """Tunable sampling parameters for one coreset build; the defaults are
+    the vanilla knobs.
+
+    ``class_allocation`` is "proportional" or a class -> fraction map, given
+    as a dict with int or str keys or as (class, fraction) pairs; it is
+    stored as (int class, float fraction) pairs sorted by class, so equal
+    allocations compare and hash equal.
+    """
 
     coreset_size: int
     det_ratio: float = 0.0
     weight_strategy: str = "inv"
-    class_allocation: str | dict[int, float] = "proportional"
+    class_allocation: str | tuple[tuple[int, float], ...] = "proportional"
     seed: int = 0
 
     def __post_init__(self):
@@ -61,21 +69,26 @@ class SamplerConfig:
         if self.weight_strategy not in WEIGHT_STRATEGIES:
             raise ValueError(f"weight_strategy must be one of {WEIGHT_STRATEGIES}, "
                              f"got {self.weight_strategy!r}")
-        if isinstance(self.class_allocation, dict):
-            alloc = {int(k): float(v) for k, v in self.class_allocation.items()}
-            if any(v <= 0 for v in alloc.values()) or \
-                    abs(sum(alloc.values()) - 1.0) > 1e-9:
-                raise ValueError(f"class allocation {alloc} must have positive "
-                                 "fractions summing to 1")
-            object.__setattr__(self, "class_allocation", alloc)
-        elif self.class_allocation != "proportional":
+        alloc = self.class_allocation
+        if alloc == "proportional":
+            return
+        try:
+            if not isinstance(alloc, (dict, tuple)):
+                raise TypeError
+            alloc = {int(k): float(v) for k, v in dict(alloc).items()}
+        except (TypeError, ValueError):
             raise ValueError("class_allocation must be 'proportional' or a "
-                             "class -> fraction map")
+                             f"class -> fraction map, got {alloc!r}") from None
+        if any(v <= 0 for v in alloc.values()) or \
+                abs(sum(alloc.values()) - 1.0) > 1e-9:
+            raise ValueError(f"class allocation {alloc} must have positive "
+                             "fractions summing to 1")
+        object.__setattr__(self, "class_allocation", tuple(sorted(alloc.items())))
 
     def to_dict(self) -> dict:
         alloc = self.class_allocation
-        if isinstance(alloc, dict):
-            alloc = {str(k): v for k, v in sorted(alloc.items())}
+        if alloc != "proportional":
+            alloc = {str(k): v for k, v in alloc}
         return {
             "coreset_size": self.coreset_size,
             "det_ratio": self.det_ratio,
@@ -83,6 +96,11 @@ class SamplerConfig:
             "class_allocation": alloc,
             "seed": self.seed,
         }
+
+    def allocation_label(self) -> str:
+        """The class allocation as one table cell: "proportional" or JSON."""
+        alloc = self.to_dict()["class_allocation"]
+        return alloc if isinstance(alloc, str) else json.dumps(alloc)
 
 
 @dataclass
@@ -142,13 +160,15 @@ class Coreset:
 
 
 def allocate_class_budgets(m: int, class_counts: dict[int, int],
-                           policy: str | dict[int, float]) -> dict[int, int]:
+                           policy: str | tuple | dict[int, float]) -> dict[int, int]:
     """Split the coreset budget across classes.
 
-    Proportional policy follows class sizes; an explicit map gives each class
-    a fraction of m. Budgets are rounded by largest remainder, clipped at each
-    class population (overflow redistributes to classes with spare capacity by
-    the same rule), and kept >= 1 per class. Budgets sum to min(m, n).
+    ``policy`` is a ``SamplerConfig.class_allocation``: "proportional"
+    follows class sizes; (class, fraction) pairs, or an int-keyed map, give
+    each class a fraction of m. Budgets are rounded by largest remainder,
+    clipped at each class population (overflow redistributes to classes with
+    spare capacity by the same rule), and kept >= 1 per class. Budgets sum
+    to min(m, n).
     """
     classes = sorted(int(c) for c in class_counts)
     counts = np.array([class_counts[c] for c in classes], dtype=np.int64)
@@ -159,14 +179,14 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
     if m < len(classes):
         raise AllocationError(f"budget m={m} is smaller than the number of "
                               f"classes ({len(classes)})")
-    if isinstance(policy, dict):
-        policy = {int(k): float(v) for k, v in policy.items()}
-        missing = [c for c in classes if c not in policy]
+    if policy == "proportional":
+        quotas = counts.astype(np.float64)
+    elif isinstance(policy, (dict, tuple)):
+        fractions = dict(policy)
+        missing = [c for c in classes if c not in fractions]
         if missing:
             raise AllocationError(f"allocation map is missing classes {missing}")
-        quotas = np.array([policy[c] for c in classes], dtype=np.float64)
-    elif policy == "proportional":
-        quotas = counts.astype(np.float64)
+        quotas = np.array([fractions[c] for c in classes], dtype=np.float64)
     else:
         raise AllocationError(f"unknown allocation policy {policy!r}")
 

@@ -220,7 +220,6 @@ def _lewis_provider(data: Dataset, mix: float = 0.5, max_iters: int = 100,
 
 
 register_provider("uniform", _uniform_provider)
-register_provider("random", _uniform_provider)  # alias: random = uniform sampling
 register_provider("leverage", _leverage_provider)
 register_provider("lewis", _lewis_provider)
 

@@ -25,10 +25,10 @@ from .sampler import (AllocationError, Coreset, SamplerConfig,
                       StrategyInfeasibleError, build_coreset)
 from .sensitivity import SensitivityScores, compute_scores
 
-# The untuned baseline knobs: no deterministic inclusion, inverse-probability
-# weights, proportional class allocation.
-VANILLA = {"det_ratio": 0.0, "weight_strategy": "inv",
-           "class_allocation": "proportional"}
+# The untuned baseline knobs are SamplerConfig's defaults: no deterministic
+# inclusion, inverse-probability weights, proportional class allocation.
+# Grid cells and baselines replace its size and seed.
+VANILLA = SamplerConfig(1)
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,11 @@ class GridSpec:
         object.__setattr__(self, "coreset_ratios", tuple(self.coreset_ratios))
         object.__setattr__(self, "det_ratios", tuple(self.det_ratios))
         object.__setattr__(self, "weight_strategies", tuple(self.weight_strategies))
-        object.__setattr__(self, "class_allocations",
-                           tuple(_freeze_allocation(a) for a in self.class_allocations))
+        # SamplerConfig owns the knob checks and the allocation form; fail
+        # here, before any scoring.
+        object.__setattr__(self, "class_allocations", tuple(
+            replace(VANILLA, class_allocation=a).class_allocation
+            for a in self.class_allocations))
         if self.regularizations is not None:
             object.__setattr__(self, "regularizations", tuple(self.regularizations))
         for name in ("coreset_ratios", "det_ratios", "weight_strategies",
@@ -59,46 +62,26 @@ class GridSpec:
                 raise ValueError(f"{name} must be nonempty")
         if any(not (0 < r <= 1) for r in self.coreset_ratios):
             raise ValueError("coreset ratios must lie in (0, 1]")
-        # SamplerConfig owns the knob checks; fail here, before any scoring.
-        for det, strategy, alloc in itertools.product(
-                self.det_ratios, self.weight_strategies, self.class_allocations):
-            SamplerConfig(1, det, strategy, _thaw_allocation(alloc))
+        for det, strategy in itertools.product(self.det_ratios,
+                                               self.weight_strategies):
+            replace(VANILLA, det_ratio=det, weight_strategy=strategy)
         if self.repeats < 1:
             raise ValueError("repeats must be >= 1")
 
 
-def _freeze_allocation(alloc):
-    if isinstance(alloc, dict):
-        return tuple(sorted((int(k), float(v)) for k, v in alloc.items()))
-    return alloc
-
-
-def _thaw_allocation(alloc):
-    return dict(alloc) if isinstance(alloc, tuple) else alloc
-
-
-def allocation_label(alloc) -> str:
-    alloc = _thaw_allocation(alloc)
-    if isinstance(alloc, dict):
-        return json.dumps({str(k): v for k, v in sorted(alloc.items())})
-    return str(alloc)
-
-
 @dataclass(frozen=True)
 class Cell:
-    """One grid configuration (before seeding and repeats)."""
+    """One grid configuration (before seeding and repeats); ``knobs`` has
+    VANILLA's placeholder size and seed, which each trial replaces."""
 
     index: int
     coreset_ratio: float
-    det_ratio: float
-    weight_strategy: str
-    class_allocation: tuple | str
+    knobs: SamplerConfig
     regularization: float | None
     vanilla: bool = False
 
     def key(self):
-        return (self.coreset_ratio, self.det_ratio, self.weight_strategy,
-                self.class_allocation, self.regularization)
+        return (self.coreset_ratio, self.knobs, self.regularization)
 
 
 @dataclass(frozen=True)
@@ -193,15 +176,16 @@ def enumerate_cells(grid: GridSpec) -> list[Cell]:
     cells: list[Cell] = []
     seen = set()
     for ratio in grid.coreset_ratios:
-        cell = Cell(len(cells), coreset_ratio=ratio, regularization=None,
-                    vanilla=True, **VANILLA)
+        cell = Cell(len(cells), ratio, VANILLA, None, vanilla=True)
         if cell.key() not in seen:
             seen.add(cell.key())
             cells.append(cell)
     for ratio, det, strategy, alloc, reg in itertools.product(
             grid.coreset_ratios, grid.det_ratios, grid.weight_strategies,
             grid.class_allocations, regs):
-        cell = Cell(len(cells), ratio, det, strategy, alloc, reg)
+        knobs = replace(VANILLA, det_ratio=det, weight_strategy=strategy,
+                        class_allocation=alloc)
+        cell = Cell(len(cells), ratio, knobs, reg)
         if cell.key() in seen:
             continue
         seen.add(cell.key())
@@ -235,10 +219,7 @@ def _run_cell(splits, scores, cell: Cell, repeat: int, seed: int,
     train_split = splits.train
     n_classes = len(train_split.classes)
     m = coreset_size_for(cell.coreset_ratio, train_split.n, n_classes)
-    config = SamplerConfig(coreset_size=m, det_ratio=cell.det_ratio,
-                           weight_strategy=cell.weight_strategy,
-                           class_allocation=_thaw_allocation(cell.class_allocation),
-                           seed=seed)
+    config = replace(cell.knobs, coreset_size=m, seed=seed)
     try:
         coreset, val, test, cfg = _evaluate_config(
             splits, scores, config, train_config, cell.regularization)
@@ -329,14 +310,15 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
                          scores: SensitivityScores) -> list[ComparisonRow]:
     """Tuned vs vanilla vs uniform-sampling vs full-data training rows.
 
-    All coresets use the best trial's size and seed; tuned and vanilla share
-    ``scores``, the train split's scores under the best trial's provider,
-    while the random baseline samples uniformly. Full-data training appears
-    exactly once per split.
+    The tuned rows are the best trial's recorded metrics. The vanilla and
+    random coresets use its size and seed; vanilla samples by ``scores``,
+    the train split's scores under the best trial's provider, while random
+    samples uniformly. Full-data training appears exactly once per split.
     """
     train_split = splits.train
     uniform = compute_scores("uniform", train_split)
-    base = replace(best.config, **VANILLA)
+    base = replace(VANILLA, coreset_size=best.config.coreset_size,
+                   seed=best.config.seed)
 
     rows: list[ComparisonRow] = []
 
@@ -345,9 +327,7 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
             rows.append(ComparisonRow(method, split_name, report.balanced_accuracy,
                                       report.f1, report.roc_auc))
 
-    _, val, test, _ = _evaluate_config(splits, scores, best.config,
-                                       train_config, best.regularization)
-    add("tuned", val, test)
+    add("tuned", best.validation, best.test)
     _, val, test, _ = _evaluate_config(splits, scores, base, train_config, None)
     add("vanilla", val, test)
     _, val, test, _ = _evaluate_config(splits, uniform, base, train_config, None)
@@ -422,7 +402,7 @@ def trials_to_csv(result: GridSearchResult, path,
     rows = ([rank[t.cell_index], t.cell_index, t.repeat, t.seed, t.provider,
              t.coreset_ratio, t.config.coreset_size, t.config.det_ratio,
              t.config.weight_strategy,
-             allocation_label(t.config.class_allocation).replace(",", ";"),
+             t.config.allocation_label().replace(",", ";"),
              t.regularization, int(t.vanilla), mean_f1[t.cell_index],
              *(t.validation.value(m) for m in METRIC_NAMES),
              *(t.test.value(m) for m in METRIC_NAMES), *t.test.confusion,

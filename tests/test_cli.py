@@ -262,6 +262,15 @@ class TestErrorsAndExitCodes:
         assert run(config_path, "refine", "--override",
                    "refine.query_strategy=margin") == 0
 
+    @pytest.mark.parametrize("provider", ["unified", "random"])
+    def test_unknown_provider_is_a_config_error(self, workdir, capsys, provider):
+        _, config_path, _ = workdir
+        assert run(config_path, "split", "--override",
+                   f"sensitivity.provider={provider}") == 1
+        err = capsys.readouterr().err
+        assert f"sensitivity.provider {provider!r}" in err
+        assert "'leverage'" in err and "'uniform'" in err
+
     def test_dataset_file_missing(self, workdir, capsys):
         tmp_path, config_path, config = workdir
         bad = dict(config)
@@ -356,6 +365,23 @@ class TestScoresArtifact:
         for command in DOWNSTREAM:
             assert run(config_path, command, *override) == 0, command
         assert {name: (out / name).read_bytes() for name in HASHED} == fresh
+
+    def test_refine_and_report_score_with_the_recorded_params(self, workdir):
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        for command in ("split", "tune", "refine", "report"):
+            assert run(config_path, command) == 0, command
+        outputs = ("refined_coreset.csv", "refine_trace.csv", "comparison.csv")
+
+        def data_rows():
+            return {name: [line for line in (out / name).read_text().splitlines()
+                           if not line.startswith("#")] for name in outputs}
+
+        tuned_at_mix_half = data_rows()
+        for command in ("refine", "report"):
+            assert run(config_path, command, "--override",
+                       "sensitivity.params.mix=0.3") == 0, command
+        assert data_rows() == tuned_at_mix_half
 
     def test_bad_grid_fails_before_scoring(self, workdir, monkeypatch):
         _, config_path, _ = workdir

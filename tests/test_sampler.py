@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -428,6 +429,30 @@ class TestSamplerConfig:
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
             SamplerConfig(coreset_size=10, weight_strategy="mean")
+
+    def test_allocation_spellings_are_one_config(self):
+        spellings = ({0: 0.65, 1: 0.35}, {"1": 0.35, "0": 0.65},
+                     ((0, 0.65), (1, 0.35)), ((1, 0.35), (0, 0.65)))
+        configs = [SamplerConfig(10, class_allocation=a) for a in spellings]
+        assert all(c == configs[0] for c in configs)
+        assert len({hash(c) for c in configs}) == 1
+        assert configs[0].class_allocation == ((0, 0.65), (1, 0.35))
+
+    def test_multi_digit_classes_render_in_class_order(self):
+        config = SamplerConfig(10, class_allocation={10: 0.5, 2: 0.5})
+        # The bytes best_config.json and trials.csv have always held.
+        assert json.dumps(config.to_dict()) == (
+            '{"coreset_size": 10, "det_ratio": 0.0, "weight_strategy": "inv", '
+            '"class_allocation": {"2": 0.5, "10": 0.5}, "seed": 0}')
+        assert config.allocation_label() == '{"2": 0.5, "10": 0.5}'
+        assert SamplerConfig(10).allocation_label() == "proportional"
+        assert SamplerConfig(**config.to_dict()) == config
+
+    @pytest.mark.parametrize("alloc", ["equal", None, [[0, 0.5], [1, 0.5]],
+                                       {"a": 1.0}, {0: None}, ((0,),)])
+    def test_malformed_allocation_rejected(self, alloc):
+        with pytest.raises(ValueError, match="class -> fraction map"):
+            SamplerConfig(coreset_size=10, class_allocation=alloc)
 
     @given(st.floats(0.0, 0.999), st.integers(1, 50))
     @settings(max_examples=60, deadline=None)

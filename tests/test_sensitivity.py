@@ -193,8 +193,9 @@ class TestScoreInvariants:
 class TestProviderRegistry:
     def test_builtins_present(self):
         names = available_providers()
-        for name in ("uniform", "random", "leverage", "lewis"):
+        for name in ("uniform", "leverage", "lewis"):
             assert name in names
+        assert "random" not in names  # one name per provider
 
     def test_unknown_provider(self):
         data = Dataset(np.zeros((3, 1)), np.array([0, 1, 0]))

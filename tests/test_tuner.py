@@ -1,13 +1,17 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from coretune.data import Dataset, stratified_split
 from coretune.learners import TrainConfig
 from coretune.refine import RefineConfig
+from coretune.sampler import build_coreset
 from coretune.sensitivity import compute_scores
-from coretune.tuner import (Cell, GridSpec, coreset_size_for, compare_to_baselines,
-                            curve_rows, enumerate_cells, refine_best, run_grid,
-                            trials_to_csv)
+from coretune.tuner import (Cell, GridSpec, TrialResult, coreset_size_for,
+                            compare_to_baselines, curve_rows, enumerate_cells,
+                            refine_best, run_grid, trials_to_csv)
 
 
 def imbalanced_problem(n=400, d=5, pos_fraction=0.25, seed=0, sep=1.5):
@@ -56,9 +60,19 @@ class TestEnumerateCells:
         vanilla = [c for c in cells if c.vanilla]
         assert [c.coreset_ratio for c in vanilla] == list(SMALL_GRID.coreset_ratios)
         for cell in vanilla:
-            assert cell.det_ratio == 0.0
-            assert cell.weight_strategy == "inv"
-            assert cell.class_allocation == "proportional"
+            assert cell.knobs.det_ratio == 0.0
+            assert cell.knobs.weight_strategy == "inv"
+            assert cell.knobs.class_allocation == "proportional"
+
+    def test_allocation_spellings_yield_one_cell(self):
+        grid = GridSpec(coreset_ratios=(0.1,),
+                        class_allocations=({0: 0.65, 1: 0.35},
+                                           {"1": 0.35, "0": 0.65},
+                                           ((0, 0.65), (1, 0.35))))
+        assert grid.class_allocations == (((0, 0.65), (1, 0.35)),) * 3
+        tuned = [c for c in enumerate_cells(grid) if not c.vanilla]
+        assert len(tuned) == 1
+        assert tuned[0].knobs.class_allocation == ((0, 0.65), (1, 0.35))
 
     def test_indices_are_serial(self):
         cells = enumerate_cells(SMALL_GRID)
@@ -145,6 +159,13 @@ class TestRunGrid:
         assert np.allclose([t.validation.f1 for t in serial.trials],
                            [t.validation.f1 for t in parallel.trials])
 
+    def test_trial_record_round_trips(self):
+        result = run_grid(imbalanced_problem(seed=6), SMALL_GRID, TrainConfig())
+        for t in result.trials:
+            back = TrialResult.from_dict(json.loads(json.dumps(t.to_dict())))
+            assert back.config == t.config
+            assert back == replace(t, coreset_stats=None)
+
     def test_mean_ranking_over_repeats(self):
         splits = imbalanced_problem(seed=6)
         result = run_grid(splits, SMALL_GRID, TrainConfig())
@@ -187,6 +208,30 @@ class TestCompareAndCurves:
             assert tuned.f1 == pytest.approx(vanilla.f1)
             assert tuned.balanced_accuracy == pytest.approx(
                 vanilla.balanced_accuracy)
+
+    def test_tuned_rows_are_the_best_trials_metrics(self, monkeypatch):
+        import coretune.tuner
+
+        splits = imbalanced_problem(seed=7)
+        result = run_grid(splits, SMALL_GRID, TrainConfig())
+        builds = []
+
+        def counting(data, scores, config, rng=None):
+            builds.append(config)
+            return build_coreset(data, scores, config, rng)
+
+        monkeypatch.setattr(coretune.tuner, "build_coreset", counting)
+        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+                                    compute_scores(result.provider, splits.train))
+        # only the vanilla and random coresets are built; tuned is not retrained
+        assert len(builds) == 2
+        assert all(c.coreset_size == result.best.config.coreset_size
+                   for c in builds)
+        for split, report in (("validation", result.best.validation),
+                              ("test", result.best.test)):
+            tuned = next(r for r in rows if (r.method, r.split) == ("tuned", split))
+            assert (tuned.balanced_accuracy, tuned.f1, tuned.roc_auc) == \
+                (report.balanced_accuracy, report.f1, report.roc_auc)
 
     def test_curve_rows_cover_each_ratio(self):
         splits = imbalanced_problem(seed=9)

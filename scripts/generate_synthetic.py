@@ -15,7 +15,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from coretune.data import Dataset, write_libsvm  # noqa: E402
+from coretune.data import Dataset  # noqa: E402
 
 
 def make_dataset(n, d, pos_fraction, separation, seed):
@@ -32,15 +32,13 @@ def make_dataset(n, d, pos_fraction, separation, seed):
 def write_csv(data, path):
     with open(path, "w") as fh:
         fh.write(",".join(f"f{j}" for j in range(data.dim)) + ",label\n")
-        features = data.dense_features()
-        for row, label in zip(features, data.labels):
+        for row, label in zip(data.features, data.labels):
             fh.write(",".join(repr(float(v)) for v in row) + f",{int(label)}\n")
 
 
-def default_config(data_path, fmt, out_dir):
+def default_config(data_path, out_dir):
     return {
-        "dataset": ({"path": data_path, "format": "csv", "label_column": "label"}
-                    if fmt == "csv" else {"path": data_path, "format": "libsvm"}),
+        "dataset": {"path": data_path, "format": "csv", "label_column": "label"},
         "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
         "sensitivity": {"provider": "leverage", "params": {"mix": 0.5}},
         "grid": {
@@ -73,18 +71,14 @@ def main():
     parser.add_argument("--pos-fraction", type=float, default=0.1)
     parser.add_argument("--separation", type=float, default=1.2)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("csv", "libsvm"), default="csv")
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
     data = make_dataset(args.n, args.d, args.pos_fraction, args.separation,
                         args.seed)
-    data_path = os.path.join(args.out, f"synthetic.{args.format}")
-    if args.format == "csv":
-        write_csv(data, data_path)
-    else:
-        write_libsvm(data, data_path)
-    config = default_config(data_path, args.format, args.out)
+    data_path = os.path.join(args.out, "synthetic.csv")
+    write_csv(data, data_path)
+    config = default_config(data_path, args.out)
     config_path = os.path.join(args.out, "config.json")
     with open(config_path, "w") as fh:
         json.dump(config, fh, indent=1)

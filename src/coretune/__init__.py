@@ -1,14 +1,14 @@
 """coretune: sensitivity-sampled coresets for binary classification with
 tunable sampling, active refinement, and grid search."""
 
-from .data import (Dataset, SplitBundle, class_distribution, parse_csv,
-                   parse_libsvm, stratified_split)
-from .learners import (LinearModel, TrainConfig, decision_scores, predict_labels,
-                       predict_probabilities, train, weighted_loss)
+from .data import (Dataset, SplitBundle, parse_csv, parse_libsvm,
+                   stratified_split)
+from .learners import (LinearModel, TrainConfig, decision_scores, train,
+                       weighted_loss)
 from .metrics import MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine, uncertainty_query
 from .sampler import Coreset, SamplerConfig, build_coreset
-from .sensitivity import (ProbabilityVector, SensitivityScores, compute_scores,
+from .sensitivity import (SensitivityScores, compute_scores,
                           leverage_sensitivities, lewis_weight_sensitivities,
                           register_provider, to_probabilities, uniform_scores)
 from .tuner import (GridSpec, TrialResult, compare_to_baselines, refine_best,
@@ -18,13 +18,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coreset", "Dataset", "GridSpec", "LinearModel", "MetricsReport",
-    "ProbabilityVector", "RefineConfig", "RefineTrace", "SamplerConfig",
-    "SensitivityScores", "SplitBundle", "TrainConfig", "TrialResult",
-    "build_coreset", "class_distribution", "classification_report",
-    "compare_to_baselines", "compute_scores", "decision_scores",
-    "leverage_sensitivities", "lewis_weight_sensitivities", "parse_csv",
-    "parse_libsvm", "predict_labels", "predict_probabilities", "refine",
-    "refine_best", "register_provider", "run_grid", "stratified_split",
-    "to_probabilities", "train", "uncertainty_query", "uniform_scores",
-    "weighted_loss",
+    "RefineConfig", "RefineTrace", "SamplerConfig", "SensitivityScores",
+    "SplitBundle", "TrainConfig", "TrialResult", "build_coreset",
+    "classification_report", "compare_to_baselines", "compute_scores",
+    "decision_scores", "leverage_sensitivities", "lewis_weight_sensitivities",
+    "parse_csv", "parse_libsvm", "refine", "refine_best", "register_provider",
+    "run_grid", "stratified_split", "to_probabilities", "train",
+    "uncertainty_query", "uniform_scores", "weighted_loss",
 ]

@@ -13,11 +13,13 @@ import datetime
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from .data import (load_split_bundle, parse_csv, parse_libsvm, read_table,
                    save_split_bundle, stratified_split, write_table)
+from .learners import TrainConfig
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
@@ -176,7 +178,8 @@ def _best_config_path(cfg: RunConfig) -> str:
 def cmd_tune(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     grid = cfg.grid_spec()
-    result = run_grid(bundle, grid, cfg.train_config(), workers=cfg.workers,
+    train_config = cfg.train_config()
+    result = run_grid(bundle, grid, train_config, workers=cfg.workers,
                       scores=_train_scores(cfg, bundle, manifest))
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
     with atomic_output(trials_out) as tmp:
@@ -184,7 +187,8 @@ def cmd_tune(cfg: RunConfig) -> int:
                       header_comment=f"config_hash={cfg.config_hash()}")
     best = result.best
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
-                   "provider_params": cfg.provider_params}
+                   "provider_params": cfg.provider_params,
+                   "train": asdict(train_config)}
     with atomic_output(_best_config_path(cfg)) as tmp:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
@@ -198,25 +202,29 @@ def cmd_tune(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
-def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict]]:
-    """The tuned best trial and the (provider, params) it was scored with."""
+def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConfig]:
+    """The tuned best trial, its (provider, params) and tune's TrainConfig."""
     path = _best_config_path(cfg)
     if not os.path.exists(path):
         raise ArtifactMissingError(
             f"no best-config record at {path}; run the tune command first")
     with open(path) as fh:
         record = json.load(fh)
+    if "train" not in record:
+        raise ArtifactMissingError(
+            f"{path} records no training settings; rerun the tune command")
     return (TrialResult.from_dict(record),
-            (record["provider"], record["provider_params"]))
+            (record["provider"], record["provider_params"]),
+            TrainConfig(**record["train"]))
 
 
 def cmd_refine(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
-    best, sensitivity = _load_best(cfg)
+    best, sensitivity, train_config = _load_best(cfg)
     refine_cfg = cfg.refine_config()
     if refine_cfg is None:
         refine_cfg = RefineConfig(batch_size=max(1, bundle.train.n // 20))
-    outcome = refine_best(bundle, best, refine_cfg, cfg.train_config(),
+    outcome = refine_best(bundle, best, refine_cfg, train_config,
                           _train_scores(cfg, bundle, manifest, sensitivity))
     coreset_out = os.path.join(cfg.output_dir, "refined_coreset.csv")
     with atomic_output(coreset_out) as tmp:
@@ -255,9 +263,9 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
 def cmd_report(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     cells = _load_trial_cells(cfg)
-    best, sensitivity = _load_best(cfg)
+    best, sensitivity, train_config = _load_best(cfg)
     comparison = compare_to_baselines(
-        bundle, best, cfg.train_config(),
+        bundle, best, train_config,
         _train_scores(cfg, bundle, manifest, sensitivity))
     comment = f"config_hash={cfg.config_hash()}"
     comp_out = os.path.join(cfg.output_dir, "comparison.csv")

@@ -35,10 +35,6 @@ class SplitError(ValueError):
     pass
 
 
-def _matrix_len(features) -> int:
-    return features.shape[0]
-
-
 @dataclass
 class Dataset:
     """A weighted classification dataset.
@@ -58,7 +54,7 @@ class Dataset:
     point_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        n = _matrix_len(self.features)
+        n = self.features.shape[0]
         if n < 1:
             raise ValueError("dataset must contain at least one point")
         self.labels = np.asarray(self.labels, dtype=np.int64)
@@ -85,7 +81,7 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return _matrix_len(self.features)
+        return self.features.shape[0]
 
     @property
     def dim(self) -> int:
@@ -118,11 +114,6 @@ class Dataset:
 
     def subset_by_ids(self, ids: np.ndarray) -> "Dataset":
         return self.take(self.positions_of(ids))
-
-    def dense_features(self) -> np.ndarray:
-        if sp.issparse(self.features):
-            return np.asarray(self.features.todense())
-        return np.asarray(self.features)
 
 
 @dataclass
@@ -306,12 +297,6 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
     return Dataset(features, _normalize_labels(labels, path))
 
 
-def class_distribution(data: Dataset) -> dict[int, float]:
-    """Fraction of points per class; fractions sum to 1."""
-    classes, counts = np.unique(data.labels, return_counts=True)
-    return {int(c): float(k) / data.n for c, k in zip(classes, counts)}
-
-
 def stratified_split(data: Dataset, fractions: tuple[float, float, float],
                      seed: int) -> SplitBundle:
     """Partition into train/validation/test preserving per-class proportions.
@@ -344,33 +329,6 @@ def stratified_split(data: Dataset, fractions: tuple[float, float, float],
             raise SplitError(f"the {name} split would be empty; use larger "
                              "classes or fractions")
     return SplitBundle(*(data.take(p) for p in picks))
-
-
-def write_libsvm(data: Dataset, path) -> None:
-    """Serialize to LIBSVM text; binary labels {0,1} are written as -1/+1.
-
-    Values use 17 significant digits so parse -> write -> parse is bit-exact.
-    """
-    binary = set(np.unique(data.labels).tolist()) <= {0, 1}
-    matrix = data.features.tocsr() if sp.issparse(data.features) else None
-    with open(path, "w") as fh:
-        for i in range(data.n):
-            label = int(data.labels[i])
-            if binary:
-                label_txt = "+1" if label == 1 else "-1"
-            else:
-                label_txt = str(label)
-            if matrix is not None:
-                start, stop = matrix.indptr[i], matrix.indptr[i + 1]
-                cols = matrix.indices[start:stop]
-                vals = matrix.data[start:stop]
-            else:
-                row = np.asarray(data.features[i])
-                cols = np.flatnonzero(row)
-                vals = row[cols]
-            toks = [label_txt]
-            toks += [f"{c + 1}:{FLOAT_FMT % v}" for c, v in zip(cols, vals)]
-            fh.write(" ".join(toks) + "\n")
 
 
 def write_table(path, columns, rows, header_comment: str | None = None) -> None:

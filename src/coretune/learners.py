@@ -23,10 +23,6 @@ from scipy.special import expit
 LOSSES = ("logistic", "hinge")
 
 
-class UnsupportedOperationError(RuntimeError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     loss: str = "logistic"
@@ -52,7 +48,6 @@ class LinearModel:
     intercept: float
     loss: str
     converged: bool
-    regularization: float = 1.0
 
     def __post_init__(self):
         coef = np.asarray(self.coefficients, dtype=np.float64)
@@ -241,8 +236,7 @@ def train(features, labels, weights, config: TrainConfig) -> LinearModel:
         coef, b, converged = _train_logistic(features, y_pm, weights, config)
     else:
         coef, b, converged = _train_hinge(features, y_pm, weights, config)
-    return LinearModel(coef, float(b), config.loss, converged,
-                       config.regularization)
+    return LinearModel(coef, float(b), config.loss, converged)
 
 
 def weighted_loss(model: LinearModel, features, labels, weights) -> float:
@@ -261,14 +255,3 @@ def weighted_loss(model: LinearModel, features, labels, weights) -> float:
 def decision_scores(model: LinearModel, features) -> np.ndarray:
     return np.asarray(features @ model.coefficients).ravel() + model.intercept
 
-
-def predict_labels(model: LinearModel, features) -> np.ndarray:
-    """Class 1 iff the decision score is strictly positive."""
-    return (decision_scores(model, features) > 0).astype(np.int64)
-
-
-def predict_probabilities(model: LinearModel, features) -> np.ndarray:
-    if model.loss != "logistic":
-        raise UnsupportedOperationError(
-            f"{model.loss} models expose decision scores only")
-    return expit(decision_scores(model, features))

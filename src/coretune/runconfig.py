@@ -18,7 +18,7 @@ from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
 from .sensitivity import available_providers
-from .tuner import GridSpec
+from .tuner import GridSpec, coreset_size_for
 
 
 class ConfigError(ValueError):
@@ -58,6 +58,10 @@ class RunConfig:
         return node
 
     def _validate(self):
+        for section in ("dataset", "split", "sensitivity", "train", "grid",
+                        "refine", "build"):
+            if section in self.raw and not isinstance(self.raw[section], dict):
+                raise ConfigError(f"{self.path}: {section} must be an object")
         dataset = self._require("dataset")
         fmt = dataset.get("format")
         if fmt not in ("libsvm", "csv"):
@@ -69,16 +73,31 @@ class RunConfig:
             raise ConfigError(f"{self.path}: dataset.label_column is required "
                               "for csv datasets")
         fractions = self._require("split.fractions")
-        if len(fractions) != 3 or any(f <= 0 for f in fractions):
+        try:
+            valid = len(self.split_fractions) == 3 and min(self.split_fractions) > 0
+        except (TypeError, ValueError):
+            valid = False
+        if not valid:
             raise ConfigError(f"{self.path}: split.fractions must be 3 positive "
-                              f"reals, got {fractions}")
+                              f"reals, got {fractions!r}")
+        for name in ("split.seed", "workers"):
+            try:
+                int(self._require(name))
+            except (TypeError, ValueError, OverflowError):
+                raise ConfigError(f"{self.path}: {name} must be an integer, got "
+                                  f"{self._require(name)!r}") from None
         self._require("output_dir")
         provider = self._require("sensitivity.provider")
         if provider not in available_providers():
             raise ConfigError(f"{self.path}: unknown sensitivity.provider "
                               f"{provider!r}; available: {available_providers()}")
+        # Parse every section now, so a malformed value fails at load (exit 1).
+        self.train_config()
+        self.build_config(n_train=1, n_classes=1)  # sizes do not affect its checks
+        self.refine_config()
         if "grid" in self.raw:
             self._require("grid.coreset_ratios")
+            self.grid_spec()
 
     # ---- typed views -----------------------------------------------------
 
@@ -118,7 +137,7 @@ class RunConfig:
                                tolerance=float(t["tolerance"]),
                                max_iterations=int(t["max_iterations"]),
                                fit_intercept=bool(t["fit_intercept"]))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: train: {exc}") from exc
 
     def grid_spec(self) -> GridSpec:
@@ -139,7 +158,7 @@ class RunConfig:
                 regularizations=(tuple(float(c) for c in g["regularizations"])
                                  if g.get("regularizations") else None),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: grid: {exc}") from exc
 
     def refine_config(self) -> RefineConfig | None:
@@ -157,26 +176,24 @@ class RunConfig:
                 patience=int(r.get("patience", 1)),
                 metric=r.get("metric", "f1"),
                 max_rounds=(int(r["max_rounds"]) if r.get("max_rounds") else None))
-        except (KeyError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: refine: {exc}") from exc
 
     def build_config(self, n_train: int, n_classes: int) -> SamplerConfig:
         """SamplerConfig for the one-off build command; the optional 'build'
         section overrides ratio/knob defaults."""
-        from .tuner import coreset_size_for
-
-        b = dict(self.raw.get("build", {}))
-        ratio = float(b.get("coreset_ratio", 0.1))
-        if not (0 < ratio <= 1):
-            raise ConfigError(f"{self.path}: build.coreset_ratio must lie in (0, 1]")
+        b = self.raw.get("build", {})
         try:
+            ratio = float(b.get("coreset_ratio", 0.1))
+            if not (0 < ratio <= 1):
+                raise ValueError("coreset_ratio must lie in (0, 1]")
             return SamplerConfig(
                 coreset_size=coreset_size_for(ratio, n_train, n_classes),
                 det_ratio=float(b.get("det_ratio", 0.0)),
                 weight_strategy=b.get("weight_strategy", "inv"),
                 class_allocation=b.get("class_allocation", "proportional"),
                 seed=int(b.get("seed", 0)))
-        except ValueError as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: build: {exc}") from exc
 
     def config_hash(self) -> str:
@@ -203,10 +220,10 @@ def load_run_config(path: str, overrides: list[str] | None = None,
             raise ConfigError(f"--override needs key=value, got {override!r}")
         _set_path(raw, key.strip(), _parse_override_value(value), path)
     if seed is not None:
-        raw.setdefault("split", {})["seed"] = seed
+        _set_path(raw, "split.seed", seed, path)
         if "grid" in raw:
-            raw["grid"]["base_seed"] = seed
-        raw.setdefault("build", {})["seed"] = seed
+            _set_path(raw, "grid.base_seed", seed, path)
+        _set_path(raw, "build.seed", seed, path)
     if workers is not None:
         raw["workers"] = workers
     return RunConfig(raw, path=path)

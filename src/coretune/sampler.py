@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, largest_remainder, read_table, write_table
-from .sensitivity import ProbabilityVector, SensitivityScores
+from .sensitivity import SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
 
@@ -217,13 +217,12 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
     return {c: int(b) for c, b in zip(classes, budgets)}
 
 
-def select_deterministic(probs: ProbabilityVector, budget: int, det_ratio: float,
-                         point_ids: np.ndarray | None = None) -> np.ndarray:
+def select_deterministic(probs: np.ndarray, budget: int, det_ratio: float,
+                         point_ids: np.ndarray) -> np.ndarray:
     """Positions of the floor(det_ratio * budget) highest-probability points.
 
-    Ties break by ascending point_id (the position itself when ids are not
-    given). det_ratio < 1 keeps the deterministic set strictly smaller than
-    the budget.
+    Ties break by ascending point_id. det_ratio < 1 keeps the deterministic
+    set strictly smaller than the budget.
     """
     if not (0.0 <= det_ratio < 1.0):
         raise ValueError("det_ratio must lie in [0, 1)")
@@ -232,13 +231,11 @@ def select_deterministic(probs: ProbabilityVector, budget: int, det_ratio: float
         raise ValueError("deterministic set must stay below the budget")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    p = probs.probabilities
-    ids = np.arange(len(p)) if point_ids is None else np.asarray(point_ids)
-    order = np.lexsort((ids, -p))
+    order = np.lexsort((np.asarray(point_ids), -np.asarray(probs)))
     return np.sort(order[:k])
 
 
-def sample_residual(probs: ProbabilityVector, q_positions: np.ndarray, draws: int,
+def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``draws`` points i.i.d. with replacement from outside Q.
 
@@ -248,7 +245,7 @@ def sample_residual(probs: ProbabilityVector, q_positions: np.ndarray, draws: in
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
-    p = probs.probabilities
+    p = np.asarray(probs, dtype=np.float64)
     mask = np.ones(len(p), dtype=bool)
     mask[np.asarray(q_positions, dtype=np.int64)] = False
     residual = np.flatnonzero(mask)
@@ -260,7 +257,7 @@ def sample_residual(probs: ProbabilityVector, q_positions: np.ndarray, draws: in
 
 
 def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray,
-                   counts: np.ndarray, probs: ProbabilityVector, m: int,
+                   counts: np.ndarray, probs: np.ndarray, m: int,
                    source_weights: np.ndarray,
                    prev_w: float) -> tuple[np.ndarray, np.ndarray]:
     """Weight the deterministic set Q and the sampled multiset.
@@ -268,7 +265,7 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
     ``positions`` and ``counts`` are the sampled positions and their
     multiplicities; the result is (weights of ``q_positions``, weights of
     ``positions``), in the same orders. ``probs`` and ``m`` are the sampling
-    problem's probability vector and size (the class probabilities and class
+    problem's probabilities and size (the class probabilities and class
     budget when sampling per class); ``prev_w`` is the total source weight of
     the problem's points.
 
@@ -286,7 +283,7 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
     q_positions = np.asarray(q_positions, dtype=np.int64)
     if np.isin(positions, q_positions).any():
         raise ValueError("deterministic set and sampled counts must be disjoint")
-    p = probs.probabilities
+    p = np.asarray(probs, dtype=np.float64)
     w = np.asarray(source_weights, dtype=np.float64)
     w_q = w[q_positions]
 
@@ -322,19 +319,17 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
             (1.0 - q_share) * prev_w * raw / raw_total)
 
 
-def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfig,
-                  rng: np.random.Generator | None = None) -> Coreset:
+def build_coreset(data: Dataset, scores: SensitivityScores,
+                  config: SamplerConfig) -> Coreset:
     """Build a weighted coreset: allocate per-class budgets, then per class
     select the deterministic set, sample the residual, and assign weights.
 
-    Pure given (data, scores, config, seed): per-class sub-streams are derived
-    from the generator so classes could sample independently. Output rows are
-    ordered by class id then point_id.
+    Pure given (data, scores, config): every draw follows from
+    ``config.seed``. Output rows are ordered by class id then point_id.
     """
     if len(scores) != data.n:
         raise ValueError(f"scores cover {len(scores)} points, dataset has {data.n}")
-    if rng is None:
-        rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(config.seed)
     classes, class_sizes = np.unique(data.labels, return_counts=True)
     budgets = allocate_class_budgets(config.coreset_size,
                                      dict(zip(classes.tolist(), class_sizes.tolist())),
@@ -347,7 +342,7 @@ def build_coreset(data: Dataset, scores: SensitivityScores, config: SamplerConfi
         pos = np.flatnonzero(data.labels == cls)
         w_c = data.weights[pos]
         v_c = scores.values[pos]
-        probs_c = ProbabilityVector(v_c / v_c.sum())
+        probs_c = v_c / v_c.sum()
         budget = budgets[cls]
         q = select_deterministic(probs_c, budget, config.det_ratio,
                                  point_ids=data.point_ids[pos])

@@ -50,24 +50,6 @@ class SensitivityScores:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
-    """Strictly positive probabilities summing to 1."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64)
-        object.__setattr__(self, "probabilities", probs)
-        if np.any(probs <= 0) or np.any(probs > 1):
-            raise ValueError("probabilities must lie in (0, 1]")
-        if abs(probs.sum() - 1.0) > 1e-9:
-            raise ValueError(f"probabilities sum to {probs.sum()!r}, expected 1")
-
-    def __len__(self) -> int:
-        return len(self.probabilities)
-
-
 def uniform_scores(n: int) -> SensitivityScores:
     """Uniform-sampling scores: every point gets 1/n."""
     if n < 1:
@@ -76,14 +58,15 @@ def uniform_scores(n: int) -> SensitivityScores:
     return SensitivityScores(values, float(values.sum()), "uniform")
 
 
-def _augment(features) -> np.ndarray:
-    """Dense intercept-augmented copy of the feature matrix."""
+def _design_matrix(features, add_intercept: bool) -> np.ndarray:
+    """The feature matrix as a dense float64 array, with a column of ones
+    appended when ``add_intercept``."""
     if sp.issparse(features):
-        features = np.asarray(features.todense())
-    else:
-        features = np.asarray(features, dtype=np.float64)
-    ones = np.ones((features.shape[0], 1))
-    return np.hstack([features, ones])
+        features = features.todense()
+    features = np.asarray(features, dtype=np.float64)
+    if add_intercept:
+        features = np.hstack([features, np.ones((features.shape[0], 1))])
+    return features
 
 
 def _mix_with_uniform(structured: np.ndarray, mix: float, name: str,
@@ -112,8 +95,7 @@ def leverage_sensitivities(features, mix: float = 0.5,
     """
     if not (0.0 <= mix <= 1.0):
         raise ValueError("mix must lie in [0, 1]")
-    A = _augment(features) if add_intercept else np.asarray(
-        features.todense() if sp.issparse(features) else features, dtype=np.float64)
+    A = _design_matrix(features, add_intercept)
     n = A.shape[0]
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     tol = s[0] * max(A.shape) * np.finfo(np.float64).eps if len(s) else 0.0
@@ -137,8 +119,7 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
         raise ValueError("mix must lie in [0, 1]")
     if max_iters < 0:
         raise ValueError("max_iters must be >= 0")
-    A = _augment(features) if add_intercept else np.asarray(
-        features.todense() if sp.issparse(features) else features, dtype=np.float64)
+    A = _design_matrix(features, add_intercept)
     n, d = A.shape
     w = np.full(n, d / n)
     converged = False
@@ -171,11 +152,11 @@ def _lewis_iteration(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
     return np.sqrt(np.maximum(quad, 0.0)), ridge
 
 
-def to_probabilities(scores: SensitivityScores) -> ProbabilityVector:
+def to_probabilities(scores: SensitivityScores) -> np.ndarray:
     """Normalize scores to sampling probabilities values[i] / total."""
     if not np.isfinite(scores.total) or scores.total <= 0:
         raise ValueError(f"cannot normalize scores with total {scores.total!r}")
-    return ProbabilityVector(scores.values / scores.total)
+    return scores.values / scores.total
 
 
 # ---------------------------------------------------------------------------
@@ -228,5 +209,5 @@ def scores_to_csv(scores: SensitivityScores, point_ids: np.ndarray, path,
                   header_comment: str | None = None) -> None:
     """Export (point_id, sensitivity, probability) rows for the report pipeline."""
     write_table(path, ("point_id", "sensitivity", "probability"),
-                zip(point_ids, scores.values, to_probabilities(scores).probabilities),
+                zip(point_ids, scores.values, to_probabilities(scores)),
                 header_comment)

@@ -146,7 +146,6 @@ class CellSummary:
     cell: Cell
     mean_validation_f1: float
     mean_test_f1: float
-    completed: int
 
 
 @dataclass
@@ -154,8 +153,6 @@ class GridSearchResult:
     trials: list[TrialResult]
     failures: list[FailedCell]
     summaries: list[CellSummary]
-    provider: str
-    provider_params: dict
 
     @property
     def best(self) -> TrialResult:
@@ -287,13 +284,11 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
         summaries.append(CellSummary(
             cell,
             float(np.mean([t.validation.f1 for t in group])),
-            float(np.mean([t.test.f1 for t in group])),
-            len(group)))
+            float(np.mean([t.test.f1 for t in group]))))
     summaries.sort(key=lambda s: (-s.mean_validation_f1, s.cell.index))
     rank_of = {s.cell.index: r for r, s in enumerate(summaries)}
     trials.sort(key=lambda t: (rank_of[t.cell_index], t.repeat))
-    return GridSearchResult(trials, failures, summaries, grid.sensitivity_provider,
-                            dict(grid.provider_params))
+    return GridSearchResult(trials, failures, summaries)
 
 
 @dataclass(frozen=True)

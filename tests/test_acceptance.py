@@ -61,7 +61,7 @@ def test_criterion_1_loss_ratio_property(mixture_with_scores):
     thetas /= np.linalg.norm(thetas, axis=0, keepdims=True)
     y_pm = np.where(data.labels > 0, 1.0, -1.0)
     full_losses = np.logaddexp(
-        0.0, -(data.dense_features() @ thetas) * y_pm[:, None]).sum(axis=0)
+        0.0, -(data.features @ thetas) * y_pm[:, None]).sum(axis=0)
 
     start = time.perf_counter()
     within = 0
@@ -71,7 +71,7 @@ def test_criterion_1_loss_ratio_property(mixture_with_scores):
                                weight_strategy="inv", seed=seed)
         coreset = build_coreset(data, scores, config)
         rows = data.subset_by_ids(coreset.point_ids)
-        margins = (rows.dense_features() @ thetas) * \
+        margins = (rows.features @ thetas) * \
             np.where(rows.labels > 0, 1.0, -1.0)[:, None]
         core_losses = coreset.weights @ np.logaddexp(0.0, -margins)
         ratios = core_losses / full_losses

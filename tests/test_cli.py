@@ -150,11 +150,45 @@ class TestTrialRecord:
         assert written == curve_rows(tune_in_process(config_path))
 
 
+    def test_refine_and_report_train_with_the_recorded_settings(self, workdir):
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        for command in ("split", "tune", "refine", "report"):
+            assert run(config_path, command) == 0, command
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["train"]["max_iterations"] == 200
+        outputs = ("refined_coreset.csv", "refine_trace.csv", "comparison.csv")
+
+        def data_rows():
+            return {name: [line for line in (out / name).read_text().splitlines()
+                           if not line.startswith("#")] for name in outputs}
+
+        tuned_rows = data_rows()
+        for command in ("refine", "report"):
+            assert run(config_path, command, "--override",
+                       "train.max_iterations=2") == 0, command
+        assert data_rows() == tuned_rows
+
+    def test_record_without_train_settings_asks_to_rerun_tune(self, workdir,
+                                                              capsys):
+        tmp_path, config_path, _ = workdir
+        path = tmp_path / "run" / "best_config.json"
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune") == 0
+        record = json.loads(path.read_text())
+        del record["train"]
+        path.write_text(json.dumps(record))
+        for command in ("refine", "report"):
+            assert run(config_path, command) == 2, command
+            assert "rerun the tune command" in capsys.readouterr().err
+
+
 class TestSparseLibsvmPipeline:
     def test_one_hot_data_with_lewis_and_hinge(self, tmp_path):
         import scipy.sparse as sp
 
-        from coretune.data import Dataset, parse_libsvm, write_libsvm
+        from conftest import write_libsvm
+        from coretune.data import parse_libsvm
 
         rng = np.random.default_rng(0)
         n, d = 400, 40
@@ -164,7 +198,7 @@ class TestSparseLibsvmPipeline:
         logits = X @ rng.normal(size=d) * 0.8 - 0.5
         y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(int)
         data_path = tmp_path / "sparse.libsvm"
-        write_libsvm(Dataset(X, y), data_path)
+        write_libsvm(data_path, X, y)
         assert sp.issparse(parse_libsvm(str(data_path)).features)
 
         config = {
@@ -270,6 +304,30 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert f"sensitivity.provider {provider!r}" in err
         assert "'leverage'" in err and "'uniform'" in err
+
+    @pytest.mark.parametrize("command,override", [
+        ("split", "split.fractions=0.5"),
+        ("split", "dataset=5"),
+        ("split", 'split.seed="x"'),
+        ("tune", 'workers="abc"'),
+        ("build", 'build.coreset_ratio="x"'),
+        ("tune", "train=5"),
+        ("tune", "train.max_iterations=Infinity"),
+        ("refine", "refine=5"),
+    ])
+    def test_malformed_value_is_a_config_error(self, workdir, capsys, command,
+                                               override):
+        _, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        capsys.readouterr()
+        assert run(config_path, command, "--override", override) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_seed_flag_through_a_non_object_section(self, workdir, capsys):
+        _, config_path, _ = workdir
+        assert run(config_path, "split", "--override", "build=5",
+                   "--seed", "3") == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
     def test_dataset_file_missing(self, workdir, capsys):
         tmp_path, config_path, config = workdir

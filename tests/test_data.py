@@ -4,10 +4,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import write_libsvm
 from coretune.data import (Dataset, EmptyInputError, ParseError, SplitError,
-                           class_distribution, largest_remainder, load_split_bundle,
-                           parse_csv, parse_libsvm, save_split_bundle,
-                           stratified_split, write_libsvm)
+                           largest_remainder, load_split_bundle, parse_csv,
+                           parse_libsvm, save_split_bundle, stratified_split)
+
+
+def dense(features):
+    return features.toarray() if sp.issparse(features) else features
 
 
 def write(tmp_path, name, text):
@@ -20,7 +24,7 @@ class TestParseLibsvm:
     def test_basic_line(self, tmp_path):
         path = write(tmp_path, "a.libsvm", "+1 1:0.5 3:2.0\n")
         ds = parse_libsvm(path, dimension_hint=3)
-        assert ds.dense_features().tolist() == [[0.5, 0.0, 2.0]]
+        assert ds.features.tolist() == [[0.5, 0.0, 2.0]]
         assert ds.labels.tolist() == [1]
         assert ds.weights.tolist() == [1.0]
 
@@ -76,7 +80,7 @@ class TestParseCsv:
         ds = parse_csv(path, "label")
         assert ds.n == 2 and ds.dim == 2
         assert ds.labels.tolist() == [0, 1]
-        assert ds.dense_features().tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
     def test_missing_label_column(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,y\n1,2\n")
@@ -97,7 +101,7 @@ class TestParseCsv:
         path = write(tmp_path, "a.csv", "0,1.5,2.5\n1,3.5,4.5\n")
         ds = parse_csv(path, 0, has_header=False)
         assert ds.labels.tolist() == [0, 1]
-        assert ds.dense_features().tolist() == [[1.5, 2.5], [3.5, 4.5]]
+        assert ds.features.tolist() == [[1.5, 2.5], [3.5, 4.5]]
 
     def test_pm_one_labels_remapped(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,label\n1,-1\n2,1\n")
@@ -151,27 +155,6 @@ class TestStratifiedSplit:
                 assert abs(got - frac * total) <= 1
 
 
-class TestClassDistribution:
-    def test_census_style_imbalance(self):
-        labels = np.array([0] * 37155 + [1] * (48842 - 37155))
-        dist = class_distribution(Dataset(np.zeros((48842, 1)), labels))
-        assert round(dist[0], 4) == 0.7607
-        assert round(dist[1], 4) == 0.2393
-
-    def test_single_class(self):
-        dist = class_distribution(Dataset(np.zeros((4, 1)), np.array([2] * 4)))
-        assert dist == {2: 1.0}
-
-    def test_balanced(self):
-        dist = class_distribution(Dataset(np.zeros((4, 1)), np.array([0, 0, 1, 1])))
-        assert dist == {0: 0.5, 1: 0.5}
-
-    def test_fractions_sum_to_one(self):
-        labels = np.array([0, 1, 1, 2, 2, 2, 2])
-        dist = class_distribution(Dataset(np.zeros((7, 1)), labels))
-        assert abs(sum(dist.values()) - 1.0) < 1e-12
-
-
 class TestLargestRemainder:
     def test_exact_proportions(self):
         assert largest_remainder(np.array([600.0, 400.0]), 100).tolist() == [60, 40]
@@ -201,9 +184,9 @@ class TestRoundTrip:
     def test_parse_write_parse_bit_exact(self, tmp_path):
         text = "+1 1:0.1 3:2.7182818284590451\n-1 2:-3.25 3:1e-17\n"
         first = parse_libsvm(write(tmp_path, "a.libsvm", text), dimension_hint=3)
-        write_libsvm(first, tmp_path / "b.libsvm")
+        write_libsvm(tmp_path / "b.libsvm", first.features, first.labels)
         second = parse_libsvm(str(tmp_path / "b.libsvm"), dimension_hint=3)
-        assert np.array_equal(first.dense_features(), second.dense_features())
+        assert np.array_equal(dense(first.features), dense(second.features))
         assert np.array_equal(first.labels, second.labels)
 
     @given(st.lists(st.lists(st.floats(-1e12, 1e12, allow_nan=False, width=64),
@@ -222,9 +205,9 @@ class TestRoundTrip:
         ds = Dataset(matrix, labels)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "x.libsvm")
-            write_libsvm(ds, path)
+            write_libsvm(path, ds.features, ds.labels)
             back = parse_libsvm(path, dimension_hint=3)
-        assert np.array_equal(ds.dense_features(), back.dense_features())
+        assert np.array_equal(ds.features, dense(back.features))
         assert np.array_equal(ds.labels, back.labels)
 
 
@@ -240,7 +223,7 @@ class TestSplitBundleFiles:
         for orig, back in zip(bundle, loaded):
             assert np.array_equal(orig.point_ids, back.point_ids)
             assert np.array_equal(orig.labels, back.labels)
-            assert np.allclose(orig.dense_features(), back.dense_features())
+            assert np.allclose(orig.features, back.features)
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_round_trip_is_bit_exact_and_keeps_layout(self, tmp_path, sparse):
@@ -310,4 +293,4 @@ class TestDatasetInvariants:
                      point_ids=np.array([10, 20, 30, 40]))
         sub = ds.subset_by_ids(np.array([30, 10]))
         assert sub.point_ids.tolist() == [30, 10]
-        assert sub.dense_features().tolist() == [[4.0, 5.0], [0.0, 1.0]]
+        assert sub.features.tolist() == [[4.0, 5.0], [0.0, 1.0]]

@@ -4,9 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from coretune.learners import (LinearModel, TrainConfig, UnsupportedOperationError,
-                               decision_scores, predict_labels,
-                               predict_probabilities, train,
+from coretune.learners import (LinearModel, TrainConfig, decision_scores, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective, weighted_loss)
 
@@ -164,23 +162,6 @@ class TestPredictions:
         model = LinearModel(np.zeros(2), 0.0, "logistic", True)
         X = np.random.default_rng(1).normal(size=(5, 2))
         assert np.all(decision_scores(model, X) == 0)
-        assert np.all(predict_labels(model, X) == 0)
-
-    def test_score_zero_probability_half(self):
-        model = LinearModel(np.zeros(2), 0.0, "logistic", True)
-        X = np.ones((1, 2))
-        assert predict_probabilities(model, X)[0] == pytest.approx(0.5)
-
-    def test_probability_monotone_in_score(self):
-        model = LinearModel(np.array([1.0]), 0.0, "logistic", True)
-        X = np.linspace(-4, 4, 30).reshape(-1, 1)
-        probs = predict_probabilities(model, X)
-        assert np.all(np.diff(probs) > 0)
-
-    def test_hinge_has_no_probabilities(self):
-        model = LinearModel(np.array([1.0]), 0.0, "hinge", True)
-        with pytest.raises(UnsupportedOperationError):
-            predict_probabilities(model, np.ones((2, 1)))
 
 
 class TestTrainConfig:

@@ -12,8 +12,7 @@ from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
                               allocate_class_budgets, assign_weights,
                               build_coreset, coreset_from_csv, coreset_to_csv,
                               sample_residual, select_deterministic)
-from coretune.sensitivity import (ProbabilityVector, SensitivityScores,
-                                  compute_scores, uniform_scores)
+from coretune.sensitivity import SensitivityScores, compute_scores, uniform_scores
 
 
 class TestAllocateClassBudgets:
@@ -67,21 +66,23 @@ class TestAllocateClassBudgets:
 
 class TestSelectDeterministic:
     def test_top_one(self):
-        probs = ProbabilityVector(np.array([0.7, 0.1, 0.1, 0.1]))
-        q = select_deterministic(probs, budget=2, det_ratio=0.5)
+        probs = np.array([0.7, 0.1, 0.1, 0.1])
+        q = select_deterministic(probs, budget=2, det_ratio=0.5,
+                                 point_ids=np.arange(4))
         assert q.tolist() == [0]
 
     def test_zero_ratio_empty(self):
-        probs = ProbabilityVector(np.array([0.7, 0.1, 0.1, 0.1]))
-        assert select_deterministic(probs, 2, 0.0).tolist() == []
+        probs = np.array([0.7, 0.1, 0.1, 0.1])
+        assert select_deterministic(probs, 2, 0.0, np.arange(4)).tolist() == []
 
     def test_tie_break_by_position(self):
-        probs = ProbabilityVector(np.array([0.25, 0.25, 0.25, 0.25]))
-        q = select_deterministic(probs, budget=4, det_ratio=0.5)
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
+        q = select_deterministic(probs, budget=4, det_ratio=0.5,
+                                 point_ids=np.arange(4))
         assert q.tolist() == [0, 1]
 
     def test_tie_break_by_point_id(self):
-        probs = ProbabilityVector(np.array([0.25, 0.25, 0.25, 0.25]))
+        probs = np.array([0.25, 0.25, 0.25, 0.25])
         ids = np.array([40, 30, 20, 10])
         q = select_deterministic(probs, budget=4, det_ratio=0.5, point_ids=ids)
         assert sorted(ids[q].tolist()) == [10, 20]
@@ -89,7 +90,7 @@ class TestSelectDeterministic:
 
 class TestSampleResidual:
     def test_forced_single_point(self):
-        probs = ProbabilityVector(np.array([0.4, 0.3, 0.3]))
+        probs = np.array([0.4, 0.3, 0.3])
         positions, counts = sample_residual(probs, np.array([0, 1]), draws=5,
                                             rng=np.random.default_rng(0))
         assert positions.tolist() == [2]
@@ -97,7 +98,7 @@ class TestSampleResidual:
 
     def test_binomial_oracle_three_sigma(self):
         draws = 10**5
-        probs = ProbabilityVector(np.array([0.5, 0.5]))
+        probs = np.array([0.5, 0.5])
         positions, counts = sample_residual(probs, np.array([], dtype=int), draws,
                                             rng=np.random.default_rng(42))
         sigma = np.sqrt(draws * 0.25)
@@ -107,14 +108,14 @@ class TestSampleResidual:
         assert counts[0] + counts[1] == draws
 
     def test_same_seed_identical(self):
-        probs = ProbabilityVector(np.array([0.2, 0.3, 0.5]))
+        probs = np.array([0.2, 0.3, 0.5])
         a = sample_residual(probs, np.array([1]), 50, np.random.default_rng(9))
         b = sample_residual(probs, np.array([1]), 50, np.random.default_rng(9))
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
 
     def test_all_mass_excluded(self):
-        probs = ProbabilityVector(np.array([0.5, 0.5]))
+        probs = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="residual"):
             sample_residual(probs, np.array([0, 1]), 3, np.random.default_rng(0))
 
@@ -124,14 +125,14 @@ NO_Q = np.array([], dtype=int)
 
 class TestAssignWeights:
     def test_inv_formula(self):
-        probs = ProbabilityVector(np.array([0.1, 0.9]))
+        probs = np.array([0.1, 0.9])
         _, weights = assign_weights("inv", NO_Q, np.array([0]), np.array([1]),
                                     probs, m=10, source_weights=np.ones(2),
                                     prev_w=2.0)
         assert weights[0] == pytest.approx(1.0)
 
     def test_inv_deterministic_points_use_same_formula(self):
-        probs = ProbabilityVector(np.array([0.5, 0.25, 0.25]))
+        probs = np.array([0.5, 0.25, 0.25])
         q_weights, weights = assign_weights("inv", np.array([0]), np.array([1]),
                                             np.array([2]), probs, m=4,
                                             source_weights=np.ones(3), prev_w=3.0)
@@ -139,7 +140,7 @@ class TestAssignWeights:
         assert weights[0] == pytest.approx(2.0 / (0.25 * 4))
 
     def test_prop_deterministic_share(self):
-        probs = ProbabilityVector(np.full(100, 0.01))
+        probs = np.full(100, 0.01)
         q = np.array([0, 1])
         q_weights, weights = assign_weights("prop", q, np.array([5, 6]),
                                             np.array([4, 4]), probs, m=10,
@@ -154,7 +155,7 @@ class TestAssignWeights:
         # Five points, three of them sampled; by hand:
         # raw_i = count_i / p_i -> raw = {0: 2/.4, 2: 1/.1, 4: 2/.2} = {5,10,10}
         # scale = prev_w / 25 = 13/25 -> weights {2.6, 5.2, 5.2}
-        probs = ProbabilityVector(np.array([0.4, 0.2, 0.1, 0.1, 0.2]))
+        probs = np.array([0.4, 0.2, 0.1, 0.1, 0.2])
         q_weights, weights = assign_weights("keep", NO_Q, np.array([0, 2, 4]),
                                             np.array([2, 1, 2]), probs, m=5,
                                             source_weights=np.ones(5), prev_w=13.0)
@@ -165,7 +166,7 @@ class TestAssignWeights:
         assert weights.sum() == pytest.approx(13.0)
 
     def test_keep_respects_source_weights(self):
-        probs = ProbabilityVector(np.array([0.5, 0.25, 0.25]))
+        probs = np.array([0.5, 0.25, 0.25])
         source = np.array([3.0, 1.0, 2.0])
         q_weights, weights = assign_weights("keep", np.array([0]), np.array([1, 2]),
                                             np.array([1, 1]), probs, m=3,
@@ -174,14 +175,14 @@ class TestAssignWeights:
         assert q_weights.sum() + weights.sum() == pytest.approx(6.0)
 
     def test_keep_infeasible_when_budget_exhausted(self):
-        probs = ProbabilityVector(np.array([0.8, 0.1, 0.1]))
+        probs = np.array([0.8, 0.1, 0.1])
         source = np.array([5.0, 0.0, 0.0])
         with pytest.raises(StrategyInfeasibleError):
             assign_weights("keep", np.array([0]), np.array([1]), np.array([1]),
                            probs, m=3, source_weights=source, prev_w=5.0)
 
     def test_overlap_rejected(self):
-        probs = ProbabilityVector(np.array([0.5, 0.5]))
+        probs = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="disjoint"):
             assign_weights("inv", np.array([0]), np.array([0]), np.array([1]),
                            probs, m=2, source_weights=np.ones(2), prev_w=2.0)

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coretune.data import Dataset
-from coretune.sensitivity import (DegenerateScoresError, ProbabilityVector,
-                                  SensitivityScores, available_providers,
+from coretune.sensitivity import (DegenerateScoresError, SensitivityScores,
+                                  available_providers,
                                   compute_scores, leverage_sensitivities,
                                   lewis_weight_sensitivities, register_provider,
                                   to_probabilities, uniform_scores)
@@ -144,15 +144,15 @@ class TestToProbabilities:
     def test_simple(self):
         probs = to_probabilities(SensitivityScores(np.array([1.0, 1.0, 2.0]), 4.0,
                                                    "manual"))
-        assert probs.probabilities.tolist() == [0.25, 0.25, 0.5]
+        assert probs.tolist() == [0.25, 0.25, 0.5]
 
     def test_single_point(self):
         probs = to_probabilities(SensitivityScores(np.array([5.0]), 5.0, "manual"))
-        assert probs.probabilities.tolist() == [1.0]
+        assert probs.tolist() == [1.0]
 
     def test_uniform_ten(self):
         probs = to_probabilities(uniform_scores(10))
-        assert np.allclose(probs.probabilities, 0.1)
+        assert np.allclose(probs, 0.1)
 
     @given(hnp.arrays(np.float64, st.integers(1, 50),
                       elements=st.floats(1e-6, 1e6)),
@@ -161,8 +161,8 @@ class TestToProbabilities:
     def test_scale_invariance(self, values, c):
         base = SensitivityScores(values, float(values.sum()), "fuzz")
         scaled = SensitivityScores(values * c, float((values * c).sum()), "fuzz")
-        p0 = to_probabilities(base).probabilities
-        p1 = to_probabilities(scaled).probabilities
+        p0 = to_probabilities(base)
+        p1 = to_probabilities(scaled)
         assert np.all(np.abs(p0 - p1) <= 1e-12 * np.maximum(p0, 1e-300))
 
     @given(hnp.arrays(np.float64, st.integers(1, 100),
@@ -171,9 +171,9 @@ class TestToProbabilities:
     def test_any_positive_provider_yields_valid_probabilities(self, values):
         scores = SensitivityScores(values, float(values.sum()), "fuzz")
         probs = to_probabilities(scores)
-        assert abs(probs.probabilities.sum() - 1.0) < 1e-9
-        assert np.all(probs.probabilities > 0)
-        assert np.all(probs.probabilities <= 1)
+        assert abs(probs.sum() - 1.0) < 1e-9
+        assert np.all(probs > 0)
+        assert np.all(probs <= 1)
 
 
 class TestScoreInvariants:
@@ -184,10 +184,6 @@ class TestScoreInvariants:
     def test_rejects_total_mismatch(self):
         with pytest.raises(ValueError):
             SensitivityScores(np.array([1.0, 1.0]), 3.0, "bad")
-
-    def test_probability_vector_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            ProbabilityVector(np.array([0.5, 0.4]))
 
 
 class TestProviderRegistry:
@@ -211,7 +207,7 @@ class TestProviderRegistry:
         data = Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
         scores = compute_scores("halves", data)
         assert scores.provider_name == "halves"
-        assert np.allclose(to_probabilities(scores).probabilities, 0.25)
+        assert np.allclose(to_probabilities(scores), 0.25)
 
     def test_provider_params_forwarded(self):
         rng = np.random.default_rng(0)

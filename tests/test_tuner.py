@@ -187,7 +187,7 @@ class TestCompareAndCurves:
                         sensitivity_provider="leverage", base_seed=2)
         result = run_grid(splits, grid, TrainConfig())
         rows = compare_to_baselines(splits, result.best, TrainConfig(),
-                                    compute_scores(result.provider, splits.train))
+                                    compute_scores(result.best.provider, splits.train))
         methods = [(r.method, r.split) for r in rows]
         for method in ("tuned", "vanilla", "random", "full"):
             assert methods.count((method, "validation")) == 1
@@ -200,7 +200,7 @@ class TestCompareAndCurves:
         result = run_grid(splits, grid, TrainConfig())
         assert result.best.vanilla
         rows = compare_to_baselines(splits, result.best, TrainConfig(),
-                                    compute_scores(result.provider, splits.train))
+                                    compute_scores(result.best.provider, splits.train))
         by_key = {(r.method, r.split): r for r in rows}
         for split in ("validation", "test"):
             tuned = by_key[("tuned", split)]
@@ -216,13 +216,13 @@ class TestCompareAndCurves:
         result = run_grid(splits, SMALL_GRID, TrainConfig())
         builds = []
 
-        def counting(data, scores, config, rng=None):
+        def counting(data, scores, config):
             builds.append(config)
-            return build_coreset(data, scores, config, rng)
+            return build_coreset(data, scores, config)
 
         monkeypatch.setattr(coretune.tuner, "build_coreset", counting)
         rows = compare_to_baselines(splits, result.best, TrainConfig(),
-                                    compute_scores(result.provider, splits.train))
+                                    compute_scores(result.best.provider, splits.train))
         # only the vanilla and random coresets are built; tuned is not retrained
         assert len(builds) == 2
         assert all(c.coreset_size == result.best.config.coreset_size
@@ -272,7 +272,7 @@ class TestRefineBest:
                               RefineConfig(batch_size=10, patience=1,
                                            metric=never_better),
                               TrainConfig(),
-                              compute_scores(result.provider, splits.train))
+                              compute_scores(result.best.provider, splits.train))
         assert outcome.trace.decision == "kept_original"
         assert outcome.result.validation.f1 == pytest.approx(
             result.best.validation.f1)
@@ -286,7 +286,7 @@ class TestRefineBest:
         outcome = refine_best(splits, result.best,
                               RefineConfig(batch_size=15, patience=2, metric="f1"),
                               TrainConfig(),
-                              compute_scores(result.provider, splits.train))
+                              compute_scores(result.best.provider, splits.train))
         assert outcome.trace.phi_original == pytest.approx(
             result.best.validation.f1)
         if outcome.trace.decision == "kept_refined":
@@ -303,7 +303,7 @@ class TestRefineBest:
                               RefineConfig(batch_size=5, patience=50,
                                            max_rounds=3, metric="f1"),
                               TrainConfig(),
-                              compute_scores(result.provider, splits.train))
+                              compute_scores(result.best.provider, splits.train))
         assert len(outcome.trace.rounds) <= 3
 
 

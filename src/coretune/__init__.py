@@ -7,7 +7,7 @@ from .learners import (LinearModel, TrainConfig, decision_scores, train,
                        weighted_loss)
 from .metrics import MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine, uncertainty_query
-from .sampler import Coreset, SamplerConfig, build_coreset
+from .sampler import Coreset, SamplerConfig, SamplingPlan, build_coreset
 from .sensitivity import (SensitivityScores, compute_scores,
                           leverage_sensitivities, lewis_weight_sensitivities,
                           register_provider, to_probabilities, uniform_scores)
@@ -18,7 +18,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Coreset", "Dataset", "GridSpec", "LinearModel", "MetricsReport",
-    "RefineConfig", "RefineTrace", "SamplerConfig", "SensitivityScores",
+    "RefineConfig", "RefineTrace", "SamplerConfig", "SamplingPlan",
+    "SensitivityScores",
     "SplitBundle", "TrainConfig", "TrialResult", "build_coreset",
     "classification_report", "compare_to_baselines", "compute_scores",
     "decision_scores", "leverage_sensitivities", "lewis_weight_sensitivities",

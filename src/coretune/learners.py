@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.special import expit
 
 LOSSES = ("logistic", "hinge")
@@ -59,9 +60,9 @@ class LinearModel:
 def _as_pm_labels(labels: np.ndarray) -> np.ndarray:
     """{0,1} class ids to {-1,+1}."""
     labels = np.asarray(labels)
-    uniq = set(np.unique(labels).tolist())
-    if not uniq <= {0, 1}:
-        raise ValueError(f"binary learner expects labels in {{0,1}}, got {sorted(uniq)}")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("binary learner expects labels in {0,1}, got "
+                         f"{np.unique(labels).tolist()}")
     return np.where(labels > 0, 1.0, -1.0)
 
 
@@ -89,6 +90,11 @@ def weighted_logistic_objective(coef: np.ndarray, intercept: float, features,
                                 C: float) -> float:
     """Weighted logistic loss plus ||coef||^2/(2C); intercept unpenalized."""
     z = features @ coef + intercept
+    return _logistic_objective_at(z, coef, y_pm, weights, C)
+
+
+def _logistic_objective_at(z, coef, y_pm, weights, C) -> float:
+    """:func:`weighted_logistic_objective` given the margins ``z``."""
     data = float(np.dot(weights, np.logaddexp(0.0, -y_pm * z)))
     return data + 0.5 * float(np.dot(coef, coef)) / C
 
@@ -98,10 +104,39 @@ def weighted_logistic_gradient(coef: np.ndarray, intercept: float, features,
                                C: float) -> tuple[np.ndarray, float]:
     """Analytic gradient of :func:`weighted_logistic_objective`."""
     z = features @ coef + intercept
+    return _logistic_gradient_at(z, coef, features, y_pm, weights, C)
+
+
+def _logistic_gradient_at(z, coef, features, y_pm, weights, C):
+    """:func:`weighted_logistic_gradient` given the margins ``z``."""
     r = weights * y_pm * expit(-y_pm * z)
     grad_coef = -(features.T @ r) + coef / C
     grad_coef = np.asarray(grad_coef).ravel()
     return grad_coef, -float(r.sum())
+
+
+def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``H x = rhs`` for symmetric positive definite ``H``.
+
+    ``scipy.linalg.cho_solve(cho_factor(H), rhs)`` by the same LAPACK calls
+    (upper-triangle potrf, then potrs) and the same checks, without the
+    wrappers' per-call overhead: non-finite input is a ValueError, and a
+    matrix that is not positive definite raises LinAlgError.
+    """
+    if not np.isfinite(H).all():
+        raise ValueError("array must not contain infs or NaNs")
+    factor, info = dpotrf(H, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
+        raise scipy.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}th argument of potrf")
+    if not np.isfinite(rhs).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(factor, rhs, lower=False, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of potrs")
+    return x
 
 
 def _train_logistic(features, y_pm, weights, config: TrainConfig):
@@ -111,14 +146,17 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
     coef = np.zeros(d)
     b = 0.0
     converged = False
+    # The margins at (coef, b) and, once known, the objective there; an
+    # accepted line-search step already computed both for the new iterate.
+    z = features @ coef + b
+    obj = None
     for _ in range(config.max_iterations):
-        grad_coef, grad_b = weighted_logistic_gradient(coef, b, features, y_pm,
-                                                       weights, C)
+        grad_coef, grad_b = _logistic_gradient_at(z, coef, features, y_pm,
+                                                  weights, C)
         grad = np.append(grad_coef, grad_b) if fit_b else grad_coef
         if np.linalg.norm(grad) < config.tolerance:
             converged = True
             break
-        z = features @ coef + b
         mu = expit(z)
         dw = weights * mu * (1.0 - mu)
         if sp.issparse(features):
@@ -137,29 +175,36 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         else:
             H = core + np.eye(d) / C
         try:
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), grad)
+            step = _cholesky_solve(H, grad)
         except scipy.linalg.LinAlgError:
             # Saturated sigmoids can zero out the intercept curvature.
             H += 1e-10 * max(1.0, np.trace(H) / len(H)) * np.eye(len(H))
-            step = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), grad)
-        obj = weighted_logistic_objective(coef, b, features, y_pm, weights, C)
+            step = _cholesky_solve(H, grad)
+        if obj is None:
+            obj = _logistic_objective_at(z, coef, y_pm, weights, C)
         slope = float(grad @ step)
-        t = 1.0
         if slope > 1e-12 * (1.0 + abs(obj)):
             # Backtrack only while the expected decrease is measurable in
             # float64; near the optimum the pure Newton step is taken.
+            t = 1.0
             while t > 1e-12:
                 cand_coef = coef - t * step[:d]
                 cand_b = b - t * step[d] if fit_b else b
-                if weighted_logistic_objective(cand_coef, cand_b, features, y_pm,
-                                               weights, C) <= obj - 1e-4 * t * slope:
+                cand_z = features @ cand_coef + cand_b
+                cand_obj = _logistic_objective_at(cand_z, cand_coef, y_pm,
+                                                  weights, C)
+                if cand_obj <= obj - 1e-4 * t * slope:
                     break
                 t *= 0.5
             else:
                 break  # no measurable progress possible
-        coef = coef - t * step[:d]
-        if fit_b:
-            b = b - t * step[d]
+            coef, b, z, obj = cand_coef, cand_b, cand_z, cand_obj
+        else:
+            coef = coef - step[:d]
+            if fit_b:
+                b = b - step[d]
+            z = features @ coef + b
+            obj = None
     return coef, b, converged
 
 

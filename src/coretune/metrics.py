@@ -45,7 +45,7 @@ class MetricsReport:
 
 def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
     values = np.asarray(values)
-    if not set(np.unique(values).tolist()) <= {0, 1}:
+    if not np.all((values == 0) | (values == 1)):
         raise ValueError(f"{what} must be binary 0/1")
     return values.astype(np.int64)
 
@@ -101,8 +101,8 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
         return np.full(len(values), np.nan)
     order = np.argsort(values, kind="mergesort")
     ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    ends = np.r_[starts[1:], len(values)]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], len(values))
     ranks = np.empty(len(values), dtype=np.float64)
     ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     return ranks

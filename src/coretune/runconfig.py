@@ -74,12 +74,14 @@ class RunConfig:
                               "for csv datasets")
         fractions = self._require("split.fractions")
         try:
-            valid = len(self.split_fractions) == 3 and min(self.split_fractions) > 0
+            valid = (len(self.split_fractions) == 3
+                     and min(self.split_fractions) > 0
+                     and abs(sum(self.split_fractions) - 1.0) <= 1e-9)
         except (TypeError, ValueError):
             valid = False
         if not valid:
             raise ConfigError(f"{self.path}: split.fractions must be 3 positive "
-                              f"reals, got {fractions!r}")
+                              f"reals summing to 1, got {fractions!r}")
         for name in ("split.seed", "workers"):
             try:
                 int(self._require(name))
@@ -91,6 +93,10 @@ class RunConfig:
         if provider not in available_providers():
             raise ConfigError(f"{self.path}: unknown sensitivity.provider "
                               f"{provider!r}; available: {available_providers()}")
+        params = self.raw["sensitivity"].get("params", {})
+        if not isinstance(params, dict):
+            raise ConfigError(f"{self.path}: sensitivity.params must be an "
+                              f"object, got {params!r}")
         # Parse every section now, so a malformed value fails at load (exit 1).
         self.train_config()
         self.build_config(n_train=1, n_classes=1)  # sizes do not affect its checks

@@ -11,7 +11,8 @@ restricted to the class and renormalized, the class budget plays the role of
 the sample size m in the weight formulas, and residual sampling happens on the
 class minus its deterministic set. Sampling is with replacement; repeated
 draws of one point are folded into its weight, with the multiplicity kept in
-``counts``.
+``counts``. A ``SamplingPlan`` holds the per-class work that depends only on
+(data, scores), so the builds of a grid search share it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, largest_remainder, read_table, write_table
+from .data import (Dataset, count_distinct, largest_remainder, read_table,
+                   write_table)
 from .sensitivity import SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -128,7 +130,7 @@ class Coreset:
         for name in ("weights", "labels", "provenance", "counts"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} length mismatch")
-        if len(np.unique(self.point_ids)) != n:
+        if count_distinct(self.point_ids) != n:
             raise ValueError("coreset point_ids must be unique")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
             raise ValueError("coreset weights must be finite and > 0")
@@ -218,11 +220,13 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
 
 
 def select_deterministic(probs: np.ndarray, budget: int, det_ratio: float,
-                         point_ids: np.ndarray) -> np.ndarray:
+                         point_ids: np.ndarray,
+                         order: np.ndarray | None = None) -> np.ndarray:
     """Positions of the floor(det_ratio * budget) highest-probability points.
 
     Ties break by ascending point_id. det_ratio < 1 keeps the deterministic
-    set strictly smaller than the budget.
+    set strictly smaller than the budget. ``order``, when given, is
+    ``np.lexsort((point_ids, -probs))`` computed once by the caller.
     """
     if not (0.0 <= det_ratio < 1.0):
         raise ValueError("det_ratio must lie in [0, 1)")
@@ -231,8 +235,36 @@ def select_deterministic(probs: np.ndarray, budget: int, det_ratio: float,
         raise ValueError("deterministic set must stay below the budget")
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    order = np.lexsort((np.asarray(point_ids), -np.asarray(probs)))
+    if order is None:
+        order = np.lexsort((np.asarray(point_ids), -np.asarray(probs)))
     return np.sort(order[:k])
+
+
+# Generator.choice's tolerance on the sum of float64 probabilities.
+_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
+
+
+def _draw_with_replacement(rp: np.ndarray, draws: int,
+                           rng: np.random.Generator) -> np.ndarray:
+    """``rng.choice(len(rp), size=draws, replace=True, p=rp)``, draw for draw.
+
+    These are choice's own steps for sampling with replacement under ``p``
+    (inverse CDF over ``rng.random``), with its checks on ``p``: no NaN, no
+    negative entry, a sum within sqrt(eps) of 1. choice checks a compensated
+    sum; the pairwise sum here differs from it by far less than sqrt(eps).
+    ``rp`` is a nonempty 1-d float64 array; choice's per-call argument
+    handling is what is skipped.
+    """
+    p_sum = float(rp.sum())
+    if np.isnan(p_sum):
+        raise ValueError("Probabilities contain NaN")
+    if np.any(rp < 0):
+        raise ValueError("Probabilities are not non-negative")
+    if abs(p_sum - 1.0) > _P_SUM_ATOL:
+        raise ValueError("Probabilities do not sum to 1")
+    cdf = rp.cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(draws), side="right")
 
 
 def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
@@ -249,10 +281,11 @@ def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
     mask = np.ones(len(p), dtype=bool)
     mask[np.asarray(q_positions, dtype=np.int64)] = False
     residual = np.flatnonzero(mask)
-    if len(residual) == 0 or p[residual].sum() <= 0:
+    p_residual = p[residual]
+    mass = p_residual.sum()
+    if len(residual) == 0 or mass <= 0:
         raise ValueError("no residual probability mass outside the deterministic set")
-    rp = p[residual] / p[residual].sum()
-    picks = rng.choice(len(residual), size=draws, replace=True, p=rp)
+    picks = _draw_with_replacement(p_residual / mass, draws, rng)
     return np.unique(residual[picks], return_counts=True)
 
 
@@ -281,9 +314,11 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
     if strategy not in WEIGHT_STRATEGIES:
         raise ValueError(f"unknown weight strategy {strategy!r}")
     q_positions = np.asarray(q_positions, dtype=np.int64)
-    if np.isin(positions, q_positions).any():
-        raise ValueError("deterministic set and sampled counts must be disjoint")
     p = np.asarray(probs, dtype=np.float64)
+    in_q = np.zeros(len(p), dtype=bool)
+    in_q[q_positions] = True
+    if in_q[positions].any():
+        raise ValueError("deterministic set and sampled counts must be disjoint")
     w = np.asarray(source_weights, dtype=np.float64)
     w_q = w[q_positions]
 
@@ -292,9 +327,7 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
                 counts * w[positions] / (p[positions] * m))
 
     # keep and prop share the residual-renormalized inverse-probability shape.
-    mask = np.ones(len(p), dtype=bool)
-    mask[q_positions] = False
-    residual_mass = p[mask].sum()
+    residual_mass = p[~in_q].sum()
     raw = counts * w[positions] / (p[positions] / residual_mass)
     # Left-to-right, not numpy's pairwise sum: the weights are artifact bytes.
     raw_total = sum(raw.tolist())
@@ -319,59 +352,107 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
             (1.0 - q_share) * prev_w * raw / raw_total)
 
 
+@dataclass(frozen=True)
+class _ClassPlan:
+    label: int
+    positions: np.ndarray  # rows of the class in the dataset
+    point_ids: np.ndarray  # their point_ids
+    weights: np.ndarray    # and source weights
+    weight_sum: float
+    probs: np.ndarray      # scores restricted to the class, renormalized
+    order: np.ndarray      # probability descending, then point_id ascending
+
+
+class SamplingPlan:
+    """The part of coreset construction that depends only on (data, scores).
+
+    Built once per pair: the class sizes and, per class, the row positions,
+    source weights, class probabilities and the deterministic-selection
+    order. Every :meth:`build` on it then costs a budget split, a slice of
+    each order and the draws, so a grid over sampling knobs does not redo
+    the per-class work in every cell.
+    """
+
+    def __init__(self, data: Dataset, scores: SensitivityScores):
+        if len(scores) != data.n:
+            raise ValueError(f"scores cover {len(scores)} points, dataset has {data.n}")
+        self.data = data
+        self.scores = scores
+        classes, class_sizes = np.unique(data.labels, return_counts=True)
+        self.class_counts = dict(zip(classes.tolist(), class_sizes.tolist()))
+        self._classes: list[_ClassPlan] = []
+        for cls in classes.tolist():
+            pos = np.flatnonzero(data.labels == cls)
+            ids_c = data.point_ids[pos]
+            w_c = data.weights[pos]
+            v_c = scores.values[pos]
+            probs_c = v_c / v_c.sum()
+            self._classes.append(_ClassPlan(cls, pos, ids_c, w_c, float(w_c.sum()),
+                                            probs_c, np.lexsort((ids_c, -probs_c))))
+
+    def build(self, config: SamplerConfig) -> Coreset:
+        """Allocate per-class budgets, then per class select the
+        deterministic set, sample the residual, and assign weights.
+
+        Every draw follows from ``config.seed``. Output rows are ordered by
+        class id then point_id.
+        """
+        data = self.data
+        rng = np.random.default_rng(config.seed)
+        budgets = allocate_class_budgets(config.coreset_size, self.class_counts,
+                                         config.class_allocation)
+        class_seeds = rng.integers(0, 2**63 - 1, size=len(self._classes))
+
+        # Per class: Q's (positions, weights, counts), then the sampled side's.
+        parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        for c, cls_seed in zip(self._classes, class_seeds):
+            budget = budgets[c.label]
+            q = select_deterministic(c.probs, budget, config.det_ratio,
+                                     c.point_ids, order=c.order)
+            sampled, counts = sample_residual(c.probs, q, budget - len(q),
+                                              np.random.default_rng(cls_seed))
+            try:
+                q_w, sampled_w = assign_weights(config.weight_strategy, q, sampled,
+                                                counts, c.probs, budget, c.weights,
+                                                c.weight_sum)
+            except StrategyInfeasibleError as exc:
+                raise StrategyInfeasibleError(f"class {c.label}: {exc}") from exc
+            drawn = np.concatenate([q, sampled])
+            zero_ids = c.point_ids[drawn[c.weights[drawn] == 0]]
+            if len(zero_ids):
+                raise ZeroWeightPointError(
+                    f"class {c.label}: drew {len(zero_ids)} point(s) of source "
+                    f"weight 0 (point_ids {np.sort(zero_ids)[:10].tolist()}); "
+                    "they would get coreset weight 0")
+            parts += [(c.positions[q], q_w, np.ones(len(q), dtype=np.int64)),
+                      (c.positions[sampled], sampled_w, counts)]
+
+        chosen, weights, counts = (np.concatenate(arrays) for arrays in zip(*parts))
+        provenance = np.repeat(
+            np.array([PROVENANCE_DETERMINISTIC, PROVENANCE_SAMPLED]
+                     * len(self._classes), dtype=object),
+            [len(part[0]) for part in parts])
+        order = np.lexsort((data.point_ids[chosen], data.labels[chosen]))
+        chosen = chosen[order]
+        return Coreset(data.point_ids[chosen], weights[order], data.labels[chosen],
+                       provenance[order], counts[order])
+
+
 def build_coreset(data: Dataset, scores: SensitivityScores,
-                  config: SamplerConfig) -> Coreset:
-    """Build a weighted coreset: allocate per-class budgets, then per class
-    select the deterministic set, sample the residual, and assign weights.
+                  config: SamplerConfig,
+                  plan: SamplingPlan | None = None) -> Coreset:
+    """Build a weighted coreset of ``data`` sampled by ``scores``.
 
     Pure given (data, scores, config): every draw follows from
-    ``config.seed``. Output rows are ordered by class id then point_id.
+    ``config.seed``. ``plan``, when given, is a :class:`SamplingPlan` of this
+    same ``data`` and ``scores``, so repeated builds share its per-class
+    work; without it one is made for this call.
     """
-    if len(scores) != data.n:
-        raise ValueError(f"scores cover {len(scores)} points, dataset has {data.n}")
-    rng = np.random.default_rng(config.seed)
-    classes, class_sizes = np.unique(data.labels, return_counts=True)
-    budgets = allocate_class_budgets(config.coreset_size,
-                                     dict(zip(classes.tolist(), class_sizes.tolist())),
-                                     config.class_allocation)
-    class_seeds = rng.integers(0, 2**63 - 1, size=len(classes))
-
-    # Per class: Q's (positions, weights, counts), then the sampled side's.
-    parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-    for cls, cls_seed in zip(classes.tolist(), class_seeds):
-        pos = np.flatnonzero(data.labels == cls)
-        w_c = data.weights[pos]
-        v_c = scores.values[pos]
-        probs_c = v_c / v_c.sum()
-        budget = budgets[cls]
-        q = select_deterministic(probs_c, budget, config.det_ratio,
-                                 point_ids=data.point_ids[pos])
-        sampled, counts = sample_residual(probs_c, q, budget - len(q),
-                                          np.random.default_rng(cls_seed))
-        try:
-            q_w, sampled_w = assign_weights(config.weight_strategy, q, sampled,
-                                            counts, probs_c, budget, w_c,
-                                            float(w_c.sum()))
-        except StrategyInfeasibleError as exc:
-            raise StrategyInfeasibleError(f"class {cls}: {exc}") from exc
-        drawn = np.concatenate([q, sampled])
-        zero_ids = data.point_ids[pos[drawn[w_c[drawn] == 0]]]
-        if len(zero_ids):
-            raise ZeroWeightPointError(
-                f"class {cls}: drew {len(zero_ids)} point(s) of source weight 0 "
-                f"(point_ids {np.sort(zero_ids)[:10].tolist()}); they would "
-                "get coreset weight 0")
-        parts += [(pos[q], q_w, np.ones(len(q), dtype=np.int64)),
-                  (pos[sampled], sampled_w, counts)]
-
-    chosen, weights, counts = (np.concatenate(arrays) for arrays in zip(*parts))
-    provenance = np.repeat(
-        np.array([PROVENANCE_DETERMINISTIC, PROVENANCE_SAMPLED] * len(classes),
-                 dtype=object), [len(part[0]) for part in parts])
-    order = np.lexsort((data.point_ids[chosen], data.labels[chosen]))
-    chosen = chosen[order]
-    return Coreset(data.point_ids[chosen], weights[order], data.labels[chosen],
-                   provenance[order], counts[order])
+    if plan is None:
+        plan = SamplingPlan(data, scores)
+    elif plan.data is not data or plan.scores is not scores:
+        raise ValueError("the sampling plan was built for other data or scores")
+    return plan.build(config)
 
 
 def coreset_to_csv(coreset: Coreset, path, header_comment: str | None = None) -> None:

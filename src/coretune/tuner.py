@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
@@ -21,7 +22,7 @@ from .data import SplitBundle, write_table
 from .learners import TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
-from .sampler import (AllocationError, Coreset, SamplerConfig,
+from .sampler import (AllocationError, Coreset, SamplerConfig, SamplingPlan,
                       StrategyInfeasibleError, build_coreset)
 from .sensitivity import SensitivityScores, compute_scores
 
@@ -199,27 +200,18 @@ def _fit_and_score(splits: SplitBundle, features, labels, weights,
                  for split in (splits.validation, splits.test))
 
 
-def _evaluate_config(splits: SplitBundle, scores: SensitivityScores,
-                     config: SamplerConfig, train_config: TrainConfig,
-                     regularization: float | None):
-    """Build -> train -> evaluate; shared by grid cells and baselines."""
-    coreset = build_coreset(splits.train, scores, config)
-    cfg = train_config
-    if regularization is not None:
-        cfg = replace(train_config, regularization=regularization)
-    val, test = _fit_and_score(splits, *coreset.materialize(splits.train), cfg)
-    return coreset, val, test, cfg
-
-
-def _run_cell(splits, scores, cell: Cell, repeat: int, seed: int,
-              train_config: TrainConfig):
-    train_split = splits.train
-    n_classes = len(train_split.classes)
-    m = coreset_size_for(cell.coreset_ratio, train_split.n, n_classes)
+def _run_cell(splits, scores, plan: SamplingPlan, cell: Cell, repeat: int,
+              seed: int, train_config: TrainConfig):
+    """Build -> train -> evaluate one trial; ``plan`` is the SamplingPlan of
+    (splits.train, scores)."""
+    m = coreset_size_for(cell.coreset_ratio, splits.train.n, len(plan.class_counts))
     config = replace(cell.knobs, coreset_size=m, seed=seed)
+    cfg = train_config
+    if cell.regularization is not None:
+        cfg = replace(train_config, regularization=cell.regularization)
     try:
-        coreset, val, test, cfg = _evaluate_config(
-            splits, scores, config, train_config, cell.regularization)
+        coreset = build_coreset(splits.train, scores, config, plan)
+        val, test = _fit_and_score(splits, *coreset.materialize(splits.train), cfg)
     except (AllocationError, StrategyInfeasibleError) as exc:
         return FailedCell(cell.index, repeat, seed, str(exc))
     return TrialResult(cell.index, repeat, seed, scores.provider_name, config,
@@ -230,16 +222,26 @@ def _run_cell(splits, scores, cell: Cell, repeat: int, seed: int,
 _WORKER_CTX: dict = {}
 
 
-def _worker_init(splits, scores, cells, train_config, repeats, base_seed):
-    _WORKER_CTX["args"] = (splits, scores, cells, train_config, repeats, base_seed)
+def _worker_init(splits, scores, plan, cells, train_config, repeats, base_seed):
+    _WORKER_CTX["args"] = (splits, scores, plan, cells, train_config, repeats,
+                           base_seed)
 
 
 def _worker_task(flat_index: int):
-    splits, scores, cells, train_config, repeats, base_seed = _WORKER_CTX["args"]
+    splits, scores, plan, cells, train_config, repeats, base_seed = \
+        _WORKER_CTX["args"]
     cell = cells[flat_index // repeats]
     repeat = flat_index % repeats
-    return _run_cell(splits, scores, cell, repeat, base_seed + flat_index,
+    return _run_cell(splits, scores, plan, cell, repeat, base_seed + flat_index,
                      train_config)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
 
 
 def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
@@ -251,23 +253,24 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
     params; when None they are computed here. The seed of the trial with
     flat index i (cell-major, repeats within a cell) is base_seed + i, so a
     fixed GridSpec is fully reproducible. Infeasible cells are recorded as
-    failures and excluded from the ranking; the run continues.
+    failures and excluded from the ranking; the run continues. The pool has
+    at most one worker per usable CPU; results do not depend on its size.
     """
     if scores is None:
         scores = compute_scores(grid.sensitivity_provider, splits.train,
                                 **grid.provider_params)
     cells = enumerate_cells(grid)
     n_tasks = len(cells) * grid.repeats
+    context = (splits, scores, SamplingPlan(splits.train, scores), cells,
+               train_config, grid.repeats, grid.base_seed)
+    workers = min(workers, _usable_cpus())
     if workers > 1 and n_tasks > 1:
-        with ProcessPoolExecutor(
-                max_workers=workers, initializer=_worker_init,
-                initargs=(splits, scores, cells, train_config, grid.repeats,
-                          grid.base_seed)) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
+                                 initargs=context) as pool:
             chunk = max(1, n_tasks // (workers * 8))
             outcomes = list(pool.map(_worker_task, range(n_tasks), chunksize=chunk))
     else:
-        _worker_init(splits, scores, cells, train_config, grid.repeats,
-                     grid.base_seed)
+        _worker_init(*context)
         outcomes = [_worker_task(i) for i in range(n_tasks)]
 
     trials = [o for o in outcomes if isinstance(o, TrialResult)]
@@ -323,10 +326,10 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
                                       report.f1, report.roc_auc))
 
     add("tuned", best.validation, best.test)
-    _, val, test, _ = _evaluate_config(splits, scores, base, train_config, None)
-    add("vanilla", val, test)
-    _, val, test, _ = _evaluate_config(splits, uniform, base, train_config, None)
-    add("random", val, test)
+    for method, method_scores in (("vanilla", scores), ("random", uniform)):
+        coreset = build_coreset(train_split, method_scores, base)
+        add(method, *_fit_and_score(splits, *coreset.materialize(train_split),
+                                    train_config))
     add("full", *_fit_and_score(splits, train_split.features, train_split.labels,
                                 train_split.weights, train_config))
     return rows

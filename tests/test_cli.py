@@ -323,6 +323,32 @@ class TestErrorsAndExitCodes:
         assert run(config_path, command, "--override", override) == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("fractions", ["[0.5,0.3,0.3]", "[Infinity,0.1,0.1]",
+                                           "[NaN,0.1,0.1]", "[0.5,0.2,0.2]"])
+    def test_fractions_not_summing_to_one_are_a_config_error(
+            self, workdir, capsys, fractions):
+        _, config_path, _ = workdir
+        assert run(config_path, "split", "--override",
+                   f"split.fractions={fractions}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "split.fractions" in err
+
+    @pytest.mark.parametrize("params", ["5", "[1,2]", '"mix"'])
+    def test_non_object_provider_params_are_a_config_error(
+            self, workdir, capsys, params):
+        tmp_path, _, config = workdir
+        # Without a grid section nothing else reads the params at load.
+        no_grid = {k: v for k, v in config.items() if k != "grid"}
+        path = tmp_path / "no_grid.json"
+        path.write_text(json.dumps(no_grid))
+        for config_path in (workdir[1], str(path)):
+            for command in ("split", "score"):
+                assert run(config_path, command, "--override",
+                           f"sensitivity.params={params}") == 1
+                err = capsys.readouterr().err
+                assert err.startswith("config error: ")
+                assert "sensitivity.params must be an object" in err
+
     def test_seed_flag_through_a_non_object_section(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "split", "--override", "build=5",

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 from coretune.data import Dataset
 from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
-                              StrategyInfeasibleError, ZeroWeightPointError,
+                              SamplingPlan, StrategyInfeasibleError,
+                              ZeroWeightPointError, _draw_with_replacement,
                               allocate_class_budgets, assign_weights,
                               build_coreset, coreset_from_csv, coreset_to_csv,
                               sample_residual, select_deterministic)
@@ -118,6 +119,49 @@ class TestSampleResidual:
         probs = np.array([0.5, 0.5])
         with pytest.raises(ValueError, match="residual"):
             sample_residual(probs, np.array([0, 1]), 3, np.random.default_rng(0))
+
+
+class TestDrawWithReplacement:
+    """Coreset bytes depend on these draws equalling Generator.choice's."""
+
+    @staticmethod
+    def assert_matches_choice(rp, draws, seed):
+        ours_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        ours = _draw_with_replacement(rp, draws, ours_rng)
+        theirs = choice_rng.choice(len(rp), size=draws, replace=True, p=rp)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours, theirs)
+        # both consumed the same stream, so later draws stay in step
+        assert ours_rng.bit_generator.state == choice_rng.bit_generator.state
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_probabilities(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        v = rng.exponential(1.0, n) ** rng.uniform(0.5, 4.0)
+        self.assert_matches_choice(v / v.sum(), int(rng.integers(1, 2000)), seed)
+
+    @pytest.mark.parametrize("rp", [
+        np.array([1.0]),
+        np.array([1e-300, 1.0 - 1e-300]),
+        np.array([1.0 - 2e-17, 1e-17, 1e-17]),
+        np.r_[np.full(999, 1e-12), 1.0 - 999e-12],
+        np.full(7, 1.0 / 7),
+        np.array([0.0, 0.5, 0.0, 0.5]),
+    ], ids=["n1", "tiny", "extreme", "spike", "uniform", "zeros"])
+    @pytest.mark.parametrize("draws", [1, 3, 500])
+    def test_edge_cases(self, rp, draws):
+        for seed in range(5):
+            self.assert_matches_choice(rp, draws, seed)
+
+    @pytest.mark.parametrize("rp", [np.array([0.5, np.nan]),
+                                    np.array([1.5, -0.5]),
+                                    np.array([0.5, 0.4])])
+    def test_rejects_what_choice_rejects(self, rp):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, size=3, replace=True, p=rp)
+        with pytest.raises(ValueError):
+            _draw_with_replacement(rp, 3, np.random.default_rng(0))
 
 
 NO_Q = np.array([], dtype=int)
@@ -389,6 +433,44 @@ class TestBuildCoresetGolden:
             digest.update(arr.tobytes())
         digest.update(",".join(coreset.provenance).encode())
         assert digest.hexdigest() == GOLDEN_DIGESTS[key]
+
+
+class TestSamplingPlan:
+    CONFIGS = [SamplerConfig(m, det, strategy, alloc, seed=seed)
+               for m, det, strategy, alloc, seed in (
+                   (30, 0.0, "inv", "proportional", 0),
+                   (30, 0.3, "keep", GOLDEN_MAP, 1),
+                   (12, 0.5, "prop", "proportional", 2),
+                   (3, 0.0, "prop", GOLDEN_MAP, 3),
+                   (90, 0.9, "inv", "proportional", 4),
+                   (45, 0.2, "keep", "proportional", 5),
+                   (30, 0.0, "inv", "proportional", 0))]
+
+    def test_repeated_builds_equal_fresh_builds(self):
+        data, scores = golden_instance()
+        plan = SamplingPlan(data, scores)
+        for _ in range(3):
+            for config in self.CONFIGS:
+                reused = build_coreset(data, scores, config, plan)
+                fresh = build_coreset(data, scores, config)
+                for name in ("point_ids", "labels", "weights", "counts",
+                             "provenance"):
+                    assert np.array_equal(getattr(reused, name),
+                                          getattr(fresh, name)), name
+                assert reused.weights.tobytes() == fresh.weights.tobytes()
+
+    def test_plan_of_other_inputs_rejected(self):
+        data, scores = golden_instance()
+        other, other_scores = golden_instance()
+        plan = SamplingPlan(data, scores)
+        for args in ((other, scores), (data, other_scores)):
+            with pytest.raises(ValueError, match="sampling plan"):
+                build_coreset(*args, self.CONFIGS[0], plan)
+
+    def test_scores_must_cover_the_dataset(self):
+        data, _ = golden_instance()
+        with pytest.raises(ValueError, match="scores cover"):
+            SamplingPlan(data, uniform_scores(data.n - 1))
 
 
 class TestCoresetInvariantsAndIo:

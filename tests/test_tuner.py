@@ -1,8 +1,10 @@
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from coretune.data import Dataset, stratified_split
 from coretune.learners import TrainConfig
@@ -178,6 +180,86 @@ class TestRunGrid:
             if not seen or seen[-1] != t.cell_index:
                 seen.append(t.cell_index)
         assert len(seen) == len(set(seen))
+
+
+    def test_pool_is_clamped_to_usable_cpus(self, monkeypatch):
+        import coretune.tuner
+
+        sizes = []
+
+        class InlinePool:
+            """Records the pool size and runs the tasks in this process."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(coretune.tuner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(coretune.tuner.os, "sched_getaffinity",
+                            lambda pid: {0, 1}, raising=False)
+        splits = imbalanced_problem(seed=5)
+        serial = run_grid(splits, SMALL_GRID, TrainConfig())
+        pooled = run_grid(splits, SMALL_GRID, TrainConfig(), workers=64)
+        assert sizes == [2]
+        assert pooled.trials == serial.trials
+        # one usable CPU: no pool at all
+        monkeypatch.setattr(coretune.tuner.os, "sched_getaffinity",
+                            lambda pid: {0}, raising=False)
+        assert run_grid(splits, SMALL_GRID, TrainConfig(),
+                        workers=4).trials == serial.trials
+        assert sizes == [2]
+
+
+GOLDEN_GRID = dict(coreset_ratios=(0.1, 0.25), det_ratios=(0.0, 0.2, 0.5),
+                   weight_strategies=("inv", "keep", "prop"),
+                   class_allocations=("proportional", {0: 0.6, 1: 0.4}),
+                   repeats=2, base_seed=11)
+
+# sha256 of trials.csv for GOLDEN_GRID on golden_splits(sparse); every
+# speedup of the grid path must leave these bytes unchanged.
+GOLDEN_TRIALS = {
+    False: "9fada30aabe244d30fc65e2906e0376afc4ee2138f25c27a4fc951a3b4962a8a",
+    True: "06ef45bcd5b645d4aa0233c09c197d415019c0f5005f11271a8b571ce0719626",
+}
+
+
+def golden_splits(sparse: bool):
+    """360 weighted points, 20% positive, shuffled gapped point_ids; the CSR
+    variant keeps about 30% of the entries."""
+    rng = np.random.default_rng(31)
+    n, d = 360, 8
+    y = (rng.random(n) < 0.2).astype(int)
+    X = rng.normal(size=(n, d)) + 0.8 * y[:, None]
+    if sparse:
+        X = sp.csr_matrix(np.where(rng.random((n, d)) < 0.3, X, 0.0))
+    w = rng.uniform(0.5, 2.0, n)
+    return stratified_split(Dataset(X, y, w, 5 + 3 * rng.permutation(n)),
+                            (0.6, 0.2, 0.2), seed=2)
+
+
+class TestRunGridGolden:
+    @pytest.mark.parametrize("sparse,provider", [(False, "leverage"),
+                                                 (True, "lewis")],
+                             ids=["dense-leverage", "csr-lewis"])
+    def test_trials_csv_bytes_pinned(self, tmp_path, sparse, provider):
+        splits = golden_splits(sparse)
+        assert sp.issparse(splits.train.features) == sparse
+        result = run_grid(splits, GridSpec(sensitivity_provider=provider,
+                                           **GOLDEN_GRID), TrainConfig())
+        assert len(result.trials) == 72 and not result.failures
+        path = tmp_path / "trials.csv"
+        trials_to_csv(result, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+            GOLDEN_TRIALS[sparse]
 
 
 class TestCompareAndCurves:

@@ -13,6 +13,7 @@ import datetime
 import json
 import os
 import sys
+import traceback
 from dataclasses import asdict
 
 import numpy as np
@@ -69,12 +70,16 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _log(cfg: RunConfig, message: str) -> None:
+def _append_run_log(cfg: RunConfig, message: str) -> None:
     # Timestamps live only here, never in artifacts.
     os.makedirs(cfg.output_dir, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
     with open(os.path.join(cfg.output_dir, "run.log"), "a") as fh:
         fh.write(f"{stamp} {message}\n")
+
+
+def _log(cfg: RunConfig, message: str) -> None:
+    _append_run_log(cfg, message)
     print(message, file=sys.stderr)
 
 
@@ -309,11 +314,16 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ArtifactMissingError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
     except Exception as exc:  # noqa: BLE001 - CLI boundary
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        detail = (str(exc) if isinstance(exc, ArtifactMissingError)
+                  else f"{type(exc).__name__}: {exc}")
+        print(f"error: {detail}", file=sys.stderr)
+        # stderr keeps one line; the traceback goes to the run log.
+        try:
+            _append_run_log(cfg, f"{args.command}: exit {EXIT_RUNTIME}\n"
+                                 f"{traceback.format_exc().rstrip()}")
+        except OSError:
+            pass
         return EXIT_RUNTIME
 
 

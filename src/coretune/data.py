@@ -4,6 +4,9 @@ Feature matrices are either dense ``numpy.ndarray`` or ``scipy.sparse.csr_matrix
 LIBSVM inputs are stored sparsely when their density is below
 ``SPARSE_DENSITY_THRESHOLD``. Labels are normalized to contiguous class ids
 starting at 0 ({-1,+1} inputs are remapped to {0,1}).
+
+``scipy.sparse`` is imported only where a CSR matrix is made: when a LIBSVM
+file is parsed and when a CSR split is loaded.
 """
 
 from __future__ import annotations
@@ -12,11 +15,15 @@ import hashlib
 import json
 import os
 import re
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 SPARSE_DENSITY_THRESHOLD = 0.25
 
@@ -34,6 +41,13 @@ class EmptyInputError(ParseError):
 
 class SplitError(ValueError):
     pass
+
+
+def issparse(x) -> bool:
+    """``scipy.sparse.issparse(x)`` without importing scipy: no sparse matrix
+    can exist before ``scipy.sparse`` is loaded."""
+    sparse = sys.modules.get("scipy.sparse")
+    return sparse is not None and sparse.issparse(x)
 
 
 def count_distinct(ids: np.ndarray) -> int:
@@ -233,6 +247,8 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
     dim = dimension_hint if dimension_hint is not None else max_index
     if max_index > dim:
         raise ParseError(f"{path}: feature index {max_index} exceeds dimension_hint {dim}")
+    import scipy.sparse as sp
+
     n = len(labels)
     matrix = sp.csr_matrix(
         (np.asarray(data, dtype=np.float64),
@@ -376,7 +392,7 @@ def _split_arrays(split: Dataset) -> dict[str, np.ndarray]:
     """The arrays one split file holds: ``features`` for a dense matrix, or
     ``data``/``indices``/``indptr``/``shape`` for a CSR one, plus
     ``labels``, ``weights`` and ``point_ids``."""
-    if sp.issparse(split.features):
+    if issparse(split.features):
         matrix = split.features.tocsr()
         arrays = {"data": matrix.data, "indices": matrix.indices,
                   "indptr": matrix.indptr,
@@ -455,6 +471,8 @@ def load_split_bundle(directory) -> tuple[SplitBundle, dict]:
         if "features" in arrays:
             features = arrays["features"]
         else:
+            import scipy.sparse as sp
+
             features = sp.csr_matrix(
                 (arrays["data"], arrays["indices"], arrays["indptr"]),
                 shape=tuple(int(k) for k in arrays["shape"]))

@@ -9,6 +9,9 @@ with labels mapped to {-1,+1} internally. The logistic loss is trained by
 damped Newton iterations; the hinge loss by deterministic subgradient descent
 with a fixed 1/t schedule and suffix averaging, so identical inputs always
 produce identical models.
+
+Logistic training uses scipy's ``expit`` and LAPACK Cholesky routines; they
+are imported when a logistic model is trained, not with this module.
 """
 
 from __future__ import annotations
@@ -16,10 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.special import expit
+
+from .data import issparse
 
 LOSSES = ("logistic", "hinge")
 
@@ -72,7 +73,7 @@ def _check_train_inputs(features, labels, weights):
     weights = np.asarray(weights, dtype=np.float64)
     if len(labels) != n or len(weights) != n:
         raise ValueError("features, labels, and weights must have equal length")
-    feat_values = features.data if sp.issparse(features) else features
+    feat_values = features.data if issparse(features) else features
     if not np.all(np.isfinite(feat_values)):
         raise ValueError("features contain non-finite values")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
@@ -104,10 +105,11 @@ def weighted_logistic_gradient(coef: np.ndarray, intercept: float, features,
                                C: float) -> tuple[np.ndarray, float]:
     """Analytic gradient of :func:`weighted_logistic_objective`."""
     z = features @ coef + intercept
-    return _logistic_gradient_at(z, coef, features, y_pm, weights, C)
+    expit = _logistic_routines()[0]
+    return _logistic_gradient_at(z, coef, features, y_pm, weights, C, expit)
 
 
-def _logistic_gradient_at(z, coef, features, y_pm, weights, C):
+def _logistic_gradient_at(z, coef, features, y_pm, weights, C, expit):
     """:func:`weighted_logistic_gradient` given the margins ``z``."""
     r = weights * y_pm * expit(-y_pm * z)
     grad_coef = -(features.T @ r) + coef / C
@@ -115,19 +117,34 @@ def _logistic_gradient_at(z, coef, features, y_pm, weights, C):
     return grad_coef, -float(r.sum())
 
 
-def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _logistic_routines():
+    """scipy's ``(expit, dpotrf, dpotrs)``, imported on the first call."""
+    from scipy.linalg.lapack import dpotrf, dpotrs
+    from scipy.special import expit
+    return expit, dpotrf, dpotrs
+
+
+def preload(config: TrainConfig) -> None:
+    """Import what :func:`train` needs for ``config`` now, so that processes
+    forked afterwards inherit it instead of each importing it."""
+    if config.loss == "logistic":
+        _logistic_routines()
+
+
+def _cholesky_solve(H: np.ndarray, rhs: np.ndarray, dpotrf, dpotrs) -> np.ndarray:
     """Solve ``H x = rhs`` for symmetric positive definite ``H``.
 
     ``scipy.linalg.cho_solve(cho_factor(H), rhs)`` by the same LAPACK calls
-    (upper-triangle potrf, then potrs) and the same checks, without the
-    wrappers' per-call overhead: non-finite input is a ValueError, and a
-    matrix that is not positive definite raises LinAlgError.
+    (upper-triangle potrf, then potrs, passed in) and the same checks,
+    without the wrappers' per-call overhead: non-finite input is a
+    ValueError, and a matrix that is not positive definite raises
+    LinAlgError.
     """
     if not np.isfinite(H).all():
         raise ValueError("array must not contain infs or NaNs")
     factor, info = dpotrf(H, lower=False, overwrite_a=False, clean=False)
     if info > 0:
-        raise scipy.linalg.LinAlgError(
+        raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in {-info}th argument of potrf")
@@ -140,6 +157,7 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def _train_logistic(features, y_pm, weights, config: TrainConfig):
+    expit, dpotrf, dpotrs = _logistic_routines()
     n, d = features.shape
     C = config.regularization
     fit_b = config.fit_intercept
@@ -152,14 +170,14 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
     obj = None
     for _ in range(config.max_iterations):
         grad_coef, grad_b = _logistic_gradient_at(z, coef, features, y_pm,
-                                                  weights, C)
+                                                  weights, C, expit)
         grad = np.append(grad_coef, grad_b) if fit_b else grad_coef
         if np.linalg.norm(grad) < config.tolerance:
             converged = True
             break
         mu = expit(z)
         dw = weights * mu * (1.0 - mu)
-        if sp.issparse(features):
+        if issparse(features):
             core = (features.T @ features.multiply(dw[:, None])).toarray()
             cross = np.asarray(features.T @ dw).ravel()
         else:
@@ -175,11 +193,11 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         else:
             H = core + np.eye(d) / C
         try:
-            step = _cholesky_solve(H, grad)
-        except scipy.linalg.LinAlgError:
+            step = _cholesky_solve(H, grad, dpotrf, dpotrs)
+        except np.linalg.LinAlgError:
             # Saturated sigmoids can zero out the intercept curvature.
             H += 1e-10 * max(1.0, np.trace(H) / len(H)) * np.eye(len(H))
-            step = _cholesky_solve(H, grad)
+            step = _cholesky_solve(H, grad, dpotrf, dpotrs)
         if obj is None:
             obj = _logistic_objective_at(z, coef, y_pm, weights, C)
         slope = float(grad @ step)

@@ -82,12 +82,11 @@ class RunConfig:
         if not valid:
             raise ConfigError(f"{self.path}: split.fractions must be 3 positive "
                               f"reals summing to 1, got {fractions!r}")
-        for name in ("split.seed", "workers"):
-            try:
-                int(self._require(name))
-            except (TypeError, ValueError, OverflowError):
-                raise ConfigError(f"{self.path}: {name} must be an integer, got "
-                                  f"{self._require(name)!r}") from None
+        self._require("split.seed")
+        try:
+            self.split_seed, self.workers
+        except ValueError as exc:
+            raise ConfigError(f"{self.path}: {exc}") from None
         self._require("output_dir")
         provider = self._require("sensitivity.provider")
         if provider not in available_providers():
@@ -117,7 +116,7 @@ class RunConfig:
 
     @property
     def workers(self) -> int:
-        return int(self.raw.get("workers", 1))
+        return _integer("workers", self.raw.get("workers", 1), minimum=1)
 
     @property
     def split_fractions(self) -> tuple[float, float, float]:
@@ -125,7 +124,7 @@ class RunConfig:
 
     @property
     def split_seed(self) -> int:
-        return int(self.raw["split"]["seed"])
+        return _integer("split.seed", self.raw["split"]["seed"], minimum=0)
 
     @property
     def provider(self) -> str:
@@ -141,7 +140,8 @@ class RunConfig:
             return TrainConfig(loss=t["loss"],
                                regularization=float(t["regularization"]),
                                tolerance=float(t["tolerance"]),
-                               max_iterations=int(t["max_iterations"]),
+                               max_iterations=_integer("max_iterations",
+                                                      t["max_iterations"]),
                                fit_intercept=bool(t["fit_intercept"]))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: train: {exc}") from exc
@@ -159,8 +159,9 @@ class RunConfig:
                                               ["proportional"])),
                 sensitivity_provider=self.provider,
                 provider_params=self.provider_params,
-                repeats=int(g.get("repeats", 1)),
-                base_seed=int(g.get("base_seed", 0)),
+                repeats=_integer("repeats", g.get("repeats", 1)),
+                base_seed=_integer("base_seed", g.get("base_seed", 0),
+                                   minimum=0),
                 regularizations=(tuple(float(c) for c in g["regularizations"])
                                  if g.get("regularizations") else None),
             )
@@ -178,10 +179,11 @@ class RunConfig:
                               "'margin' or omit the field")
         try:
             return RefineConfig(
-                batch_size=int(r["batch_size"]),
-                patience=int(r.get("patience", 1)),
+                batch_size=_integer("batch_size", r["batch_size"]),
+                patience=_integer("patience", r.get("patience", 1)),
                 metric=r.get("metric", "f1"),
-                max_rounds=(int(r["max_rounds"]) if r.get("max_rounds") else None))
+                max_rounds=(_integer("max_rounds", r["max_rounds"])
+                            if r.get("max_rounds") else None))
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: refine: {exc}") from exc
 
@@ -198,12 +200,23 @@ class RunConfig:
                 det_ratio=float(b.get("det_ratio", 0.0)),
                 weight_strategy=b.get("weight_strategy", "inv"),
                 class_allocation=b.get("class_allocation", "proportional"),
-                seed=int(b.get("seed", 0)))
+                seed=_integer("seed", b.get("seed", 0), minimum=0))
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"{self.path}: build: {exc}") from exc
 
     def config_hash(self) -> str:
         return config_hash(self.raw)
+
+
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` if it is a JSON integer (not a bool) of at least
+    ``minimum``; anything else is a ValueError naming the field, so a
+    fraction or a bool cannot be truncated into a different run."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def load_run_config(path: str, overrides: list[str] | None = None,

@@ -4,6 +4,8 @@ Providers map a dataset to positive importance scores; normalizing the scores
 gives the probability each point is drawn during coreset sampling. Built-in
 providers: uniform, leverage scores, and l1 Lewis weights. Further bounds can
 be registered through :func:`register_provider` without touching the sampler.
+Only the Lewis provider uses scipy (its Cholesky routines), imported when it
+runs.
 """
 
 from __future__ import annotations
@@ -12,10 +14,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
 
-from .data import Dataset, write_table
+from .data import Dataset, issparse, write_table
 
 
 class DegenerateScoresError(ValueError):
@@ -61,7 +61,7 @@ def uniform_scores(n: int) -> SensitivityScores:
 def _design_matrix(features, add_intercept: bool) -> np.ndarray:
     """The feature matrix as a dense float64 array, with a column of ones
     appended when ``add_intercept``."""
-    if sp.issparse(features):
+    if issparse(features):
         features = features.todense()
     features = np.asarray(features, dtype=np.float64)
     if add_intercept:
@@ -138,16 +138,18 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
 
 def _lewis_iteration(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
     """One fixed-point update; returns (new weights, ridge_used)."""
+    from scipy.linalg import cho_factor, cho_solve
+
     d = A.shape[1]
     gram = A.T @ (A / w[:, None])
     ridge = False
     try:
-        chol = scipy.linalg.cho_factor(gram)
-    except scipy.linalg.LinAlgError:
+        chol = cho_factor(gram)
+    except np.linalg.LinAlgError:
         lam = 1e-8 * np.trace(gram) / d
-        chol = scipy.linalg.cho_factor(gram + lam * np.eye(d))
+        chol = cho_factor(gram + lam * np.eye(d))
         ridge = True
-    solved = scipy.linalg.cho_solve(chol, A.T)
+    solved = cho_solve(chol, A.T)
     quad = np.einsum("ij,ji->i", A, solved)
     return np.sqrt(np.maximum(quad, 0.0)), ridge
 

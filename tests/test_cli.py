@@ -363,6 +363,51 @@ class TestErrorsAndExitCodes:
         bad_path.write_text(json.dumps(bad))
         assert main(["split", "--config", str(bad_path)]) == 1
 
+    @pytest.mark.parametrize("args", [
+        ["--override", "split.seed=1.5"],
+        ["--override", "split.seed=true"],
+        ["--override", "split.seed=-1"],
+        ["--seed", "-1"],
+        ["--override", "build.seed=0.5"],
+        ["--override", "build.seed=-2"],
+        ["--override", "grid.base_seed=2.5"],
+        ["--override", "grid.base_seed=-1"],
+        ["--override", "grid.repeats=1.5"],
+        ["--override", "train.max_iterations=2.5"],
+        ["--override", "refine.batch_size=1.5"],
+        ["--override", "refine.patience=1.5"],
+        ["--override", "refine.max_rounds=2.5"],
+        ["--override", "workers=2.9"],
+        ["--override", "workers=true"],
+        ["--override", "workers=0"],
+        ["--override", "workers=-3"],
+        ["--workers", "0"],
+    ], ids=" ".join)
+    def test_integer_fields_must_be_integers(self, workdir, capsys, args):
+        tmp_path, config_path, _ = workdir
+        # A truncated value would run, and hash, as a different config.
+        assert run(config_path, "split", *args) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "run").exists()
+
+    def test_runtime_failure_logs_its_traceback(self, workdir, capsys):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        train_file = tmp_path / "run" / "splits" / "train.npz"
+        with np.load(train_file) as stored:
+            arrays = {key: stored[key] for key in stored.files}
+        arrays["weights"] = arrays["weights"] * 2.0
+        np.savez(train_file, **arrays)
+        capsys.readouterr()
+        assert run(config_path, "score") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SplitError: ")
+        assert "contents do not match the manifest digest" in err
+        assert err.count("\n") == 1
+        log = (tmp_path / "run" / "run.log").read_text()
+        assert "score: exit 2\nTraceback (most recent call last)" in log
+        assert "SplitError: " in log.split("Traceback (most recent call last)")[1]
+
 
 class TestOverrides:
     def test_override_changes_hash_and_behavior(self, workdir):

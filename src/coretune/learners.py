@@ -124,13 +124,6 @@ def _logistic_routines():
     return expit, dpotrf, dpotrs
 
 
-def preload(config: TrainConfig) -> None:
-    """Import what :func:`train` needs for ``config`` now, so that processes
-    forked afterwards inherit it instead of each importing it."""
-    if config.loss == "logistic":
-        _logistic_routines()
-
-
 def _cholesky_solve(H: np.ndarray, rhs: np.ndarray, dpotrf, dpotrs) -> np.ndarray:
     """Solve ``H x = rhs`` for symmetric positive definite ``H``.
 

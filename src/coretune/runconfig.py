@@ -87,7 +87,10 @@ class RunConfig:
             self.split_seed, self.workers
         except ValueError as exc:
             raise ConfigError(f"{self.path}: {exc}") from None
-        self._require("output_dir")
+        output_dir = self._require("output_dir")
+        if not isinstance(output_dir, str) or not output_dir:
+            raise ConfigError(f"{self.path}: output_dir must be a non-empty "
+                              f"string, got {output_dir!r}")
         provider = self._require("sensitivity.provider")
         if provider not in available_providers():
             raise ConfigError(f"{self.path}: unknown sensitivity.provider "

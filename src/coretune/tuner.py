@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .data import SplitBundle, write_table
-from .learners import TrainConfig, decision_scores, preload, train
+from .learners import TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
 from .sampler import (AllocationError, Coreset, SamplerConfig, SamplingPlan,
@@ -265,7 +265,6 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
                train_config, grid.repeats, grid.base_seed)
     workers = min(workers, _usable_cpus())
     if workers > 1 and n_tasks > 1:
-        preload(train_config)
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=context) as pool:
             chunk = max(1, n_tasks // (workers * 8))

@@ -390,6 +390,14 @@ class TestErrorsAndExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("value", ["5", "null", '""', "[]"])
+    def test_output_dir_must_be_a_string(self, workdir, capsys, value):
+        _, config_path, _ = workdir
+        assert run(config_path, "split", "--override", f"output_dir={value}") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert "output_dir must be a non-empty string" in err
+
     def test_runtime_failure_logs_its_traceback(self, workdir, capsys):
         tmp_path, config_path, _ = workdir
         assert run(config_path, "split") == 0

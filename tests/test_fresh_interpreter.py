@@ -137,8 +137,10 @@ def test_fresh_processes_write_what_in_process_runs_write(tmp_path, layout,
 POOLED_GRID = """
 import json, sys
 import numpy as np
+import coretune.tuner
 from coretune import Dataset, GridSpec, TrainConfig, run_grid, stratified_split
 
+coretune.tuner._usable_cpus = lambda: 2  # a pool even on one CPU
 rng = np.random.default_rng(0)
 X = rng.normal(size=(300, 3))
 y = (X[:, 0] + rng.normal(size=300) > 0.8).astype(int)
@@ -153,8 +155,10 @@ print(json.dumps({"before": before, "after": after,
 """
 
 
-def test_pool_workers_inherit_the_training_imports():
+def test_pool_workers_import_what_they_train_with():
+    # The parent of a pooled grid never trains, so only the workers load
+    # the training routines, and the trials equal the serial run's.
     proc = python(POOLED_GRID)
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout.splitlines()[-1])
-    assert state == {"before": False, "after": True, "equal": True}
+    assert state == {"before": False, "after": False, "equal": True}

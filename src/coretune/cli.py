@@ -14,7 +14,7 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -25,8 +25,8 @@ from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
 from .sensitivity import SensitivityScores, compute_scores, scores_to_csv
-from .tuner import (TrialResult, compare_to_baselines, curve_rows, refine_best,
-                    run_grid, trials_to_csv)
+from .tuner import (TrialResult, compare_to_baselines, coreset_size_for,
+                    curve_rows, refine_best, run_grid, trials_to_csv)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -84,13 +84,11 @@ def _log(cfg: RunConfig, message: str) -> None:
 
 
 def _load_dataset(cfg: RunConfig):
-    spec = cfg.raw["dataset"]
-    path = spec["path"]
-    if not os.path.exists(path):
-        raise ConfigError(f"dataset file not found: {path}")
-    if spec["format"] == "libsvm":
-        return parse_libsvm(path, dimension_hint=spec.get("dimension_hint"))
-    return parse_csv(path, spec["label_column"], bool(spec.get("has_header", True)))
+    if not os.path.exists(cfg.dataset_path):
+        raise ConfigError(f"dataset file not found: {cfg.dataset_path}")
+    if cfg.dataset_format == "libsvm":
+        return parse_libsvm(cfg.dataset_path, dimension_hint=cfg.dimension_hint)
+    return parse_csv(cfg.dataset_path, cfg.label_column, cfg.has_header)
 
 
 def _splits_dir(cfg: RunConfig) -> str:
@@ -164,7 +162,8 @@ def cmd_score(cfg: RunConfig) -> int:
 def cmd_build(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     train = bundle.train
-    config = cfg.build_config(train.n, len(train.classes))
+    config = replace(cfg.build, coreset_size=coreset_size_for(
+        cfg.build_ratio, train.n, len(train.classes)))
     scores = _train_scores(cfg, bundle, manifest)
     coreset = build_coreset(train, scores, config)
     out = os.path.join(cfg.output_dir, "coreset.csv")
@@ -181,10 +180,10 @@ def _best_config_path(cfg: RunConfig) -> str:
 
 
 def cmd_tune(cfg: RunConfig) -> int:
+    if cfg.grid is None:
+        raise ConfigError(f"{cfg.path}: missing config field 'grid'")
     bundle, manifest = _load_splits(cfg)
-    grid = cfg.grid_spec()
-    train_config = cfg.train_config()
-    result = run_grid(bundle, grid, train_config, workers=cfg.workers,
+    result = run_grid(bundle, cfg.grid, cfg.train, workers=cfg.workers,
                       scores=_train_scores(cfg, bundle, manifest))
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
     with atomic_output(trials_out) as tmp:
@@ -193,7 +192,7 @@ def cmd_tune(cfg: RunConfig) -> int:
     best = result.best
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
                    "provider_params": cfg.provider_params,
-                   "train": asdict(train_config)}
+                   "train": asdict(cfg.train)}
     with atomic_output(_best_config_path(cfg)) as tmp:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
@@ -226,24 +225,22 @@ def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConf
 def cmd_refine(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     best, sensitivity, train_config = _load_best(cfg)
-    refine_cfg = cfg.refine_config()
-    if refine_cfg is None:
-        refine_cfg = RefineConfig(batch_size=max(1, bundle.train.n // 20))
-    outcome = refine_best(bundle, best, refine_cfg, train_config,
-                          _train_scores(cfg, bundle, manifest, sensitivity))
+    refine_cfg = cfg.refine or RefineConfig(batch_size=max(1, bundle.train.n // 20))
+    coreset, trace = refine_best(bundle, best, refine_cfg, train_config,
+                                 _train_scores(cfg, bundle, manifest, sensitivity))
     coreset_out = os.path.join(cfg.output_dir, "refined_coreset.csv")
     with atomic_output(coreset_out) as tmp:
-        coreset_to_csv(outcome.coreset, tmp,
+        coreset_to_csv(coreset, tmp,
                        header_comment=f"config_hash={cfg.config_hash()} "
-                                      f"decision={outcome.trace.decision}")
+                                      f"decision={trace.decision}")
     trace_out = os.path.join(cfg.output_dir, "refine_trace.csv")
     from .refine import trace_to_csv
     with atomic_output(trace_out) as tmp:
-        trace_to_csv(outcome.trace, tmp,
-                     header_comment=f"config_hash={cfg.config_hash()}")
-    _log(cfg, f"refine: {outcome.trace.decision} after "
-              f"{len(outcome.trace.rounds)} rounds; validation F1 "
-              f"{outcome.result.validation.f1:.4f} -> {coreset_out}")
+        trace_to_csv(trace, tmp, header_comment=f"config_hash={cfg.config_hash()}")
+    phi = (trace.phi_refined if trace.decision == "kept_refined"
+           else trace.phi_original)
+    _log(cfg, f"refine: {trace.decision} after {len(trace.rounds)} rounds; "
+              f"validation {refine_cfg.metric} {phi:.4f} -> {coreset_out}")
     return EXIT_OK
 
 

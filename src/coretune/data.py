@@ -247,17 +247,21 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
     dim = dimension_hint if dimension_hint is not None else max_index
     if max_index > dim:
         raise ParseError(f"{path}: feature index {max_index} exceeds dimension_hint {dim}")
-    import scipy.sparse as sp
-
     n = len(labels)
-    matrix = sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64),
-         np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
-        shape=(n, dim),
-    )
-    density = matrix.nnz / max(1, n * dim)
-    features = matrix if density < SPARSE_DENSITY_THRESHOLD else np.asarray(matrix.todense())
+    if len(data) / max(1, n * dim) < SPARSE_DENSITY_THRESHOLD:
+        import scipy.sparse as sp
+
+        features = sp.csr_matrix(
+            (np.asarray(data, dtype=np.float64),
+             np.asarray(indices, dtype=np.int64),
+             np.asarray(indptr, dtype=np.int64)),
+            shape=(n, dim),
+        )
+    else:
+        # Indices within a row are strictly increasing, so no entry repeats;
+        # adding to zeros, as CSR todense() does, also stores -0.0 as 0.0.
+        features = np.zeros((n, dim))
+        features[np.repeat(np.arange(n), np.diff(indptr)), indices] += data
     return Dataset(features, _normalize_labels(np.asarray(labels), path))
 
 

@@ -12,13 +12,13 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
 from .sensitivity import available_providers
-from .tuner import GridSpec, coreset_size_for
+from .tuner import GridSpec
 
 
 class ConfigError(ValueError):
@@ -36,8 +36,33 @@ DEFAULTS = {
 
 @dataclass
 class RunConfig:
+    """A run config with every section parsed once, when it loads.
+
+    ``raw`` is the effective config (defaults merged, overrides applied)
+    that :meth:`config_hash` covers; the other fields are its typed values.
+    ``build`` carries a placeholder ``coreset_size``, which the build
+    command replaces with ``build_ratio`` of the train split. A malformed
+    value is a ConfigError naming its field.
+    """
+
     raw: dict
     path: str = "<inline>"
+    dataset_path: str = field(init=False)
+    dataset_format: str = field(init=False)
+    label_column: str | int | None = field(init=False)
+    has_header: bool = field(init=False)
+    dimension_hint: int | None = field(init=False)
+    split_fractions: tuple[float, float, float] = field(init=False)
+    split_seed: int = field(init=False)
+    provider: str = field(init=False)
+    provider_params: dict = field(init=False)
+    workers: int = field(init=False)
+    output_dir: str = field(init=False)
+    train: TrainConfig = field(init=False)
+    grid: GridSpec | None = field(init=False)
+    refine: RefineConfig | None = field(init=False)
+    build: SamplerConfig = field(init=False)
+    build_ratio: float = field(init=False)
 
     def __post_init__(self):
         merged = copy.deepcopy(DEFAULTS)
@@ -47,168 +72,139 @@ class RunConfig:
             else:
                 merged[key] = value
         self.raw = merged
-        self._validate()
+        try:
+            self._parse()
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigError(f"{self.path}: {exc}") from None
 
     def _require(self, path: str):
         node = self.raw
         for part in path.split("."):
             if not isinstance(node, dict) or part not in node:
-                raise ConfigError(f"{self.path}: missing config field {path!r}")
+                raise ValueError(f"missing config field {path!r}")
             node = node[part]
         return node
 
-    def _validate(self):
+    def _parse(self):
+        raw = self.raw
         for section in ("dataset", "split", "sensitivity", "train", "grid",
                         "refine", "build"):
-            if section in self.raw and not isinstance(self.raw[section], dict):
-                raise ConfigError(f"{self.path}: {section} must be an object")
+            if section in raw and not isinstance(raw[section], dict):
+                raise ValueError(f"{section} must be an object")
+
         dataset = self._require("dataset")
-        fmt = dataset.get("format")
-        if fmt not in ("libsvm", "csv"):
-            raise ConfigError(f"{self.path}: dataset.format must be 'libsvm' or "
-                              f"'csv', got {fmt!r}")
-        if "path" not in dataset:
-            raise ConfigError(f"{self.path}: missing config field 'dataset.path'")
-        if fmt == "csv" and "label_column" not in dataset:
-            raise ConfigError(f"{self.path}: dataset.label_column is required "
-                              "for csv datasets")
+        self.dataset_format = dataset.get("format")
+        if self.dataset_format not in ("libsvm", "csv"):
+            raise ValueError("dataset.format must be 'libsvm' or 'csv', got "
+                             f"{self.dataset_format!r}")
+        self.dataset_path = self._require("dataset.path")
+        if not isinstance(self.dataset_path, str):
+            raise ValueError("dataset.path must be a string, got "
+                             f"{self.dataset_path!r}")
+        if self.dataset_format == "csv" and "label_column" not in dataset:
+            raise ValueError("dataset.label_column is required for csv datasets")
+        self.label_column = label = dataset.get("label_column")
+        if "label_column" in dataset and not (
+                isinstance(label, str) or (type(label) is int and label >= 0)):
+            raise ValueError("dataset.label_column must be a header name or a "
+                             f"column index >= 0, got {label!r}")
+        self.has_header = _boolean("dataset.has_header",
+                                   dataset.get("has_header", True))
+        hint = dataset.get("dimension_hint")
+        self.dimension_hint = (None if hint is None else
+                               _integer("dataset.dimension_hint", hint, minimum=1))
+
         fractions = self._require("split.fractions")
         try:
+            self.split_fractions = tuple(float(f) for f in fractions)
             valid = (len(self.split_fractions) == 3
                      and min(self.split_fractions) > 0
                      and abs(sum(self.split_fractions) - 1.0) <= 1e-9)
         except (TypeError, ValueError):
             valid = False
         if not valid:
-            raise ConfigError(f"{self.path}: split.fractions must be 3 positive "
-                              f"reals summing to 1, got {fractions!r}")
-        self._require("split.seed")
-        try:
-            self.split_seed, self.workers
-        except ValueError as exc:
-            raise ConfigError(f"{self.path}: {exc}") from None
-        output_dir = self._require("output_dir")
-        if not isinstance(output_dir, str) or not output_dir:
-            raise ConfigError(f"{self.path}: output_dir must be a non-empty "
-                              f"string, got {output_dir!r}")
-        provider = self._require("sensitivity.provider")
-        if provider not in available_providers():
-            raise ConfigError(f"{self.path}: unknown sensitivity.provider "
-                              f"{provider!r}; available: {available_providers()}")
-        params = self.raw["sensitivity"].get("params", {})
+            raise ValueError("split.fractions must be 3 positive reals summing "
+                             f"to 1, got {fractions!r}")
+        self.split_seed = _integer("split.seed", self._require("split.seed"),
+                                   minimum=0)
+        self.workers = _integer("workers", raw["workers"], minimum=1)
+        self.output_dir = self._require("output_dir")
+        if not isinstance(self.output_dir, str) or not self.output_dir:
+            raise ValueError("output_dir must be a non-empty string, got "
+                             f"{self.output_dir!r}")
+        self.provider = self._require("sensitivity.provider")
+        if self.provider not in available_providers():
+            raise ValueError(f"unknown sensitivity.provider {self.provider!r}; "
+                             f"available: {available_providers()}")
+        params = raw["sensitivity"].get("params", {})
         if not isinstance(params, dict):
-            raise ConfigError(f"{self.path}: sensitivity.params must be an "
-                              f"object, got {params!r}")
-        # Parse every section now, so a malformed value fails at load (exit 1).
-        self.train_config()
-        self.build_config(n_train=1, n_classes=1)  # sizes do not affect its checks
-        self.refine_config()
-        if "grid" in self.raw:
+            raise ValueError(f"sensitivity.params must be an object, got {params!r}")
+        self.provider_params = dict(params)
+
+        with _section("train"):
+            t = raw["train"]
+            self.train = TrainConfig(
+                loss=t["loss"], regularization=float(t["regularization"]),
+                tolerance=float(t["tolerance"]),
+                max_iterations=_integer("max_iterations", t["max_iterations"]),
+                fit_intercept=_boolean("fit_intercept", t["fit_intercept"]))
+
+        self.grid = None
+        if "grid" in raw:
             self._require("grid.coreset_ratios")
-            self.grid_spec()
+            g = raw["grid"]
+            with _section("grid"):
+                self.grid = GridSpec(
+                    coreset_ratios=tuple(float(r) for r in g["coreset_ratios"]),
+                    det_ratios=tuple(float(r) for r in g.get("det_ratios", [0.0])),
+                    weight_strategies=tuple(g.get("weight_strategies", ["inv"])),
+                    class_allocations=tuple(g.get("class_allocations",
+                                                  ["proportional"])),
+                    sensitivity_provider=self.provider,
+                    provider_params=self.provider_params,
+                    repeats=_integer("repeats", g.get("repeats", 1)),
+                    base_seed=_integer("base_seed", g.get("base_seed", 0),
+                                       minimum=0),
+                    regularizations=(tuple(float(c) for c in g["regularizations"])
+                                     if g.get("regularizations") else None))
 
-    # ---- typed views -----------------------------------------------------
+        self.refine = None
+        if "refine" in raw:
+            r = raw["refine"]
+            with _section("refine"):
+                # Refinement always queries by smallest |decision score|.
+                if r.get("query_strategy", "margin") != "margin":
+                    raise ValueError(f"query_strategy {r['query_strategy']!r} is "
+                                     "not supported; use 'margin' or omit the field")
+                self.refine = RefineConfig(
+                    batch_size=_integer("batch_size", r["batch_size"]),
+                    patience=_integer("patience", r.get("patience", 1)),
+                    metric=r.get("metric", "f1"),
+                    max_rounds=(_integer("max_rounds", r["max_rounds"])
+                                if r.get("max_rounds") else None))
 
-    @property
-    def dataset_path(self) -> str:
-        return self.raw["dataset"]["path"]
-
-    @property
-    def output_dir(self) -> str:
-        return self.raw["output_dir"]
-
-    @property
-    def workers(self) -> int:
-        return _integer("workers", self.raw.get("workers", 1), minimum=1)
-
-    @property
-    def split_fractions(self) -> tuple[float, float, float]:
-        return tuple(float(f) for f in self.raw["split"]["fractions"])
-
-    @property
-    def split_seed(self) -> int:
-        return _integer("split.seed", self.raw["split"]["seed"], minimum=0)
-
-    @property
-    def provider(self) -> str:
-        return self.raw["sensitivity"]["provider"]
-
-    @property
-    def provider_params(self) -> dict:
-        return dict(self.raw["sensitivity"].get("params", {}))
-
-    def train_config(self) -> TrainConfig:
-        t = self.raw["train"]
-        try:
-            return TrainConfig(loss=t["loss"],
-                               regularization=float(t["regularization"]),
-                               tolerance=float(t["tolerance"]),
-                               max_iterations=_integer("max_iterations",
-                                                      t["max_iterations"]),
-                               fit_intercept=bool(t["fit_intercept"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.path}: train: {exc}") from exc
-
-    def grid_spec(self) -> GridSpec:
-        if "grid" not in self.raw:
-            raise ConfigError(f"{self.path}: missing config field 'grid'")
-        g = self.raw["grid"]
-        try:
-            return GridSpec(
-                coreset_ratios=tuple(float(r) for r in g["coreset_ratios"]),
-                det_ratios=tuple(float(r) for r in g.get("det_ratios", [0.0])),
-                weight_strategies=tuple(g.get("weight_strategies", ["inv"])),
-                class_allocations=tuple(g.get("class_allocations",
-                                              ["proportional"])),
-                sensitivity_provider=self.provider,
-                provider_params=self.provider_params,
-                repeats=_integer("repeats", g.get("repeats", 1)),
-                base_seed=_integer("base_seed", g.get("base_seed", 0),
-                                   minimum=0),
-                regularizations=(tuple(float(c) for c in g["regularizations"])
-                                 if g.get("regularizations") else None),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.path}: grid: {exc}") from exc
-
-    def refine_config(self) -> RefineConfig | None:
-        if "refine" not in self.raw:
-            return None
-        r = self.raw["refine"]
-        # Refinement always queries by smallest |decision score| ("margin").
-        if r.get("query_strategy", "margin") != "margin":
-            raise ConfigError(f"{self.path}: refine.query_strategy "
-                              f"{r['query_strategy']!r} is not supported; use "
-                              "'margin' or omit the field")
-        try:
-            return RefineConfig(
-                batch_size=_integer("batch_size", r["batch_size"]),
-                patience=_integer("patience", r.get("patience", 1)),
-                metric=r.get("metric", "f1"),
-                max_rounds=(_integer("max_rounds", r["max_rounds"])
-                            if r.get("max_rounds") else None))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.path}: refine: {exc}") from exc
-
-    def build_config(self, n_train: int, n_classes: int) -> SamplerConfig:
-        """SamplerConfig for the one-off build command; the optional 'build'
-        section overrides ratio/knob defaults."""
-        b = self.raw.get("build", {})
-        try:
-            ratio = float(b.get("coreset_ratio", 0.1))
-            if not (0 < ratio <= 1):
+        b = raw.get("build", {})
+        with _section("build"):
+            self.build_ratio = float(b.get("coreset_ratio", 0.1))
+            if not (0 < self.build_ratio <= 1):
                 raise ValueError("coreset_ratio must lie in (0, 1]")
-            return SamplerConfig(
-                coreset_size=coreset_size_for(ratio, n_train, n_classes),
-                det_ratio=float(b.get("det_ratio", 0.0)),
+            self.build = SamplerConfig(
+                1, det_ratio=float(b.get("det_ratio", 0.0)),
                 weight_strategy=b.get("weight_strategy", "inv"),
                 class_allocation=b.get("class_allocation", "proportional"),
                 seed=_integer("seed", b.get("seed", 0), minimum=0))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigError(f"{self.path}: build: {exc}") from exc
 
     def config_hash(self) -> str:
         return config_hash(self.raw)
+
+
+@contextmanager
+def _section(name: str):
+    """Prefix a malformed value's message with the section it is in."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def _integer(name: str, value, minimum: int | None = None) -> int:
@@ -219,6 +215,14 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _boolean(name: str, value) -> bool:
+    """``value`` if it is a JSON boolean; anything else is a ValueError
+    naming the field, so ``"no"`` cannot be read as true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
 
 

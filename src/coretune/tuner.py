@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -265,6 +264,8 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
                train_config, grid.repeats, grid.base_seed)
     workers = min(workers, _usable_cpus())
     if workers > 1 and n_tasks > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
                                  initargs=context) as pool:
             chunk = max(1, n_tasks // (workers * 8))
@@ -335,26 +336,16 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
     return rows
 
 
-@dataclass
-class RefinedBest:
-    result: TrialResult
-    trace: RefineTrace
-    coreset: Coreset
-
-
 def refine_best(splits: SplitBundle, best: TrialResult,
                 refine_config: RefineConfig, train_config: TrainConfig,
-                scores: SensitivityScores) -> RefinedBest:
+                scores: SensitivityScores) -> tuple[Coreset, RefineTrace]:
     """Rebuild the best coreset from ``scores`` (the train split's scores
-    under the best trial's provider), refine it, and re-evaluate the winner."""
+    under the best trial's provider) and refine it at the best trial's
+    regularization; returns :func:`refine`'s (coreset, trace)."""
     coreset = build_coreset(splits.train, scores, best.config)
-    cfg = replace(train_config, regularization=best.regularization)
-    refined, trace = refine(splits.train, splits.validation, coreset, cfg,
-                            refine_config)
-    val, test = _fit_and_score(splits, *refined.materialize(splits.train), cfg)
-    result = replace(best, validation=val, test=test,
-                     coreset_stats=CoresetStats.of(refined))
-    return RefinedBest(result, trace, refined)
+    return refine(splits.train, splits.validation, coreset,
+                  replace(train_config, regularization=best.regularization),
+                  refine_config)
 
 
 def curve_rows(cells) -> list[tuple[float, str, str, float]]:

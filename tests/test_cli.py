@@ -123,7 +123,7 @@ class TestPipeline:
 def tune_in_process(config_path):
     cfg = load_run_config(config_path)
     bundle, _ = load_split_bundle(os.path.join(cfg.output_dir, "splits"))
-    return run_grid(bundle, cfg.grid_spec(), cfg.train_config())
+    return run_grid(bundle, cfg.grid, cfg.train)
 
 
 class TestTrialRecord:
@@ -314,6 +314,17 @@ class TestErrorsAndExitCodes:
         ("tune", "train=5"),
         ("tune", "train.max_iterations=Infinity"),
         ("refine", "refine=5"),
+        ("split", 'dataset.path=["data.csv"]'),
+        ("split", 'dataset.has_header="no"'),
+        ("tune", 'dataset.has_header="no"'),
+        ("split", 'train.fit_intercept="no"'),
+        ("split", "dataset.label_column=3.7"),
+        ("split", "dataset.label_column=true"),
+        ("split", "dataset.label_column=-1"),
+        ("split", "dataset.dimension_hint=0"),
+        ("split", 'dataset.dimension_hint="x"'),
+        ("split", "dataset.dimension_hint=8.5"),
+        ("split", "dataset.dimension_hint=true"),
     ])
     def test_malformed_value_is_a_config_error(self, workdir, capsys, command,
                                                override):

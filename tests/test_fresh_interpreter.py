@@ -2,10 +2,10 @@
 
 Every other test module imports ``scipy.sparse`` while it is collected, so
 an in-process test cannot see whether a command loads scipy only when it
-needs it. These tests run the package in child processes: importing it and
-running the dense split, score and build commands must not load scipy, and
-the commands that do load it must write the same artifacts as in-process
-runs.
+needs it. These tests run the package in child processes: importing it must
+load neither scipy nor the process pool, running the dense split (CSV or
+LIBSVM), score and build commands must not load scipy, and the commands
+that do load it must write the same artifacts as in-process runs.
 """
 
 import json
@@ -20,6 +20,7 @@ import pytest
 
 from conftest import write_libsvm
 from coretune.cli import main
+from coretune.data import load_split_bundle
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -102,6 +103,27 @@ def test_importing_the_package_loads_no_scipy():
                   "print(json.dumps([m for m in sys.modules "
                   "if m.startswith('scipy')]))")
     assert loaded_scipy(proc) == []
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # Only a pooled tune needs concurrent.futures.process and multiprocessing.
+    proc = python("import sys, coretune.cli\n"
+                  "print('concurrent.futures.process' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+def test_dense_libsvm_split_loads_no_scipy(tmp_path):
+    rng = np.random.default_rng(3)
+    X = rng.normal(size=(200, 10))
+    y = (X[:, 0] + rng.normal(size=200) > 0.5).astype(int)
+    data = tmp_path / "data.libsvm"
+    write_libsvm(data, X, y)
+    config = write_config(tmp_path, {"path": str(data), "format": "libsvm"},
+                          "leverage")
+    assert loaded_scipy(python(RUN_COMMAND, "split", "--config", config)) == []
+    bundle, _ = load_split_bundle(str(tmp_path / "run" / "splits"))
+    assert isinstance(bundle.train.features, np.ndarray)
 
 
 @pytest.mark.parametrize("layout,commands", [

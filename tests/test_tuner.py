@@ -183,6 +183,8 @@ class TestRunGrid:
 
 
     def test_pool_is_clamped_to_usable_cpus(self, monkeypatch):
+        import concurrent.futures
+
         import coretune.tuner
 
         sizes = []
@@ -203,7 +205,7 @@ class TestRunGrid:
             def map(self, fn, items, chunksize=1):
                 return map(fn, items)
 
-        monkeypatch.setattr(coretune.tuner, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
         monkeypatch.setattr(coretune.tuner.os, "sched_getaffinity",
                             lambda pid: {0, 1}, raising=False)
         splits = imbalanced_problem(seed=5)
@@ -350,43 +352,42 @@ class TestRefineBest:
         def never_better(model, validation):
             return -1.0
 
-        outcome = refine_best(splits, result.best,
-                              RefineConfig(batch_size=10, patience=1,
-                                           metric=never_better),
-                              TrainConfig(),
-                              compute_scores(result.best.provider, splits.train))
-        assert outcome.trace.decision == "kept_original"
-        assert outcome.result.validation.f1 == pytest.approx(
-            result.best.validation.f1)
-        assert outcome.result.test.f1 == pytest.approx(result.best.test.f1)
+        scores = compute_scores(result.best.provider, splits.train)
+        kept, trace = refine_best(splits, result.best,
+                                  RefineConfig(batch_size=10, patience=1,
+                                               metric=never_better),
+                                  TrainConfig(), scores)
+        assert trace.decision == "kept_original"
+        best = build_coreset(splits.train, scores, result.best.config)
+        for name in ("point_ids", "weights", "labels", "provenance", "counts"):
+            np.testing.assert_array_equal(getattr(kept, name), getattr(best, name))
 
     def test_accepted_refinement_improves_validation_metric(self):
         splits = imbalanced_problem(seed=12, sep=1.0)
         grid = GridSpec(coreset_ratios=(0.15,), sensitivity_provider="uniform",
                         base_seed=6)
         result = run_grid(splits, grid, TrainConfig())
-        outcome = refine_best(splits, result.best,
-                              RefineConfig(batch_size=15, patience=2, metric="f1"),
-                              TrainConfig(),
-                              compute_scores(result.best.provider, splits.train))
-        assert outcome.trace.phi_original == pytest.approx(
-            result.best.validation.f1)
-        if outcome.trace.decision == "kept_refined":
-            assert outcome.trace.phi_refined > outcome.trace.phi_original
-        assert len(outcome.trace.rounds) <= (outcome.result.config.coreset_size
-                                             + splits.train.n)
+        _, trace = refine_best(splits, result.best,
+                               RefineConfig(batch_size=15, patience=2, metric="f1"),
+                               TrainConfig(),
+                               compute_scores(result.best.provider, splits.train))
+        assert trace.phi_original == pytest.approx(result.best.validation.f1)
+        if trace.decision == "kept_refined":
+            assert trace.phi_refined > trace.phi_original
+        assert len(trace.rounds) <= (result.best.config.coreset_size
+                                     + splits.train.n)
 
     def test_rounds_capped(self):
         splits = imbalanced_problem(seed=13)
         grid = GridSpec(coreset_ratios=(0.2,), sensitivity_provider="uniform",
                         base_seed=7)
         result = run_grid(splits, grid, TrainConfig())
-        outcome = refine_best(splits, result.best,
-                              RefineConfig(batch_size=5, patience=50,
-                                           max_rounds=3, metric="f1"),
-                              TrainConfig(),
-                              compute_scores(result.best.provider, splits.train))
-        assert len(outcome.trace.rounds) <= 3
+        _, trace = refine_best(splits, result.best,
+                               RefineConfig(batch_size=5, patience=50,
+                                            max_rounds=3, metric="f1"),
+                               TrainConfig(),
+                               compute_scores(result.best.provider, splits.train))
+        assert len(trace.rounds) <= 3
 
 
 class TestGridSpecValidation:

@@ -58,6 +58,23 @@ def count_distinct(ids: np.ndarray) -> int:
     return int(len(ordered) and 1 + np.count_nonzero(ordered[1:] != ordered[:-1]))
 
 
+def integer_field(name: str, value, minimum: int) -> int:
+    """``value`` as an int if it is an integer >= ``minimum``: a bool or a
+    fraction is a ValueError, never truncated into a different run."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return int(value)
+
+
+def boolean_field(name: str, value) -> bool:
+    """``value`` if it is a bool: ``"no"`` is a ValueError, never true."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 @dataclass
 class Dataset:
     """A weighted classification dataset.

@@ -17,7 +17,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .data import Dataset, write_table
+from .data import Dataset, integer_field, write_table
 from .learners import LinearModel, TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, classification_report
 from .sampler import Coreset, PROVENANCE_ACTIVE
@@ -41,14 +41,14 @@ class RefineConfig:
     max_rounds: int | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.patience < 1:
-            raise ValueError("patience must be >= 1")
-        if isinstance(self.metric, str) and self.metric not in METRIC_NAMES:
-            raise ValueError(f"metric must be one of {METRIC_NAMES} or a callable")
-        if self.max_rounds is not None and self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
+        counts = ("batch_size", "patience") if self.max_rounds is None else \
+            ("batch_size", "patience", "max_rounds")
+        for name in counts:
+            object.__setattr__(self, name, integer_field(
+                name, getattr(self, name), minimum=1))
+        if not (callable(self.metric) or self.metric in METRIC_NAMES):
+            raise ValueError(f"metric must be one of {METRIC_NAMES} or a "
+                             f"callable, got {self.metric!r}")
 
 
 @dataclass(frozen=True)
@@ -151,8 +151,7 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
         rounds += 1
 
     # Head-to-head comparison of the original and refined coresets. Training
-    # is deterministic, so the cached metric values equal retrained ones; the
-    # refined model is retrained only when rounds actually ran.
+    # is deterministic, so the cached metric values equal retrained ones.
     trace.phi_original = phi_original
     trace.phi_refined = phi_current
     if phi_original < phi_current:

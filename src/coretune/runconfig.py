@@ -12,8 +12,9 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
+from .data import boolean_field, integer_field
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
@@ -28,9 +29,18 @@ class ConfigError(ValueError):
 DEFAULTS = {
     "split": {"fractions": [0.8, 0.1, 0.1], "seed": 0},
     "sensitivity": {"provider": "leverage", "params": {}},
-    "train": {"loss": "logistic", "regularization": 1.0, "tolerance": 1e-8,
-              "max_iterations": 500, "fit_intercept": True},
+    "train": asdict(TrainConfig()),
     "workers": 1,
+}
+
+# The fields of the top level and of the sections parsed here; the other
+# sections are built by a dataclass, whose constructor rejects unknown fields.
+KNOWN_FIELDS = {
+    "": {"dataset", "split", "sensitivity", "train", "grid", "refine", "build",
+         "output_dir", "workers"},
+    "dataset": {"path", "format", "label_column", "has_header", "dimension_hint"},
+    "split": {"fractions", "seed"},
+    "sensitivity": {"provider", "params"},
 }
 
 
@@ -42,7 +52,7 @@ class RunConfig:
     that :meth:`config_hash` covers; the other fields are its typed values.
     ``build`` carries a placeholder ``coreset_size``, which the build
     command replaces with ``build_ratio`` of the train split. A malformed
-    value is a ConfigError naming its field.
+    value or an unknown field is a ConfigError naming it.
     """
 
     raw: dict
@@ -91,6 +101,11 @@ class RunConfig:
                         "refine", "build"):
             if section in raw and not isinstance(raw[section], dict):
                 raise ValueError(f"{section} must be an object")
+        for section, known in KNOWN_FIELDS.items():
+            node = raw.get(section, {}) if section else raw
+            for key in sorted(node.keys() - known):
+                path = f"{section}.{key}" if section else key
+                raise ValueError(f"unknown config field {path!r}")
 
         dataset = self._require("dataset")
         self.dataset_format = dataset.get("format")
@@ -108,11 +123,11 @@ class RunConfig:
                 isinstance(label, str) or (type(label) is int and label >= 0)):
             raise ValueError("dataset.label_column must be a header name or a "
                              f"column index >= 0, got {label!r}")
-        self.has_header = _boolean("dataset.has_header",
-                                   dataset.get("has_header", True))
+        self.has_header = boolean_field("dataset.has_header",
+                                        dataset.get("has_header", True))
         hint = dataset.get("dimension_hint")
-        self.dimension_hint = (None if hint is None else
-                               _integer("dataset.dimension_hint", hint, minimum=1))
+        self.dimension_hint = (None if hint is None else integer_field(
+            "dataset.dimension_hint", hint, minimum=1))
 
         fractions = self._require("split.fractions")
         try:
@@ -125,9 +140,9 @@ class RunConfig:
         if not valid:
             raise ValueError("split.fractions must be 3 positive reals summing "
                              f"to 1, got {fractions!r}")
-        self.split_seed = _integer("split.seed", self._require("split.seed"),
-                                   minimum=0)
-        self.workers = _integer("workers", raw["workers"], minimum=1)
+        self.split_seed = integer_field("split.seed",
+                                        self._require("split.seed"), minimum=0)
+        self.workers = integer_field("workers", raw["workers"], minimum=1)
         self.output_dir = self._require("output_dir")
         if not isinstance(self.output_dir, str) or not self.output_dir:
             raise ValueError("output_dir must be a non-empty string, got "
@@ -142,57 +157,33 @@ class RunConfig:
         self.provider_params = dict(params)
 
         with _section("train"):
-            t = raw["train"]
-            self.train = TrainConfig(
-                loss=t["loss"], regularization=float(t["regularization"]),
-                tolerance=float(t["tolerance"]),
-                max_iterations=_integer("max_iterations", t["max_iterations"]),
-                fit_intercept=_boolean("fit_intercept", t["fit_intercept"]))
+            self.train = TrainConfig(**raw["train"])
 
         self.grid = None
         if "grid" in raw:
-            self._require("grid.coreset_ratios")
-            g = raw["grid"]
             with _section("grid"):
-                self.grid = GridSpec(
-                    coreset_ratios=tuple(float(r) for r in g["coreset_ratios"]),
-                    det_ratios=tuple(float(r) for r in g.get("det_ratios", [0.0])),
-                    weight_strategies=tuple(g.get("weight_strategies", ["inv"])),
-                    class_allocations=tuple(g.get("class_allocations",
-                                                  ["proportional"])),
-                    sensitivity_provider=self.provider,
-                    provider_params=self.provider_params,
-                    repeats=_integer("repeats", g.get("repeats", 1)),
-                    base_seed=_integer("base_seed", g.get("base_seed", 0),
-                                       minimum=0),
-                    regularizations=(tuple(float(c) for c in g["regularizations"])
-                                     if g.get("regularizations") else None))
+                self.grid = GridSpec(**raw["grid"],
+                                     sensitivity_provider=self.provider,
+                                     provider_params=self.provider_params)
 
         self.refine = None
         if "refine" in raw:
-            r = raw["refine"]
+            refine = dict(raw["refine"])
             with _section("refine"):
                 # Refinement always queries by smallest |decision score|.
-                if r.get("query_strategy", "margin") != "margin":
-                    raise ValueError(f"query_strategy {r['query_strategy']!r} is "
-                                     "not supported; use 'margin' or omit the field")
-                self.refine = RefineConfig(
-                    batch_size=_integer("batch_size", r["batch_size"]),
-                    patience=_integer("patience", r.get("patience", 1)),
-                    metric=r.get("metric", "f1"),
-                    max_rounds=(_integer("max_rounds", r["max_rounds"])
-                                if r.get("max_rounds") else None))
+                strategy = refine.pop("query_strategy", "margin")
+                if strategy != "margin":
+                    raise ValueError(f"query_strategy {strategy!r} is not "
+                                     "supported; use 'margin' or omit the field")
+                self.refine = RefineConfig(**refine)
 
-        b = raw.get("build", {})
-        with _section("build"):
-            self.build_ratio = float(b.get("coreset_ratio", 0.1))
+        build = dict(raw.get("build", {}))
+        with _section("build.coreset_ratio"):
+            self.build_ratio = float(build.pop("coreset_ratio", 0.1))
             if not (0 < self.build_ratio <= 1):
-                raise ValueError("coreset_ratio must lie in (0, 1]")
-            self.build = SamplerConfig(
-                1, det_ratio=float(b.get("det_ratio", 0.0)),
-                weight_strategy=b.get("weight_strategy", "inv"),
-                class_allocation=b.get("class_allocation", "proportional"),
-                seed=_integer("seed", b.get("seed", 0), minimum=0))
+                raise ValueError(f"must lie in (0, 1], got {self.build_ratio}")
+        with _section("build"):
+            self.build = SamplerConfig(1, **build)
 
     def config_hash(self) -> str:
         return config_hash(self.raw)
@@ -200,30 +191,12 @@ class RunConfig:
 
 @contextmanager
 def _section(name: str):
-    """Prefix a malformed value's message with the section it is in."""
+    """Prefix the message of a malformed value or an unknown field with the
+    section it is in."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{name}: {exc}") from None
-
-
-def _integer(name: str, value, minimum: int | None = None) -> int:
-    """``value`` if it is a JSON integer (not a bool) of at least
-    ``minimum``; anything else is a ValueError naming the field, so a
-    fraction or a bool cannot be truncated into a different run."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _boolean(name: str, value) -> bool:
-    """``value`` if it is a JSON boolean; anything else is a ValueError
-    naming the field, so ``"no"`` cannot be read as true."""
-    if not isinstance(value, bool):
-        raise ValueError(f"{name} must be true or false, got {value!r}")
-    return value
 
 
 def load_run_config(path: str, overrides: list[str] | None = None,
@@ -231,7 +204,8 @@ def load_run_config(path: str, overrides: list[str] | None = None,
                     workers: int | None = None) -> RunConfig:
     """Read a JSON run config, then apply --override/--seed/--workers flags.
 
-    The config hash is computed over the effective (post-override) config.
+    The config hash is computed over the effective (post-override) config;
+    ``workers`` sets the worker count without entering it.
     """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
@@ -250,9 +224,12 @@ def load_run_config(path: str, overrides: list[str] | None = None,
         if "grid" in raw:
             _set_path(raw, "grid.base_seed", seed, path)
         _set_path(raw, "build.seed", seed, path)
-    if workers is not None:
-        raw["workers"] = workers
-    return RunConfig(raw, path=path)
+    cfg = RunConfig(raw, path=path)
+    if workers is not None:  # results do not depend on it: not hashed
+        if workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {workers}")
+        cfg.workers = workers
+    return cfg
 
 
 def _parse_override_value(text: str):

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Dataset, count_distinct, largest_remainder, read_table,
-                   write_table)
+from .data import (Dataset, count_distinct, integer_field, largest_remainder,
+                   read_table, write_table)
 from .sensitivity import SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -64,8 +64,10 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.coreset_size < 1:
-            raise ValueError("coreset_size must be >= 1")
+        object.__setattr__(self, "coreset_size", integer_field(
+            "coreset_size", self.coreset_size, minimum=1))
+        object.__setattr__(self, "seed", integer_field("seed", self.seed, minimum=0))
+        object.__setattr__(self, "det_ratio", float(self.det_ratio))
         if not (0.0 <= self.det_ratio < 1.0):
             raise ValueError(f"det_ratio must lie in [0, 1), got {self.det_ratio}")
         if self.weight_strategy not in WEIGHT_STRATEGIES:

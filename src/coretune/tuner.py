@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SplitBundle, write_table
+from .data import SplitBundle, integer_field, write_table
 from .learners import TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
@@ -46,18 +46,19 @@ class GridSpec:
     regularizations: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "coreset_ratios", tuple(self.coreset_ratios))
-        object.__setattr__(self, "det_ratios", tuple(self.det_ratios))
+        reals = ["coreset_ratios", "det_ratios"]
+        if self.regularizations is not None:
+            reals.append("regularizations")
+        for name in reals:
+            object.__setattr__(self, name,
+                               tuple(float(v) for v in getattr(self, name)))
         object.__setattr__(self, "weight_strategies", tuple(self.weight_strategies))
         # SamplerConfig owns the knob checks and the allocation form; fail
         # here, before any scoring.
         object.__setattr__(self, "class_allocations", tuple(
             replace(VANILLA, class_allocation=a).class_allocation
             for a in self.class_allocations))
-        if self.regularizations is not None:
-            object.__setattr__(self, "regularizations", tuple(self.regularizations))
-        for name in ("coreset_ratios", "det_ratios", "weight_strategies",
-                     "class_allocations"):
+        for name in reals + ["weight_strategies", "class_allocations"]:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be nonempty")
         if any(not (0 < r <= 1) for r in self.coreset_ratios):
@@ -65,8 +66,10 @@ class GridSpec:
         for det, strategy in itertools.product(self.det_ratios,
                                                self.weight_strategies):
             replace(VANILLA, det_ratio=det, weight_strategy=strategy)
-        if self.repeats < 1:
-            raise ValueError("repeats must be >= 1")
+        object.__setattr__(self, "repeats",
+                           integer_field("repeats", self.repeats, minimum=1))
+        object.__setattr__(self, "base_seed",
+                           integer_field("base_seed", self.base_seed, minimum=0))
 
 
 @dataclass(frozen=True)
@@ -351,13 +354,10 @@ def refine_best(splits: SplitBundle, best: TrialResult,
 def curve_rows(cells) -> list[tuple[float, str, str, float]]:
     """(coreset_ratio, method, split, f1) rows for ratio-vs-F1 plots.
 
-    ``cells`` is a GridSearchResult, or (coreset_ratio, vanilla,
-    mean_validation_f1, mean_test_f1) tuples in rank order. The tuned curve
-    takes the best-ranked cell at each ratio.
+    ``cells`` are (coreset_ratio, vanilla, mean_validation_f1, mean_test_f1)
+    tuples in rank order. The tuned curve takes the best-ranked cell at each
+    ratio.
     """
-    if isinstance(cells, GridSearchResult):
-        cells = [(s.cell.coreset_ratio, s.cell.vanilla, s.mean_validation_f1,
-                  s.mean_test_f1) for s in cells.summaries]
     rows = []
     for ratio in sorted({c[0] for c in cells}):
         at_ratio = [c for c in cells if c[0] == ratio]

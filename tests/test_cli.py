@@ -119,6 +119,17 @@ class TestPipeline:
         manifest = json.loads((out / "splits" / "manifest.json").read_text())
         assert manifest["config_hash"] == hash_from_scores.split("=")[1]
 
+    def test_workers_flag_is_not_hashed(self, workdir):
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune", "--workers", "2") == 0
+        manifest = json.loads((out / "splits" / "manifest.json").read_text())
+        assert (out / "trials.csv").read_text().splitlines()[0] == \
+            f"# config_hash={manifest['config_hash']}"
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["config_hash"] == manifest["config_hash"]
+
 
 def tune_in_process(config_path):
     cfg = load_run_config(config_path)
@@ -147,7 +158,9 @@ class TestTrialRecord:
         lines = (tmp_path / "run" / "curves.csv").read_text().splitlines()
         written = [(float(r), m, s, float(f))
                    for r, m, s, f in (line.split(",") for line in lines[2:])]
-        assert written == curve_rows(tune_in_process(config_path))
+        cells = [(s.cell.coreset_ratio, s.cell.vanilla, s.mean_validation_f1,
+                  s.mean_test_f1) for s in tune_in_process(config_path).summaries]
+        assert written == curve_rows(cells)
 
 
     def test_refine_and_report_train_with_the_recorded_settings(self, workdir):
@@ -325,6 +338,22 @@ class TestErrorsAndExitCodes:
         ("split", 'dataset.dimension_hint="x"'),
         ("split", "dataset.dimension_hint=8.5"),
         ("split", "dataset.dimension_hint=true"),
+        # Misspelt fields, and fields another part of the config owns.
+        ("split", "train.fit_intercep=false"),
+        ("tune", "grid.repeat=5"),
+        ("split", "refine.batchsize=3"),
+        ("split", "build.det_ration=0.3"),
+        ("split", 'dataset.label_col="label"'),
+        ("split", "split.sed=3"),
+        ("split", "sensitivity.param={}"),
+        ("split", "wokers=2"),
+        ("split", 'grid.sensitivity_provider="uniform"'),
+        ("split", "build.coreset_size=5"),
+        # An empty axis and a zero cap once meant "none"; a metric that is
+        # no metric name failed only after training.
+        ("split", "grid.regularizations=[]"),
+        ("split", "refine.max_rounds=0"),
+        ("split", "refine.metric=5"),
     ])
     def test_malformed_value_is_a_config_error(self, workdir, capsys, command,
                                                override):
@@ -332,7 +361,10 @@ class TestErrorsAndExitCodes:
         assert run(config_path, "split") == 0
         capsys.readouterr()
         assert run(config_path, command, "--override", override) == 1
-        assert capsys.readouterr().err.startswith("config error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        # The message names the section and the field.
+        assert all(part in err for part in override.split("=")[0].split("."))
 
     @pytest.mark.parametrize("fractions", ["[0.5,0.3,0.3]", "[Infinity,0.1,0.1]",
                                            "[NaN,0.1,0.1]", "[0.5,0.2,0.2]"])

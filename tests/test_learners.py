@@ -172,3 +172,16 @@ class TestTrainConfig:
     def test_rejects_nonpositive_regularization(self):
         with pytest.raises(ValueError):
             TrainConfig(regularization=0.0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("max_iterations", 2.0), ("max_iterations", True),
+        ("fit_intercept", "no"), ("fit_intercept", 1)])
+    def test_rejects_mistyped_fields(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    def test_stores_reals_as_float_and_numpy_integers_as_int(self):
+        config = TrainConfig(regularization=2, tolerance=np.float32(0.5),
+                             max_iterations=np.int64(7))
+        assert (type(config.regularization), type(config.tolerance),
+                type(config.max_iterations)) == (float, float, int)

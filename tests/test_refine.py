@@ -241,5 +241,13 @@ class TestRefineConfig:
             RefineConfig(batch_size=2, patience=0)
 
     def test_unknown_metric_name(self):
-        with pytest.raises(ValueError):
-            RefineConfig(batch_size=2, metric="mcc")
+        for metric in ("mcc", 5, None, ["f1"]):
+            with pytest.raises(ValueError, match="metric"):
+                RefineConfig(batch_size=2, metric=metric)
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", True), ("batch_size", 2.0), ("patience", 1.5),
+        ("max_rounds", 2.5)])
+    def test_counts_are_positive_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            RefineConfig(**{"batch_size": 2, field: value})

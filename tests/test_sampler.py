@@ -505,6 +505,22 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(coreset_size=10, det_ratio=1.0)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"coreset_size": 2.5}, "coreset_size"),
+        ({"coreset_size": True}, "coreset_size"),
+        ({"coreset_size": 8, "seed": -1}, "seed"),
+        ({"coreset_size": 8, "seed": 1.0}, "seed")])
+    def test_size_and_seed_are_integers(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            SamplerConfig(**kwargs)
+
+    def test_numpy_integers_are_stored_as_int(self):
+        config = SamplerConfig(np.int64(8), det_ratio=np.float64(0.25),
+                               seed=np.int32(3))
+        assert config == SamplerConfig(8, det_ratio=0.25, seed=3)
+        assert (type(config.coreset_size), type(config.det_ratio),
+                type(config.seed)) == (int, float, int)
+
     def test_explicit_fractions_must_sum_to_one(self):
         with pytest.raises(ValueError):
             SamplerConfig(coreset_size=10, class_allocation={0: 0.6, 1: 0.6})

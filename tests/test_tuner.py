@@ -320,7 +320,9 @@ class TestCompareAndCurves:
     def test_curve_rows_cover_each_ratio(self):
         splits = imbalanced_problem(seed=9)
         result = run_grid(splits, SMALL_GRID, TrainConfig())
-        rows = curve_rows(result)
+        rows = curve_rows([(s.cell.coreset_ratio, s.cell.vanilla,
+                            s.mean_validation_f1, s.mean_test_f1)
+                           for s in result.summaries])
         ratios = {r[0] for r in rows}
         assert ratios == {0.2, 0.35}
         for ratio in ratios:
@@ -394,6 +396,22 @@ class TestGridSpecValidation:
     def test_empty_axis_rejected(self):
         with pytest.raises(ValueError):
             GridSpec(coreset_ratios=())
+        with pytest.raises(ValueError, match="regularizations"):
+            GridSpec((0.1,), regularizations=())
+
+    @pytest.mark.parametrize("field,value", [
+        ("repeats", 1.5), ("repeats", True), ("base_seed", -1),
+        ("base_seed", 2.0)])
+    def test_counts_and_seed_are_integers(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            GridSpec((0.1,), **{field: value})
+
+    def test_real_axes_are_stored_as_float(self):
+        grid = GridSpec([1], det_ratios=[0], regularizations=[2])
+        assert (grid.coreset_ratios, grid.det_ratios, grid.regularizations) == \
+            ((1.0,), (0.0,), (2.0,))
+        assert all(type(v) is float for v in
+                   grid.coreset_ratios + grid.det_ratios + grid.regularizations)
 
     def test_ratio_range(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import re
 import sys
@@ -66,6 +67,17 @@ def integer_field(name: str, value, minimum: int) -> int:
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return int(value)
+
+
+def real_field(name: str, value, minimum: float) -> float:
+    """``value`` as a float if it is a finite real > ``minimum``: NaN, an
+    infinity, a bool or a string is a ValueError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    value = float(value)
+    if not (np.isfinite(value) and value > minimum):
+        raise ValueError(f"{name} must be finite and > {minimum}, got {value}")
+    return value
 
 
 def boolean_field(name: str, value) -> bool:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import boolean_field, integer_field, issparse
+from .data import boolean_field, integer_field, issparse, real_field
 
 LOSSES = ("logistic", "hinge")
 
@@ -36,12 +36,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.loss not in LOSSES:
             raise ValueError(f"loss must be one of {LOSSES}, got {self.loss!r}")
-        object.__setattr__(self, "regularization", float(self.regularization))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
-        if self.regularization <= 0:
-            raise ValueError("regularization C must be > 0")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be > 0")
+        object.__setattr__(self, "regularization", real_field(
+            "regularization", self.regularization, minimum=0.0))
+        object.__setattr__(self, "tolerance", real_field(
+            "tolerance", self.tolerance, minimum=0.0))
         object.__setattr__(self, "max_iterations", integer_field(
             "max_iterations", self.max_iterations, minimum=1))
         boolean_field("fit_intercept", self.fit_intercept)

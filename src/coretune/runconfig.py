@@ -18,7 +18,7 @@ from .data import boolean_field, integer_field
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
-from .sensitivity import available_providers
+from .sensitivity import available_providers, check_provider_params
 from .tuner import GridSpec
 
 
@@ -155,6 +155,8 @@ class RunConfig:
         if not isinstance(params, dict):
             raise ValueError(f"sensitivity.params must be an object, got {params!r}")
         self.provider_params = dict(params)
+        with _section("sensitivity.params"):
+            check_provider_params(self.provider, self.provider_params)
 
         with _section("train"):
             self.train = TrainConfig(**raw["train"])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SplitBundle, integer_field, write_table
+from .data import SplitBundle, integer_field, real_field, write_table
 from .learners import TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
@@ -47,11 +47,14 @@ class GridSpec:
 
     def __post_init__(self):
         reals = ["coreset_ratios", "det_ratios"]
-        if self.regularizations is not None:
-            reals.append("regularizations")
         for name in reals:
             object.__setattr__(self, name,
                                tuple(float(v) for v in getattr(self, name)))
+        if self.regularizations is not None:
+            reals.append("regularizations")
+            object.__setattr__(self, "regularizations", tuple(
+                real_field("regularizations", v, minimum=0.0)
+                for v in self.regularizations))
         object.__setattr__(self, "weight_strategies", tuple(self.weight_strategies))
         # SamplerConfig owns the knob checks and the allocation form; fail
         # here, before any scoring.

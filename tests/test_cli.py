@@ -392,6 +392,29 @@ class TestErrorsAndExitCodes:
                 assert err.startswith("config error: ")
                 assert "sensitivity.params must be an object" in err
 
+    @pytest.mark.parametrize("overrides,named", [
+        (["train.tolerance=NaN"], "tolerance"),
+        (["train.regularization=NaN"], "regularization"),
+        (["train.regularization=-Infinity"], "regularization"),
+        (["grid.regularizations=[1.0,NaN]"], "regularizations"),
+        # Once these passed split, and failed in score or ran unconverged.
+        (["sensitivity.params.mixx=0.3"], "mixx"),
+        (['sensitivity.provider="lewis"', "sensitivity.params.tol=NaN"], "tol"),
+        (['sensitivity.provider="lewis"', "sensitivity.params.max_iters=2.5"],
+         "max_iters"),
+        (['sensitivity.provider="leverage"',
+          'sensitivity.params.add_intercept="no"'], "add_intercept"),
+        (['sensitivity.provider="uniform"'], "mix"),
+    ])
+    def test_nonfinite_real_or_unfit_provider_param_fails_split(
+            self, workdir, capsys, overrides, named):
+        tmp_path, config_path, _ = workdir
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert run(config_path, "split", *flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+        assert not (tmp_path / "run" / "splits").exists()
+
     def test_seed_flag_through_a_non_object_section(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "split", "--override", "build=5",

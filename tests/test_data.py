@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from conftest import write_libsvm
 from coretune.data import (Dataset, EmptyInputError, ParseError, SplitError,
                            largest_remainder, load_split_bundle, parse_csv,
-                           parse_libsvm, save_split_bundle, stratified_split)
+                           parse_libsvm, real_field, save_split_bundle,
+                           stratified_split)
 
 
 def dense(features):
@@ -294,3 +295,22 @@ class TestDatasetInvariants:
         sub = ds.subset_by_ids(np.array([30, 10]))
         assert sub.point_ids.tolist() == [30, 10]
         assert sub.features.tolist() == [[4.0, 5.0], [0.0, 1.0]]
+
+
+class TestRealField:
+    def test_accepts_finite_reals_above_the_bound(self):
+        values = [real_field("c", v, minimum=0.0)
+                  for v in (2, 0.5, np.float32(0.25), np.int64(3))]
+        assert values == [2.0, 0.5, 0.25, 3.0]
+        assert all(type(v) is float for v in values)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf"), 0.0, -1e-300])
+    def test_rejects_nonfinite_values_and_the_bound(self, value):
+        with pytest.raises(ValueError, match="c must be finite and > 0"):
+            real_field("c", value, minimum=0.0)
+
+    @pytest.mark.parametrize("value", [True, "1.0", None, [1.0]])
+    def test_rejects_values_that_are_not_reals(self, value):
+        with pytest.raises(ValueError, match="c must be a real number"):
+            real_field("c", value, minimum=0.0)

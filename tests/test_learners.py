@@ -174,8 +174,17 @@ class TestTrainConfig:
             TrainConfig(regularization=0.0)
 
     @pytest.mark.parametrize("field,value", [
+        ("regularization", float("nan")), ("regularization", float("inf")),
+        ("regularization", -1.0), ("tolerance", float("nan")),
+        ("tolerance", float("inf")), ("tolerance", 0.0)])
+    def test_rejects_nonfinite_or_nonpositive_reals(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
         ("max_iterations", 2.0), ("max_iterations", True),
-        ("fit_intercept", "no"), ("fit_intercept", 1)])
+        ("fit_intercept", "no"), ("fit_intercept", 1),
+        ("regularization", "1.0"), ("tolerance", True)])
     def test_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainConfig(**{field: value})

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coretune.data import Dataset
 from coretune.sensitivity import (DegenerateScoresError, SensitivityScores,
-                                  available_providers,
+                                  available_providers, check_provider_params,
                                   compute_scores, leverage_sensitivities,
                                   lewis_weight_sensitivities, register_provider,
                                   to_probabilities, uniform_scores)
@@ -138,6 +141,123 @@ class TestLewisWeights:
         scores = lewis_weight_sensitivities(X, mix=0.5, add_intercept=False,
                                             max_iters=5)
         assert scores.ridge_fallback
+
+
+def sparse_design(n, d, density, seed):
+    """A CSR matrix of normal entries plus one entry in every row, so that
+    no row is all zero without the intercept."""
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, d, density=density, format="csr", random_state=rng,
+                  data_rvs=lambda k: rng.normal(size=k))
+    one_per_row = sp.csr_matrix((rng.normal(size=n) + 2.0,
+                                 (np.arange(n), rng.integers(0, d, size=n))),
+                                shape=(n, d))
+    return (X + one_per_row).tocsr()
+
+
+def relative_error(got, expected):
+    return np.max(np.abs(got - expected) / np.abs(expected))
+
+
+class TestSparseScoring:
+    """CSR input is scored through its Gram matrix, without densifying;
+    the dense path is the oracle."""
+
+    @pytest.mark.parametrize("add_intercept", [True, False])
+    @pytest.mark.parametrize("score", [leverage_sensitivities,
+                                       lewis_weight_sensitivities])
+    def test_csr_matches_dense(self, score, add_intercept):
+        X = sparse_design(300, 40, 0.05, seed=5)
+        assert sp.issparse(X) and X.nnz < 0.1 * 300 * 40
+        dense = score(X.toarray(), mix=0.0, add_intercept=add_intercept)
+        csr = score(X, mix=0.0, add_intercept=add_intercept)
+        assert relative_error(csr.values, dense.values) < 1e-10
+        assert (csr.converged, csr.ridge_fallback) == \
+            (dense.converged, dense.ridge_fallback) == (True, False)
+
+    def test_csr_lewis_reports_the_iteration_cap_like_dense(self):
+        X = sparse_design(300, 40, 0.05, seed=6)
+        dense = lewis_weight_sensitivities(X.toarray(), max_iters=2)
+        csr = lewis_weight_sensitivities(X, max_iters=2)
+        assert not dense.converged and not csr.converged
+        assert relative_error(csr.values, dense.values) < 1e-10
+
+    def test_zero_column_sets_ridge_fallback(self):
+        X = sp.hstack([sparse_design(60, 5, 0.2, seed=7),
+                       sp.csr_matrix((60, 1))], format="csr")
+        assert X[:, 5].nnz == 0
+        csr = lewis_weight_sensitivities(X, max_iters=5, add_intercept=False)
+        dense = lewis_weight_sensitivities(X.toarray(), max_iters=5,
+                                           add_intercept=False)
+        assert csr.ridge_fallback and dense.ridge_fallback
+        assert relative_error(csr.values, dense.values) < 1e-8
+
+    def test_all_zero_row_without_intercept_is_an_error(self):
+        X = sparse_design(40, 5, 0.3, seed=8).tolil()
+        X[3, :] = 0.0
+        X = X.tocsr()
+        X.eliminate_zeros()
+        for features in (X, X.toarray()):
+            with pytest.raises(ValueError, match="row 3 has weight 0"):
+                lewis_weight_sensitivities(features, add_intercept=False)
+
+    @pytest.mark.parametrize("seed", [9, 10, 11, 12])
+    @pytest.mark.parametrize("dependent", ["duplicate", "combination"])
+    def test_sparse_leverage_has_the_svd_rank(self, dependent, seed):
+        from coretune.sensitivity import _design_matrix, _sparse_leverage
+
+        X = sparse_design(200, 10, 0.3, seed=seed)
+        extra = (X[:, [3]] if dependent == "duplicate"
+                 else 0.1 * X[:, [3]] + 0.7 * X[:, [5]])
+        X = sp.hstack([X, extra], format="csr")
+        A = _design_matrix(X, add_intercept=True)
+        # The Gram's rounding-level eigenvalue is positive for some seeds.
+        rank = np.linalg.matrix_rank(A.toarray())
+        assert rank == 11 < A.shape[1]
+        assert abs(_sparse_leverage(A).sum() - rank) < 1e-8
+        dense = leverage_sensitivities(X.toarray(), mix=0.0)
+        csr = leverage_sensitivities(X, mix=0.0)
+        assert relative_error(csr.values, dense.values) < 1e-8
+
+    def test_csr_lewis_memory_stays_well_below_a_dense_copy(self):
+        import scipy.linalg  # noqa: F401 - its import is not the scoring's
+
+        n, d = 5000, 2000
+        X = sp.random(n, d, density=0.005, format="csr",
+                      random_state=np.random.default_rng(10))
+        tracemalloc.start()
+        try:
+            lewis_weight_sensitivities(X, max_iters=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # One d x d Gram (32 MB) plus O(nnz + block*d); densifying is 80 MB.
+        assert peak < 0.6 * n * d * 8
+
+
+class TestProviderParams:
+    @pytest.mark.parametrize("params", [
+        {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
+        {"max_iters": 2.5}, {"max_iters": -1}, {"add_intercept": "yes"},
+        {"mix": float("nan")}])
+    def test_lewis_rejects_malformed_params(self, params):
+        X = np.random.default_rng(0).normal(size=(8, 2))
+        name = next(iter(params))
+        with pytest.raises(ValueError, match=name):
+            lewis_weight_sensitivities(X, **params)
+        with pytest.raises(ValueError, match=name):
+            check_provider_params("lewis", params)
+
+    def test_unknown_keyword_is_a_type_error(self):
+        with pytest.raises(TypeError, match="mixx"):
+            check_provider_params("leverage", {"mixx": 0.3})
+        with pytest.raises(TypeError, match="mix"):
+            check_provider_params("uniform", {"mix": 0.5})
+
+    def test_well_formed_params_pass(self):
+        check_provider_params("lewis", {"tol": 1e-9, "max_iters": 0, "mix": 1})
+        check_provider_params("leverage", {})
+        check_provider_params("uniform", {})
 
 
 class TestToProbabilities:

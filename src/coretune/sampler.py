@@ -155,12 +155,13 @@ class Coreset:
     def materialize(self, train: Dataset):
         """Gather (features, labels, weights) rows from the source train set.
 
-        Checks that the coreset labels still agree with the source.
+        Checks that the coreset labels still agree with the source; an id
+        the source does not hold is a KeyError.
         """
-        rows = train.subset_by_ids(self.point_ids)
-        if not np.array_equal(rows.labels, self.labels):
+        positions = train.positions_of(self.point_ids)
+        if not np.array_equal(train.labels[positions], self.labels):
             raise ValueError("coreset labels disagree with the source dataset")
-        return rows.features, self.labels, self.weights
+        return train.features[positions], self.labels, self.weights
 
 
 def allocate_class_budgets(m: int, class_counts: dict[int, int],

@@ -3,9 +3,9 @@
 Every other test module imports ``scipy.sparse`` while it is collected, so
 an in-process test cannot see whether a command loads scipy only when it
 needs it. These tests run the package in child processes: importing it must
-load neither scipy nor the process pool, running the dense split (CSV or
-LIBSVM), score and build commands must not load scipy, and the commands
-that do load it must write the same artifacts as in-process runs.
+load neither scipy nor the process pool, no command of the dense pipeline
+(CSV or LIBSVM) may load scipy, and fresh processes must write the same
+artifacts as in-process runs.
 """
 
 import json
@@ -33,8 +33,14 @@ print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy"))))
 sys.exit(code)
 """
 
-ARTIFACTS = ("splits/manifest.json", "scores.csv", "coreset.csv", "trials.csv",
-             "best_config.json")
+ARTIFACTS = {
+    "split": ("splits/manifest.json",),
+    "score": ("scores.csv",),
+    "build": ("coreset.csv",),
+    "tune": ("trials.csv", "best_config.json"),
+    "refine": ("refined_coreset.csv", "refine_trace.csv"),
+    "report": ("comparison.csv", "curves.csv"),
+}
 
 
 def python(code: str, *args: str) -> subprocess.CompletedProcess:
@@ -50,9 +56,9 @@ def loaded_scipy(proc: subprocess.CompletedProcess) -> list[str]:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def artifacts(out: Path) -> dict[str, bytes]:
-    return {name: (out / name).read_bytes() for name in ARTIFACTS
-            if (out / name).exists()}
+def artifacts(out: Path, commands) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for command in commands
+            for name in ARTIFACTS[command]}
 
 
 def write_config(tmp_path: Path, dataset: dict, provider: str) -> str:
@@ -127,7 +133,7 @@ def test_dense_libsvm_split_loads_no_scipy(tmp_path):
 
 
 @pytest.mark.parametrize("layout,commands", [
-    ("dense", ("split", "score", "build", "tune")),
+    ("dense", ("split", "score", "build", "tune", "refine", "report")),
     ("sparse", ("split", "score", "tune")),
 ])
 def test_fresh_processes_write_what_in_process_runs_write(tmp_path, layout,
@@ -137,25 +143,23 @@ def test_fresh_processes_write_what_in_process_runs_write(tmp_path, layout,
     loaded = {command: loaded_scipy(python(RUN_COMMAND, command, "--config", config))
               for command in commands}
     if layout == "dense":
-        # Dense data reads, scores by SVD and samples with numpy alone;
-        # only logistic training loads scipy.
-        assert loaded["split"] == loaded["score"] == loaded["build"] == []
-        assert "scipy.linalg.lapack" in loaded["tune"]
-        assert "scipy.sparse" not in loaded["tune"]
+        # Dense data reads, scores by SVD, samples and trains (4 unknowns)
+        # with numpy alone.
+        assert loaded == {command: [] for command in commands}
     else:
         assert all("scipy.sparse" in mods for mods in loaded.values())
         assert "scipy.linalg" in loaded["score"]  # Lewis weights' Cholesky
-    fresh = artifacts(out)
-    assert len(fresh) == len(commands) + 1  # tune writes two
+        assert not any("scipy.special" in mods for mods in loaded.values())
+    fresh = artifacts(out, commands)
 
     shutil.rmtree(out)
     for command in commands:
         assert main([command, "--config", config]) == 0, command
-    assert artifacts(out) == fresh
+    assert artifacts(out, commands) == fresh
 
 
-# Runs a 2-worker grid and a serial one on dense data, and records whether
-# the parent had scipy's LAPACK wrappers before and after the pooled run.
+# Runs a 2-worker grid and a serial one on dense data, and records the scipy
+# modules the parent had after each.
 POOLED_GRID = """
 import json, sys
 import numpy as np
@@ -168,19 +172,19 @@ X = rng.normal(size=(300, 3))
 y = (X[:, 0] + rng.normal(size=300) > 0.8).astype(int)
 splits = stratified_split(Dataset(X, y), (0.6, 0.2, 0.2), seed=0)
 grid = GridSpec(coreset_ratios=(0.2, 0.4), det_ratios=(0.0, 0.2), repeats=2)
-before = "scipy.linalg.lapack" in sys.modules
+scipy = lambda: sorted(m for m in sys.modules if m.startswith("scipy"))
 pooled = run_grid(splits, grid, TrainConfig(), workers=2)
-after = "scipy.linalg.lapack" in sys.modules
+after_pooled = scipy()
 serial = run_grid(splits, grid, TrainConfig(), workers=1)
-print(json.dumps({"before": before, "after": after,
+print(json.dumps({"pooled": after_pooled, "serial": scipy(),
                   "equal": pooled.trials == serial.trials}))
 """
 
 
 def test_pool_workers_import_what_they_train_with():
-    # The parent of a pooled grid never trains, so only the workers load
-    # the training routines, and the trials equal the serial run's.
+    # Dense training with 4 unknowns needs numpy alone, in the workers and
+    # in a serial run, and the pooled trials equal the serial run's.
     proc = python(POOLED_GRID)
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout.splitlines()[-1])
-    assert state == {"before": False, "after": False, "equal": True}
+    assert state == {"pooled": [], "serial": [], "equal": True}

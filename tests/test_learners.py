@@ -1,12 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg import cho_factor, cho_solve
+from scipy.special import expit
 
+from coretune import learners
 from coretune.learners import (LinearModel, TrainConfig, decision_scores, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective, weighted_loss)
+
+LIMIT = learners._NUMPY_SOLVE_UNKNOWNS
 
 
 def random_instance(n=40, d=5, seed=0):
@@ -121,6 +127,75 @@ class TestTrainLogistic:
     def test_converges_on_well_conditioned_instance(self):
         X, y, w = random_instance(seed=19)
         assert train(X, y, w, TrainConfig()).converged
+
+
+# Newton systems on either side of the limit between numpy's and scipy's solve.
+SIDES = pytest.mark.parametrize("k", [LIMIT, LIMIT + 1])
+
+
+def spd_system(k, seed=0):
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(3 * k, k))
+    return A.T @ A + np.eye(k), rng.normal(size=k)
+
+
+class TestNewtonSolve:
+    @SIDES
+    def test_matches_cho_solve(self, k):
+        H, rhs = spd_system(k)
+        expected = cho_solve(cho_factor(H), rhs)
+        got = learners._cholesky_solve(H, rhs)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @SIDES
+    def test_indefinite_matrix_raises_linalg_error(self, k):
+        H, rhs = spd_system(k, seed=1)
+        H[k // 2, k // 2] = -1.0
+        with pytest.raises(np.linalg.LinAlgError):
+            learners._cholesky_solve(H, rhs)
+
+    @SIDES
+    @pytest.mark.parametrize("where", ["matrix", "rhs"])
+    def test_nan_raises_value_error(self, k, where):
+        H, rhs = spd_system(k, seed=2)
+        (H[0] if where == "matrix" else rhs)[-1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            learners._cholesky_solve(H, rhs)
+
+    @SIDES
+    def test_separable_data_trains_through_the_ridge_fallback(self, k, monkeypatch):
+        # Fewer points than features and almost no penalty: the Hessian is
+        # singular in float64, so every Newton step needs the ridge.
+        failures = []
+        solve = learners._cholesky_solve
+
+        def spy(H, rhs):
+            try:
+                return solve(H, rhs)
+            except np.linalg.LinAlgError:
+                failures.append(len(H))
+                raise
+
+        monkeypatch.setattr(learners, "_cholesky_solve", spy)
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(20, k - 1))  # k unknowns with the intercept
+        y = (X[:, 0] > 0).astype(int)
+        y[:2] = [0, 1]
+        model = train(X, y, np.ones(20), TrainConfig(regularization=1e300))
+        assert failures and set(failures) == {k}
+        assert np.array_equal(decision_scores(model, X) > 0, y == 1)
+
+
+class TestExpit:
+    def test_matches_scipy(self):
+        x = np.linspace(-800.0, 800.0, 200_001)
+        np.testing.assert_allclose(learners._expit(x), expit(x), rtol=1e-15,
+                                   atol=0)
+
+    def test_far_negative_is_zero_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert learners._expit(np.array([-1000.0]))[0] == 0.0
 
 
 class TestWeightedLoss:

@@ -499,6 +499,39 @@ class TestCoresetInvariantsAndIo:
         assert np.array_equal(coreset.counts, back.counts)
         assert list(coreset.provenance) == list(back.provenance)
 
+    @staticmethod
+    def shuffled_source():
+        data = gaussian_instance(n=30, seed=4)
+        order = np.random.default_rng(0).permutation(30)
+        return Dataset(data.features[order], data.labels[order],
+                       point_ids=order + 100)
+
+    @staticmethod
+    def coreset_of(ids, labels):
+        return Coreset(ids, np.full(len(ids), 2.0), labels,
+                       np.array(["sampled"] * len(ids), dtype=object),
+                       np.ones(len(ids)))
+
+    def test_materialize_gathers_rows_by_id(self):
+        source = self.shuffled_source()
+        ids = np.array([117, 100, 129, 105])
+        rows = source.subset_by_ids(ids)
+        features, labels, weights = self.coreset_of(ids, rows.labels).materialize(
+            source)
+        assert np.array_equal(features, rows.features)
+        assert np.array_equal(labels, rows.labels)
+        assert np.array_equal(weights, np.full(4, 2.0))
+
+    def test_materialize_rejects_unknown_ids_and_other_labels(self):
+        source = self.shuffled_source()
+        with pytest.raises(KeyError, match="130"):
+            self.coreset_of(np.array([101, 130]), np.array([0, 1])).materialize(
+                source)
+        ids = np.array([101, 102])
+        flipped = 1 - source.subset_by_ids(ids).labels
+        with pytest.raises(ValueError, match="disagree"):
+            self.coreset_of(ids, flipped).materialize(source)
+
 
 class TestSamplerConfig:
     def test_det_ratio_one_rejected(self):

@@ -146,12 +146,9 @@ class Dataset:
     def take(self, positions: np.ndarray) -> "Dataset":
         """Row subset by positional indices; point_ids travel with the rows."""
         positions = np.asarray(positions, dtype=np.int64)
-        feats = self.features[positions]
-        if isinstance(feats, np.ndarray):
-            feats = feats.copy()
-        return Dataset(feats, self.labels[positions].copy(),
-                       self.weights[positions].copy(),
-                       self.point_ids[positions].copy())
+        # Integer-array indexing already returns new arrays.
+        return Dataset(self.features[positions], self.labels[positions],
+                       self.weights[positions], self.point_ids[positions])
 
     @cached_property
     def _id_index(self) -> tuple[np.ndarray, np.ndarray]:

@@ -140,8 +140,8 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
     Non-finite input is a ValueError, and a matrix that is not positive
     definite raises LinAlgError. Large systems go through scipy's LAPACK
-    calls, as ``scipy.linalg.cho_solve(cho_factor(H), rhs)`` makes them
-    (upper-triangle potrf, then potrs) without the wrappers' overhead.
+    calls, as scipy.linalg's Cholesky solve makes them (upper-triangle
+    potrf, then potrs) without the wrappers' overhead.
     """
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")

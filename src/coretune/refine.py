@@ -133,7 +133,8 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
         current = Coreset(
             np.concatenate([current.point_ids, queried]),
             np.concatenate([current.weights, np.ones(added)]),
-            np.concatenate([current.labels, train_set.subset_by_ids(queried).labels]),
+            np.concatenate([current.labels,
+                            train_set.labels[train_set.positions_of(queried)]]),
             np.concatenate([current.provenance,
                             np.full(added, PROVENANCE_ACTIVE, dtype=object)]),
             np.concatenate([current.counts, np.ones(added, dtype=np.int64)]))

@@ -5,13 +5,14 @@ gives the probability each point is drawn during coreset sampling. Built-in
 providers: uniform, leverage scores, and l1 Lewis weights. Further bounds can
 be registered through :func:`register_provider` without touching the sampler.
 
-A CSR feature matrix is scored without densifying it. The d x d Gram matrix
-is formed as a sparse product and only it is densified; each row's quadratic
-form comes from row blocks of the matrix times a d x d factor of the Gram's
-(pseudo-)inverse. Memory is O(nnz + d^2 + block*d), and one Gram costs
-O(sum of squared row counts + d^3 + nnz*d) time. Dense input keeps the SVD
-(leverage) and dense Cholesky (Lewis) route. scipy is imported when Lewis
-weights, or leverage scores of a CSR matrix, are computed.
+Lewis weights, dense or CSR, and leverage scores of a CSR matrix come from
+the d x d Gram matrix, formed in the input's layout and then densified; each
+row's quadratic form comes from row blocks of the matrix times a d x d factor
+of the Gram's (pseudo-)inverse. A CSR matrix is never densified: memory is
+O(nnz + d^2 + block*d), and one Gram costs O(sum of squared row counts +
+d^3 + nnz*d) time. Leverage scores of a dense matrix come from a
+rank-revealing SVD. scipy is imported when Lewis weights, or leverage scores
+of a CSR matrix, are computed.
 """
 
 from __future__ import annotations
@@ -108,10 +109,10 @@ def _mix_with_uniform(structured: np.ndarray, mix: float, name: str,
 
 
 def _row_square_norms(A, R: np.ndarray) -> np.ndarray:
-    """Squared Euclidean norms of the rows of CSR ``A`` times dense ``R``.
+    """Squared Euclidean norms of the rows of dense or CSR ``A`` times ``R``.
 
     With R R^T = G^{-1} (or G^+), row i's norm is the quadratic form
-    x_i^T G^{-1} x_i. A is multiplied one row block at a time, so no dense
+    x_i^T G^{-1} x_i. A is multiplied one row block at a time, so no new
     array is larger than the block or R.
     """
     R = np.ascontiguousarray(R)
@@ -125,26 +126,27 @@ def _row_square_norms(A, R: np.ndarray) -> np.ndarray:
 
 
 def _inverse_cholesky_factor(gram) -> tuple[np.ndarray, bool]:
-    """An upper-triangular R with R R^T = G^{-1} for the sparse Gram G, and
-    whether ridge damping was needed.
+    """An upper-triangular R with R R^T = G^{-1} for the dense or sparse
+    Gram G, and whether ridge damping was needed.
 
-    G is densified into one Fortran-ordered d x d array, which LAPACK
-    factors as G = L L^T (from its lower triangle) and inverts to L^{-1} in
-    place; the transpose of that array is R = L^{-T}, in C order. A G that
-    is not positive definite is damped with ridge lambda = 1e-8*trace/d and
-    flagged, as on the dense path.
+    G is copied into one Fortran-ordered d x d array, which LAPACK factors
+    as G = L L^T (from its lower triangle) and inverts to L^{-1} in place;
+    the transpose of that array is R = L^{-T}, in C order. A G that is not
+    positive definite is damped with ridge lambda = 1e-8*trace/d and
+    flagged; a G that is singular even then is a LinAlgError.
     """
     from scipy.linalg import lapack
 
-    if not np.all(np.isfinite(gram.data)):
+    fortran_copy = gram.toarray if issparse(gram) else gram.copy
+    if not np.all(np.isfinite(gram.data if issparse(gram) else gram)):
         raise ValueError("array must not contain infs or NaNs")
-    factor, info = lapack.dpotrf(gram.toarray(order="F"), lower=1, clean=1,
+    factor, info = lapack.dpotrf(fortran_copy(order="F"), lower=1, clean=1,
                                  overwrite_a=1)
     ridge = info > 0
     if ridge:
         del factor
         d = gram.shape[0]
-        damped = gram.toarray(order="F")
+        damped = fortran_copy(order="F")
         damped[np.diag_indices(d)] += 1e-8 * gram.diagonal().sum() / d
         factor, info = lapack.dpotrf(damped, lower=1, clean=1, overwrite_a=1)
     if info == 0:
@@ -219,11 +221,11 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
     w_i = d/n until the max relative change drops below ``tol`` or
     ``max_iters`` is reached (the converged flag records which). A singular
     Gram matrix at any iteration is damped with ridge lambda = 1e-8*trace/d
-    and flagged. A CSR X keeps its layout: see :func:`_sparse_lewis_iteration`.
+    and flagged. Dense and CSR X share one update, :func:`_lewis_iteration`;
+    a CSR X is never densified.
     """
     _check_lewis_params(mix, max_iters, tol, add_intercept)
     A = _design_matrix(features, add_intercept)
-    iteration = _sparse_lewis_iteration if issparse(A) else _lewis_iteration
     n, d = A.shape
     w = np.full(n, d / n)
     converged = False
@@ -233,7 +235,7 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
             # Only an all-zero row gets weight 0, and A / w is then undefined.
             raise ValueError(f"lewis: row {int(np.argmin(w > 0))} has weight 0; "
                              "an all-zero row needs add_intercept=True")
-        w_new, ridge = iteration(A, w)
+        w_new, ridge = _lewis_iteration(A, w)
         used_ridge = used_ridge or ridge
         rel = np.max(np.abs(w_new - w) / w)
         w = w_new
@@ -244,33 +246,21 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
                              ridge_fallback=used_ridge)
 
 
-def _lewis_iteration(A: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """One fixed-point update; returns (new weights, ridge_used)."""
-    from scipy.linalg import cho_factor, cho_solve
+def _lewis_iteration(A, w: np.ndarray) -> tuple[np.ndarray, bool]:
+    """One fixed-point update; returns (new weights, ridge_used). The Gram
+    A^T diag(w)^{-1} A is formed from A scaled by 1/w in A's own layout, and
+    the quadratic forms from row blocks of A times its inverse Cholesky
+    factor: a dense A costs one scaled copy, a CSR A O(nnz) more memory."""
+    if issparse(A):
+        import scipy.sparse as sp
 
-    d = A.shape[1]
-    gram = A.T @ (A / w[:, None])
-    ridge = False
-    try:
-        chol = cho_factor(gram)
-    except np.linalg.LinAlgError:
-        lam = 1e-8 * np.trace(gram) / d
-        chol = cho_factor(gram + lam * np.eye(d))
-        ridge = True
-    solved = cho_solve(chol, A.T)
-    quad = np.einsum("ij,ji->i", A, solved)
-    return np.sqrt(np.maximum(quad, 0.0)), ridge
-
-
-def _sparse_lewis_iteration(A, w: np.ndarray) -> tuple[np.ndarray, bool]:
-    """:func:`_lewis_iteration` for a CSR ``A`` in O(nnz + d^2 + block*d)
-    memory: the Gram A^T diag(w)^{-1} A is formed sparse, and the quadratic
-    forms come from row blocks of A times its inverse Cholesky factor."""
-    import scipy.sparse as sp
-
-    scaled = sp.csr_matrix((A.data / np.repeat(w, np.diff(A.indptr)),
-                            A.indices, A.indptr), shape=A.shape)
-    R, ridge = _inverse_cholesky_factor(A.T @ scaled)
+        scaled = sp.csr_matrix((A.data / np.repeat(w, np.diff(A.indptr)),
+                                A.indices, A.indptr), shape=A.shape)
+    else:
+        scaled = A / w[:, None]
+    gram = A.T @ scaled
+    del scaled
+    R, ridge = _inverse_cholesky_factor(gram)
     return np.sqrt(_row_square_norms(A, R)), ridge
 
 

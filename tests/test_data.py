@@ -296,6 +296,23 @@ class TestDatasetInvariants:
         assert sub.point_ids.tolist() == [30, 10]
         assert sub.features.tolist() == [[4.0, 5.0], [0.0, 1.0]]
 
+    def test_take_returns_new_read_only_arrays(self):
+        features = np.arange(8, dtype=float).reshape(4, 2)
+        ds = Dataset(features.copy(), np.array([0, 1, 0, 1]),
+                     weights=np.array([1.0, 2.0, 3.0, 4.0]),
+                     point_ids=np.array([10, 20, 30, 40]))
+        sub = ds.take(np.array([2, 0]))
+        for name in ("features", "labels", "weights", "point_ids"):
+            got, source = getattr(sub, name), getattr(ds, name)
+            assert not np.shares_memory(got, source), name
+            assert not got.flags.writeable, name
+        assert sub.point_ids.tolist() == [30, 10]
+        assert sub.weights.tolist() == [3.0, 1.0]
+        assert np.array_equal(ds.features, features)
+        assert ds.labels.tolist() == [0, 1, 0, 1]
+        assert ds.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert ds.point_ids.tolist() == [10, 20, 30, 40]
+
 
 class TestRealField:
     def test_accepts_finite_reals_above_the_bound(self):

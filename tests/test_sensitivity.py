@@ -160,8 +160,25 @@ def relative_error(got, expected):
 
 
 class TestSparseScoring:
-    """CSR input is scored through its Gram matrix, without densifying;
-    the dense path is the oracle."""
+    """CSR input is scored through its Gram matrix, without densifying.
+    Dense and CSR Lewis weights share one update, so they are checked
+    against the explicit-inverse oracle; comparing the two layouts checks
+    only that they agree."""
+
+    @pytest.mark.parametrize("add_intercept", [True, False])
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_lewis_matches_the_explicit_inverse_oracle(self, layout,
+                                                       add_intercept):
+        X = sparse_design(300, 40, 0.05, seed=5)
+        A = X.toarray()
+        if add_intercept:
+            A = np.hstack([A, np.ones((300, 1))])
+        expected = lewis_fixed_point_oracle(A, tol=1e-14)
+        features = X.toarray() if layout == "dense" else X
+        scores = lewis_weight_sensitivities(features, tol=1e-14, max_iters=500,
+                                            mix=0.0, add_intercept=add_intercept)
+        assert scores.converged and not scores.ridge_fallback
+        assert relative_error(scores.values, expected / expected.sum()) < 1e-10
 
     @pytest.mark.parametrize("add_intercept", [True, False])
     @pytest.mark.parametrize("score", [leverage_sensitivities,
@@ -191,6 +208,17 @@ class TestSparseScoring:
                                            add_intercept=False)
         assert csr.ridge_fallback and dense.ridge_fallback
         assert relative_error(csr.values, dense.values) < 1e-8
+
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    def test_lewis_rejects_a_non_finite_or_null_gram(self, layout):
+        X = np.ones((5, 2))
+        X[1, 0] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lewis_weight_sensitivities(layout(X))
+        # A zero Gram stays singular after ridge damping.
+        with pytest.raises(np.linalg.LinAlgError, match="singular"):
+            lewis_weight_sensitivities(layout(np.zeros((5, 2))),
+                                       add_intercept=False)
 
     def test_all_zero_row_without_intercept_is_an_error(self):
         X = sparse_design(40, 5, 0.3, seed=8).tolil()

@@ -10,7 +10,7 @@ from .refine import RefineConfig, RefineTrace, refine, uncertainty_query
 from .sampler import Coreset, SamplerConfig, SamplingPlan, build_coreset
 from .sensitivity import (SensitivityScores, compute_scores,
                           leverage_sensitivities, lewis_weight_sensitivities,
-                          register_provider, to_probabilities, uniform_scores)
+                          to_probabilities, uniform_scores)
 from .tuner import (GridSpec, TrialResult, compare_to_baselines, refine_best,
                     run_grid)
 
@@ -23,7 +23,7 @@ __all__ = [
     "SplitBundle", "TrainConfig", "TrialResult", "build_coreset",
     "classification_report", "compare_to_baselines", "compute_scores",
     "decision_scores", "leverage_sensitivities", "lewis_weight_sensitivities",
-    "parse_csv", "parse_libsvm", "refine", "refine_best", "register_provider",
+    "parse_csv", "parse_libsvm", "refine", "refine_best",
     "run_grid", "stratified_split", "to_probabilities", "train",
     "uncertainty_query", "uniform_scores", "weighted_loss",
 ]

@@ -69,12 +69,18 @@ def integer_field(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def real_number(name: str, value) -> float:
+    """``value`` as a float if it is a real number: a bool or a string is a
+    ValueError, never read as 1.0 or parsed."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 def real_field(name: str, value, minimum: float) -> float:
     """``value`` as a float if it is a finite real > ``minimum``: NaN, an
     infinity, a bool or a string is a ValueError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    value = real_number(name, value)
     if not (np.isfinite(value) and value > minimum):
         raise ValueError(f"{name} must be finite and > {minimum}, got {value}")
     return value
@@ -230,6 +236,7 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
     if dimension_hint is not None and dimension_hint < 1:
         raise ValueError("dimension_hint must be a positive integer")
     labels: list[float] = []
+    linenos: list[int] = []
     data: list[float] = []
     indices: list[int] = []
     indptr = [0]
@@ -267,6 +274,7 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
                 prev_idx = idx
             max_index = max(max_index, prev_idx)
             labels.append(label)
+            linenos.append(lineno)
             indptr.append(len(data))
     if not labels:
         raise EmptyInputError(f"{path}: no data lines")
@@ -274,11 +282,18 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
     if max_index > dim:
         raise ParseError(f"{path}: feature index {max_index} exceeds dimension_hint {dim}")
     n = len(labels)
+    values = np.asarray(data, dtype=np.float64)
+    finite = np.isfinite(values)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        row = int(np.searchsorted(indptr, k, side="right")) - 1
+        raise ParseError(f"{path}:{linenos[row]}: non-finite value {data[k]!r} "
+                         f"for feature index {indices[k] + 1}")
     if len(data) / max(1, n * dim) < SPARSE_DENSITY_THRESHOLD:
         import scipy.sparse as sp
 
         features = sp.csr_matrix(
-            (np.asarray(data, dtype=np.float64),
+            (values,
              np.asarray(indices, dtype=np.int64),
              np.asarray(indptr, dtype=np.int64)),
             shape=(n, dim),
@@ -287,7 +302,7 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
         # Indices within a row are strictly increasing, so no entry repeats;
         # adding to zeros, as CSR todense() does, also stores -0.0 as 0.0.
         features = np.zeros((n, dim))
-        features[np.repeat(np.arange(n), np.diff(indptr)), indices] += data
+        features[np.repeat(np.arange(n), np.diff(indptr)), indices] += values
     return Dataset(features, _normalize_labels(np.asarray(labels), path))
 
 
@@ -357,6 +372,12 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
                     f"{path}:{rowno}: non-numeric feature cell {cell!r} in column {j}"
                 ) from None
             col += 1
+    bad = np.argwhere(~np.isfinite(features))
+    if len(bad):
+        i, col = bad[0]  # row-major: the first bad cell of the first bad row
+        j = col + (col >= label_idx)
+        raise ParseError(f"{path}:{i + (2 if has_header else 1)}: non-finite "
+                         f"feature cell {rows[i][j].strip()!r} in column {j}")
     return Dataset(features, _normalize_labels(labels, path))
 
 

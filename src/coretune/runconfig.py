@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
-from .data import boolean_field, integer_field
+from .data import boolean_field, integer_field, real_number
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
@@ -131,7 +131,8 @@ class RunConfig:
 
         fractions = self._require("split.fractions")
         try:
-            self.split_fractions = tuple(float(f) for f in fractions)
+            self.split_fractions = tuple(real_number("fraction", f)
+                                         for f in fractions)
             valid = (len(self.split_fractions) == 3
                      and min(self.split_fractions) > 0
                      and abs(sum(self.split_fractions) - 1.0) <= 1e-9)
@@ -181,7 +182,8 @@ class RunConfig:
 
         build = dict(raw.get("build", {}))
         with _section("build.coreset_ratio"):
-            self.build_ratio = float(build.pop("coreset_ratio", 0.1))
+            self.build_ratio = real_number("value",
+                                           build.pop("coreset_ratio", 0.1))
             if not (0 < self.build_ratio <= 1):
                 raise ValueError(f"must lie in (0, 1], got {self.build_ratio}")
         with _section("build"):

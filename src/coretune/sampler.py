@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (Dataset, count_distinct, integer_field, largest_remainder,
-                   read_table, write_table)
+                   read_table, real_number, write_table)
 from .sensitivity import SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -67,7 +67,8 @@ class SamplerConfig:
         object.__setattr__(self, "coreset_size", integer_field(
             "coreset_size", self.coreset_size, minimum=1))
         object.__setattr__(self, "seed", integer_field("seed", self.seed, minimum=0))
-        object.__setattr__(self, "det_ratio", float(self.det_ratio))
+        object.__setattr__(self, "det_ratio",
+                           real_number("det_ratio", self.det_ratio))
         if not (0.0 <= self.det_ratio < 1.0):
             raise ValueError(f"det_ratio must lie in [0, 1), got {self.det_ratio}")
         if self.weight_strategy not in WEIGHT_STRATEGIES:
@@ -79,12 +80,13 @@ class SamplerConfig:
         try:
             if not isinstance(alloc, (dict, tuple)):
                 raise TypeError
-            alloc = {int(k): float(v) for k, v in dict(alloc).items()}
+            alloc = {int(k): real_number("fraction", v)
+                     for k, v in dict(alloc).items()}
         except (TypeError, ValueError):
             raise ValueError("class_allocation must be 'proportional' or a "
                              f"class -> fraction map, got {alloc!r}") from None
         if any(v <= 0 for v in alloc.values()) or \
-                abs(sum(alloc.values()) - 1.0) > 1e-9:
+                not abs(sum(alloc.values()) - 1.0) <= 1e-9:
             raise ValueError(f"class allocation {alloc} must have positive "
                              "fractions summing to 1")
         object.__setattr__(self, "class_allocation", tuple(sorted(alloc.items())))

@@ -1,9 +1,10 @@
 """Per-point sensitivity upper bounds and their sampling probabilities.
 
-Providers map a dataset to positive importance scores; normalizing the scores
-gives the probability each point is drawn during coreset sampling. Built-in
-providers: uniform, leverage scores, and l1 Lewis weights. Further bounds can
-be registered through :func:`register_provider` without touching the sampler.
+Providers map a feature matrix to positive importance scores; normalizing
+the scores gives the probability each point is drawn during coreset
+sampling. The providers are uniform, leverage scores and l1 Lewis weights,
+listed in :data:`PROVIDERS`; the sampler takes any
+:class:`SensitivityScores`.
 
 Lewis weights, dense or CSR, and leverage scores of a CSR matrix come from
 the d x d Gram matrix, formed in the input's layout and then densified; each
@@ -19,12 +20,11 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .data import (Dataset, boolean_field, integer_field, issparse, real_field,
-                   write_table)
+                   real_number, write_table)
 
 
 class DegenerateScoresError(ValueError):
@@ -158,7 +158,7 @@ def _inverse_cholesky_factor(gram) -> tuple[np.ndarray, bool]:
 
 
 def _check_leverage_params(mix, add_intercept) -> None:
-    if not (0.0 <= mix <= 1.0):
+    if not (0.0 <= real_number("mix", mix) <= 1.0):
         raise ValueError("mix must lie in [0, 1]")
     boolean_field("add_intercept", add_intercept)
 
@@ -271,68 +271,38 @@ def to_probabilities(scores: SensitivityScores) -> np.ndarray:
     return scores.values / scores.total
 
 
-# ---------------------------------------------------------------------------
-# Provider registry. A provider is Dataset -> SensitivityScores; external
-# sensitivity bounds (unified / monotonic / svm-based constructions) plug in
-# here without changes to the sampler.
-
-Provider = Callable[..., SensitivityScores]
-
-_PROVIDERS: dict[str, Provider] = {}
-_PARAM_CHECKS: dict[str, Callable[..., None]] = {}
-
-
-def register_provider(name: str, fn: Provider,
-                      check: Callable[..., None] | None = None) -> None:
-    """Register ``fn(data, **params)`` as provider ``name``. ``check``, if
-    given, takes the provider's keyword params, defaults filled in, and
-    raises ValueError on a malformed value without scoring anything."""
-    _PROVIDERS[name] = fn
-    _PARAM_CHECKS.pop(name, None)
-    if check is not None:
-        _PARAM_CHECKS[name] = check
+# Each provider name maps to its scoring function of a feature matrix and the
+# check of that function's keyword params (defaults filled in), which raises
+# ValueError on a malformed value without scoring anything.
+PROVIDERS = {
+    "uniform": (lambda features: uniform_scores(features.shape[0]), None),
+    "leverage": (leverage_sensitivities, _check_leverage_params),
+    "lewis": (lewis_weight_sensitivities, _check_lewis_params),
+}
 
 
 def available_providers() -> list[str]:
-    return sorted(_PROVIDERS)
+    return sorted(PROVIDERS)
 
 
 def compute_scores(name: str, data: Dataset, **params) -> SensitivityScores:
-    """Run the registered provider ``name`` on ``data``."""
-    if name not in _PROVIDERS:
+    """Run provider ``name`` on ``data``'s features."""
+    if name not in PROVIDERS:
         raise KeyError(f"unknown sensitivity provider {name!r}; "
                        f"available: {available_providers()}")
-    return _PROVIDERS[name](data, **params)
+    fn, _ = PROVIDERS[name]
+    return fn(data.features, **params)
 
 
 def check_provider_params(name: str, params: dict) -> None:
     """Check ``params`` for provider ``name`` without scoring: a keyword the
     provider does not take is a TypeError, a malformed value a ValueError."""
-    bound = inspect.signature(_PROVIDERS[name]).bind(None, **params)
-    if name in _PARAM_CHECKS:
+    fn, check = PROVIDERS[name]
+    bound = inspect.signature(fn).bind(None, **params)
+    if check is not None:
         bound.apply_defaults()
-        _, *keywords = bound.arguments  # the first is the dataset
-        _PARAM_CHECKS[name](**{k: bound.arguments[k] for k in keywords})
-
-
-def _uniform_provider(data: Dataset) -> SensitivityScores:
-    return uniform_scores(data.n)
-
-
-def _leverage_provider(data: Dataset, mix: float = 0.5,
-                       add_intercept: bool = True) -> SensitivityScores:
-    return leverage_sensitivities(data.features, mix=mix, add_intercept=add_intercept)
-
-
-def _lewis_provider(data: Dataset, mix: float = 0.5, max_iters: int = 100,
-                    tol: float = 1e-6, add_intercept: bool = True) -> SensitivityScores:
-    return lewis_weight_sensitivities(data.features, max_iters=max_iters, tol=tol,
-                                      mix=mix, add_intercept=add_intercept)
-
-
-register_provider("uniform", _uniform_provider)
-register_provider("leverage", _leverage_provider, _check_leverage_params)
-register_provider("lewis", _lewis_provider, _check_lewis_params)
+        _, *keywords = bound.arguments  # the first is the feature matrix
+        check(**{k: bound.arguments[k] for k in keywords})
 
 
 def scores_to_csv(scores: SensitivityScores, point_ids: np.ndarray, path,

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import SplitBundle, integer_field, real_field, write_table
+from .data import (SplitBundle, integer_field, real_field, real_number,
+                   write_table)
 from .learners import TrainConfig, decision_scores, train
 from .metrics import METRIC_NAMES, MetricsReport, classification_report
 from .refine import RefineConfig, RefineTrace, refine
@@ -48,8 +49,8 @@ class GridSpec:
     def __post_init__(self):
         reals = ["coreset_ratios", "det_ratios"]
         for name in reals:
-            object.__setattr__(self, name,
-                               tuple(float(v) for v in getattr(self, name)))
+            object.__setattr__(self, name, tuple(
+                real_number(name, v) for v in getattr(self, name)))
         if self.regularizations is not None:
             reals.append("regularizations")
             object.__setattr__(self, "regularizations", tuple(

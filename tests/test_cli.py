@@ -242,6 +242,18 @@ class TestErrorsAndExitCodes:
         assert run(config_path, "report") == 2
         assert "run the tune command first" in capsys.readouterr().err
 
+    def test_nonfinite_feature_fails_split(self, workdir, capsys):
+        tmp_path, config_path, config = workdir
+        data_path = tmp_path / "data.csv"
+        lines = data_path.read_text().splitlines()
+        cells = lines[5].split(",")
+        lines[5] = ",".join(["nan"] + cells[1:])
+        data_path.write_text("\n".join(lines) + "\n")
+        assert run(config_path, "split") == 2
+        err = capsys.readouterr().err
+        assert f"{data_path}:6: non-finite feature cell 'nan' in column 0" in err
+        assert not (tmp_path / "run" / "splits").exists()
+
     def test_score_before_split(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "score") == 2
@@ -354,6 +366,13 @@ class TestErrorsAndExitCodes:
         ("split", "grid.regularizations=[]"),
         ("split", "refine.max_rounds=0"),
         ("split", "refine.metric=5"),
+        # A ratio must be a JSON number: true once ran as the whole split.
+        ("split", "grid.coreset_ratios=[true]"),
+        ("split", "build.coreset_ratio=true"),
+        ("split", "grid.det_ratios=[false]"),
+        ("split", 'grid.coreset_ratios=["0.2"]'),
+        ("split", 'build.det_ratio="0.2"'),
+        ("split", 'build.class_allocation={"0": "0.5", "1": 0.5}'),
     ])
     def test_malformed_value_is_a_config_error(self, workdir, capsys, command,
                                                override):
@@ -367,7 +386,8 @@ class TestErrorsAndExitCodes:
         assert all(part in err for part in override.split("=")[0].split("."))
 
     @pytest.mark.parametrize("fractions", ["[0.5,0.3,0.3]", "[Infinity,0.1,0.1]",
-                                           "[NaN,0.1,0.1]", "[0.5,0.2,0.2]"])
+                                           "[NaN,0.1,0.1]", "[0.5,0.2,0.2]",
+                                           '["0.7",0.15,0.15]'])
     def test_fractions_not_summing_to_one_are_a_config_error(
             self, workdir, capsys, fractions):
         _, config_path, _ = workdir
@@ -405,6 +425,7 @@ class TestErrorsAndExitCodes:
         (['sensitivity.provider="leverage"',
           'sensitivity.params.add_intercept="no"'], "add_intercept"),
         (['sensitivity.provider="uniform"'], "mix"),
+        (["sensitivity.params.mix=true"], "mix"),
     ])
     def test_nonfinite_real_or_unfit_provider_param_fails_split(
             self, workdir, capsys, overrides, named):

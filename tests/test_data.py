@@ -69,6 +69,17 @@ class TestParseLibsvm:
         ds = parse_libsvm(write(tmp_path, "a.libsvm", "+1 1:1.0\n"), dimension_hint=5)
         assert ds.dim == 5
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("density", ["dense", "sparse"])
+    def test_nonfinite_value_rejected(self, tmp_path, value, density):
+        # Ten features on the sparse side: the matrix is stored as CSR.
+        dim = 10 if density == "sparse" else 2
+        text = (f"# header\n+1 1:1.0 2:2.0\n\n-1 1:3.0 2:{value}\n"
+                f"+1 1:{value}\n")
+        path = write(tmp_path, "a.libsvm", text)
+        with pytest.raises(ParseError, match=rf":4: .*{value}.*index 2"):
+            parse_libsvm(path, dimension_hint=dim)
+
     def test_comments_ignored(self, tmp_path):
         ds = parse_libsvm(write(tmp_path, "a.libsvm",
                                 "# header\n+1 1:1.0 # trailing\n\n-1 1:2.0\n"))
@@ -91,6 +102,13 @@ class TestParseCsv:
     def test_non_numeric_cell_location(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,y,label\n1,2,0\n3,abc,1\n")
         with pytest.raises(ParseError, match=r":3:.*'abc'.*column 1"):
+            parse_csv(path, "label")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_cell_location(self, tmp_path, value):
+        path = write(tmp_path, "a.csv",
+                     f"x,label,y\n1,0,2\n3,1,4\n5,0,{value}\n{value},1,1\n")
+        with pytest.raises(ParseError, match=rf":4:.*'{value}'.*column 2"):
             parse_csv(path, "label")
 
     def test_ragged_rows(self, tmp_path):

@@ -538,6 +538,11 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(coreset_size=10, det_ratio=1.0)
 
+    @pytest.mark.parametrize("value", [True, False, "0.2", None])
+    def test_det_ratio_is_a_number(self, value):
+        with pytest.raises(ValueError, match="det_ratio must be a real number"):
+            SamplerConfig(coreset_size=10, det_ratio=value)
+
     @pytest.mark.parametrize("kwargs,field", [
         ({"coreset_size": 2.5}, "coreset_size"),
         ({"coreset_size": True}, "coreset_size"),
@@ -554,9 +559,11 @@ class TestSamplerConfig:
         assert (type(config.coreset_size), type(config.det_ratio),
                 type(config.seed)) == (int, float, int)
 
-    def test_explicit_fractions_must_sum_to_one(self):
-        with pytest.raises(ValueError):
-            SamplerConfig(coreset_size=10, class_allocation={0: 0.6, 1: 0.6})
+    @pytest.mark.parametrize("alloc", [{0: 0.6, 1: 0.6},
+                                       {0: float("nan"), 1: 0.5}])
+    def test_explicit_fractions_must_sum_to_one(self, alloc):
+        with pytest.raises(ValueError, match="summing to 1"):
+            SamplerConfig(coreset_size=10, class_allocation=alloc)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -581,7 +588,8 @@ class TestSamplerConfig:
         assert SamplerConfig(**config.to_dict()) == config
 
     @pytest.mark.parametrize("alloc", ["equal", None, [[0, 0.5], [1, 0.5]],
-                                       {"a": 1.0}, {0: None}, ((0,),)])
+                                       {"a": 1.0}, {0: None}, ((0,),),
+                                       {0: True}, {0: "0.5", 1: "0.5"}])
     def test_malformed_allocation_rejected(self, alloc):
         with pytest.raises(ValueError, match="class -> fraction map"):
             SamplerConfig(coreset_size=10, class_allocation=alloc)

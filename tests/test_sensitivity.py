@@ -11,8 +11,8 @@ from coretune.data import Dataset
 from coretune.sensitivity import (DegenerateScoresError, SensitivityScores,
                                   available_providers, check_provider_params,
                                   compute_scores, leverage_sensitivities,
-                                  lewis_weight_sensitivities, register_provider,
-                                  to_probabilities, uniform_scores)
+                                  lewis_weight_sensitivities, to_probabilities,
+                                  uniform_scores)
 
 
 class TestUniformScores:
@@ -346,16 +346,17 @@ class TestProviderRegistry:
         with pytest.raises(KeyError, match="unified"):
             compute_scores("unified", data)
 
-    def test_external_registration(self):
-        def halves(data):
-            values = np.full(data.n, 0.5)
-            return SensitivityScores(values, float(values.sum()), "halves")
-
-        register_provider("halves", halves)
-        data = Dataset(np.zeros((4, 1)), np.array([0, 1, 0, 1]))
-        scores = compute_scores("halves", data)
-        assert scores.provider_name == "halves"
-        assert np.allclose(to_probabilities(scores), 0.25)
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    @pytest.mark.parametrize("name", available_providers())
+    def test_every_provider_scores_with_its_defaults(self, name, layout):
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(12, 3)) * (rng.random((12, 3)) < 0.6)
+        data = Dataset(sp.csr_matrix(X) if layout == "csr" else X,
+                       np.array([0, 1] * 6))
+        check_provider_params(name, {})
+        scores = compute_scores(name, data)
+        assert scores.provider_name == name
+        assert len(scores) == data.n and np.all(scores.values > 0)
 
     def test_provider_params_forwarded(self):
         rng = np.random.default_rng(0)

@@ -420,6 +420,14 @@ class TestGridSpecValidation:
         assert all(type(v) is float for v in
                    grid.coreset_ratios + grid.det_ratios + grid.regularizations)
 
+    @pytest.mark.parametrize("axis,value", [
+        ("coreset_ratios", True), ("coreset_ratios", "0.2"),
+        ("det_ratios", False), ("det_ratios", "0.2")])
+    def test_ratio_axes_are_numbers(self, axis, value):
+        kwargs = {"coreset_ratios": (0.1,), axis: (value,)}
+        with pytest.raises(ValueError, match=f"{axis} must be a real number"):
+            GridSpec(**kwargs)
+
     def test_ratio_range(self):
         with pytest.raises(ValueError):
             GridSpec(coreset_ratios=(1.5,))

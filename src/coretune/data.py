@@ -310,8 +310,8 @@ def _normalize_labels(raw: np.ndarray, source) -> np.ndarray:
     values = set(np.unique(raw).tolist())
     if values <= {-1.0, 1.0}:
         return (np.asarray(raw) > 0).astype(np.int64)
-    out = np.asarray(raw, dtype=np.float64)
-    if np.any(out != np.round(out)) or np.any(out < 0):
+    out = np.asarray(raw, dtype=np.float64)  # integral: the parsers check
+    if np.any(out < 0):
         raise ParseError(f"{source}: labels must be class ids (or -1/+1), got {sorted(values)[:5]}")
     return out.astype(np.int64)
 
@@ -325,15 +325,21 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
     """
     import csv
 
+    rows: list[list[str]] = []
+    linenos: list[int] = []  # of each kept row, counting the blank ones
     with open(path, "r", newline="") as fh:
         reader = csv.reader(fh)
-        rows = [row for row in reader if row and any(cell.strip() for cell in row)]
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                rows.append(row)
+                linenos.append(reader.line_num)
     if not rows:
         raise EmptyInputError(f"{path}: no rows")
     header = None
     if has_header:
         header = [cell.strip() for cell in rows[0]]
         rows = rows[1:]
+        linenos = linenos[1:]
         if not rows:
             raise EmptyInputError(f"{path}: header but no data rows")
     width = len(rows[0])
@@ -352,8 +358,7 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
                              f"for {width} columns")
     features = np.empty((len(rows), width - 1), dtype=np.float64)
     labels = np.empty(len(rows), dtype=np.float64)
-    for i, row in enumerate(rows):
-        rowno = i + (2 if has_header else 1)
+    for i, (rowno, row) in enumerate(zip(linenos, rows)):
         if len(row) != width:
             raise ParseError(f"{path}:{rowno}: expected {width} cells, got {len(row)}")
         col = 0
@@ -364,6 +369,8 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
                     labels[i] = float(cell)
                 except ValueError:
                     raise ParseError(f"{path}:{rowno}: bad label {cell!r}") from None
+                if not labels[i].is_integer():  # also nan and inf
+                    raise ParseError(f"{path}:{rowno}: non-integer label {cell!r}")
                 continue
             try:
                 features[i, col] = float(cell)
@@ -376,7 +383,7 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
     if len(bad):
         i, col = bad[0]  # row-major: the first bad cell of the first bad row
         j = col + (col >= label_idx)
-        raise ParseError(f"{path}:{i + (2 if has_header else 1)}: non-finite "
+        raise ParseError(f"{path}:{linenos[i]}: non-finite "
                          f"feature cell {rows[i][j].strip()!r} in column {j}")
     return Dataset(features, _normalize_labels(labels, path))
 

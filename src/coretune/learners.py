@@ -10,9 +10,13 @@ damped Newton iterations; the hinge loss by deterministic subgradient descent
 with a fixed 1/t schedule and suffix averaging, so identical inputs always
 produce identical models.
 
-Logistic training needs numpy alone while the Newton system has at most
-``_NUMPY_SOLVE_UNKNOWNS`` unknowns; larger systems are solved by scipy's LAPACK
-Cholesky routines, imported on the first such solve.
+On CSR input each Newton system is solved matrix-free, by Jacobi-
+preconditioned conjugate gradients on Hessian-vector products, so training
+holds O(nnz) memory and needs no dense solver (the truncated Newton step of
+Lin, Weng & Keerthi, "Trust Region Newton Method for Logistic Regression",
+JMLR 2008). Dense input forms the Hessian and solves it directly: with numpy
+while the system has at most ``_NUMPY_SOLVE_UNKNOWNS`` unknowns, and with
+scipy's LAPACK Cholesky routines, imported on the first such solve, above.
 """
 
 from __future__ import annotations
@@ -127,19 +131,21 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-# Newton systems with at most this many unknowns are solved by numpy, larger
-# ones by scipy's LAPACK potrf/potrs. On a 2-CPU machine scipy solves 22
-# unknowns in 8 us and 502 in 3.3 ms; numpy's cholesky plus solve take 32 us
-# and 14.6 ms. Below the limit numpy's per-call overhead costs a grid less
+# Dense Newton systems with at most this many unknowns are solved by numpy,
+# larger ones by scipy's LAPACK potrf/potrs; CSR input never forms one. On a
+# 2-CPU machine scipy solves 22 unknowns in 8 us and 502 in 3.3 ms; numpy's
+# cholesky plus solve take 32 us and 14.6 ms. Below the limit numpy's per-call overhead costs a grid less
 # than importing scipy.linalg (about 0.5 s); above it the solve dominates.
 _NUMPY_SOLVE_UNKNOWNS = 100
 
 
 def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve ``H x = rhs`` for symmetric positive definite ``H``.
+    """Solve the dense Newton system ``H x = rhs`` for symmetric positive
+    definite ``H``.
 
     Non-finite input is a ValueError, and a matrix that is not positive
-    definite raises LinAlgError. Large systems go through scipy's LAPACK
+    definite raises LinAlgError. Systems with more than
+    ``_NUMPY_SOLVE_UNKNOWNS`` unknowns go through scipy's LAPACK
     calls, as scipy.linalg's Cholesky solve makes them (upper-triangle
     potrf, then potrs) without the wrappers' overhead.
     """
@@ -161,6 +167,98 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return x
 
 
+# Conjugate gradients stop once the residual is this small relative to the
+# gradient, or after this many iterations per unknown; a capped step is
+# still a descent direction, and the line search scales it.
+_CG_TOLERANCE = 1e-12
+_CG_ITERATIONS_PER_UNKNOWN = 2
+
+
+def _ridge(diagonal: np.ndarray) -> float:
+    """The shift that makes a Newton system with zero curvature solvable."""
+    return 1e-10 * max(1.0, float(diagonal.mean()))
+
+
+def _dense_newton_step(features, dw, grad, C):
+    """Solve the Newton system ``H p = grad`` for a dense feature matrix,
+    with ``H`` bordered by the intercept row when ``grad`` has d + 1
+    entries."""
+    d = features.shape[1]
+    core = features.T @ (features * dw[:, None])
+    if len(grad) > d:
+        cross = features.T @ dw
+        H = np.empty((d + 1, d + 1))
+        H[:d, :d] = core
+        H[:d, d] = cross
+        H[d, :d] = cross
+        H[d, d] = dw.sum()
+    else:
+        H = core
+    diagonal = np.arange(d)
+    H[diagonal, diagonal] += 1.0 / C
+    try:
+        return _cholesky_solve(H, grad)
+    except np.linalg.LinAlgError:
+        # Saturated sigmoids can zero out the intercept curvature.
+        H += _ridge(np.diag(H)) * np.eye(len(H))
+        return _cholesky_solve(H, grad)
+
+
+def _sparse_newton_step(features, features_t, squares_t, dw, grad, C,
+                        max_iterations):
+    """Solve the Newton system ``H p = grad`` for a CSR feature matrix ``A``
+    by Jacobi-preconditioned conjugate gradients, never forming ``H``.
+
+    ``H u = Aᵀ(dw ∘ (A u + c)) + u / C`` for coefficients ``u`` and, when
+    ``grad`` has d + 1 entries, intercept ``c``, whose row is
+    ``Σ dw ∘ (A u + c)``. ``features_t`` is ``Aᵀ`` as CSR and ``squares_t``
+    is ``(A ∘ A)ᵀ``, which gives the Jacobi preconditioner. A diagonal entry
+    of zero, as saturated sigmoids leave the intercept's, shifts ``H`` by
+    the dense solve's ridge. After ``max_iterations``, or on
+    curvature ``pᵀHp <= 0``, the current iterate is returned (the
+    preconditioned gradient if there is none yet): each is a descent
+    direction.
+    """
+    d = features.shape[1]
+    fit_b = len(grad) > d
+    diagonal = np.asarray(squares_t @ dw).ravel() + 1.0 / C
+    if fit_b:
+        diagonal = np.append(diagonal, dw.sum())
+    shift = 0.0 if np.all(diagonal > 0) else _ridge(diagonal)
+    diagonal = diagonal + shift
+
+    def product(u):
+        q = features @ u[:d]
+        if fit_b:
+            q += u[d]
+        q *= dw
+        hu = features_t @ q + u[:d] / C
+        if fit_b:
+            hu = np.append(hu, q.sum())
+        return hu + shift * u
+
+    x = np.zeros(len(grad))
+    r = grad.copy()
+    z = r / diagonal
+    p = z
+    rz = float(r @ z)
+    stop = _CG_TOLERANCE * np.linalg.norm(grad)
+    for k in range(max_iterations):
+        hp = product(p)
+        curvature = float(p @ hp)
+        if not curvature > 0:  # also NaN
+            return x if k else z
+        alpha = rz / curvature
+        x += alpha * p
+        r -= alpha * hp
+        if np.linalg.norm(r) <= stop:
+            break
+        z = r / diagonal
+        rz, rz_old = float(r @ z), rz
+        p = z + (rz / rz_old) * p
+    return x
+
+
 def _train_logistic(features, y_pm, weights, config: TrainConfig):
     n, d = features.shape
     C = config.regularization
@@ -168,7 +266,13 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
     coef = np.zeros(d)
     b = 0.0
     converged = False
-    diagonal = np.arange(d)
+    sparse = issparse(features)
+    if sparse:
+        # Built once per fit: Hessian-vector products multiply by the
+        # transpose, and the squares give the CG preconditioner.
+        features_t = features.T.tocsr()
+        squares_t = features_t.power(2)
+        cg_cap = _CG_ITERATIONS_PER_UNKNOWN * (d + fit_b)
     # The margins at (coef, b) and, once known, the objective there; an
     # accepted line-search step already computed both for the new iterate.
     z = features @ coef + b
@@ -182,27 +286,11 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
             break
         # sigma(z) (1 - sigma(z)) is symmetric in z, so the tails give it.
         dw = weights * s * (1.0 - s)
-        if issparse(features):
-            core = (features.T @ features.multiply(dw[:, None])).toarray()
-            cross = np.asarray(features.T @ dw).ravel()
+        if sparse:
+            step = _sparse_newton_step(features, features_t, squares_t, dw,
+                                       grad, C, cg_cap)
         else:
-            core = features.T @ (features * dw[:, None])
-            cross = features.T @ dw
-        if fit_b:
-            H = np.empty((d + 1, d + 1))
-            H[:d, :d] = core
-            H[:d, d] = cross
-            H[d, :d] = cross
-            H[d, d] = dw.sum()
-        else:
-            H = core
-        H[diagonal, diagonal] += 1.0 / C
-        try:
-            step = _cholesky_solve(H, grad)
-        except np.linalg.LinAlgError:
-            # Saturated sigmoids can zero out the intercept curvature.
-            H += 1e-10 * max(1.0, np.trace(H) / len(H)) * np.eye(len(H))
-            step = _cholesky_solve(H, grad)
+            step = _dense_newton_step(features, dw, grad, C)
         if obj is None:
             obj = _logistic_objective_at(z, coef, y_pm, weights, C)
         slope = float(grad @ step)

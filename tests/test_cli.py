@@ -254,6 +254,18 @@ class TestErrorsAndExitCodes:
         assert f"{data_path}:6: non-finite feature cell 'nan' in column 0" in err
         assert not (tmp_path / "run" / "splits").exists()
 
+    def test_nonfinite_label_fails_split(self, workdir, capsys):
+        tmp_path, config_path, config = workdir
+        data_path = tmp_path / "data.csv"
+        lines = data_path.read_text().splitlines()
+        cells = lines[3].split(",")
+        lines[3] = ",".join(cells[:-1] + ["inf"])
+        data_path.write_text("\n".join(lines) + "\n")
+        assert run(config_path, "split") == 2
+        err = capsys.readouterr().err
+        assert f"{data_path}:4: non-integer label 'inf'" in err
+        assert not (tmp_path / "run" / "splits").exists()
+
     def test_score_before_split(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "score") == 2

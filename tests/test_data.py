@@ -111,6 +111,20 @@ class TestParseCsv:
         with pytest.raises(ParseError, match=rf":4:.*'{value}'.*column 2"):
             parse_csv(path, "label")
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = write(tmp_path, "a.csv", "x,label\n\n1,0\n2,abc\n")
+        with pytest.raises(ParseError, match=r":4: bad label 'abc'"):
+            parse_csv(path, "label")
+        path = write(tmp_path, "b.csv", "x,label\n\n1,0\n\ninf,1\n")
+        with pytest.raises(ParseError, match=r":5: non-finite feature cell 'inf'"):
+            parse_csv(path, "label")
+
+    @pytest.mark.parametrize("value", ["inf", "nan", "-inf", "1.5"])
+    def test_non_integer_label_location(self, tmp_path, value):
+        path = write(tmp_path, "a.csv", f"x,label\n1,0\n2,{value}\n3,1\n")
+        with pytest.raises(ParseError, match=rf":3: non-integer label '{value}'"):
+            parse_csv(path, "label")
+
     def test_ragged_rows(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,y,label\n1,2,0\n3,1\n")
         with pytest.raises(ParseError, match="expected 3 cells"):

@@ -124,6 +124,18 @@ class TestTrainLogistic:
         assert np.linalg.norm(dense.coefficients - sparse.coefficients) < 1e-8
         assert abs(dense.intercept - sparse.intercept) < 1e-8
 
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_wide_sparse_matches_dense(self, fit_intercept):
+        # Over 100 unknowns: the dense fit takes scipy's Cholesky solve, the
+        # CSR fit conjugate gradients.
+        X, y, w = sparse_instance(n=300, d=150, seed=23)
+        config = TrainConfig(fit_intercept=fit_intercept)
+        dense = train(X.toarray(), y, w, config)
+        sparse = train(X, y, w, config)
+        assert dense.converged and sparse.converged
+        assert np.linalg.norm(dense.coefficients - sparse.coefficients) < 1e-8
+        assert abs(dense.intercept - sparse.intercept) < 1e-8
+
     def test_converges_on_well_conditioned_instance(self):
         X, y, w = random_instance(seed=19)
         assert train(X, y, w, TrainConfig()).converged
@@ -184,6 +196,60 @@ class TestNewtonSolve:
         model = train(X, y, np.ones(20), TrainConfig(regularization=1e300))
         assert failures and set(failures) == {k}
         assert np.array_equal(decision_scores(model, X) > 0, y == 1)
+
+
+def sparse_instance(n, d, seed, density=0.05):
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, d, density=density, format="csr", random_state=rng,
+                  data_rvs=lambda k: rng.normal(size=k))
+    y = (X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) > 0).astype(int)
+    return X, y, rng.uniform(0.5, 2.0, size=n)
+
+
+def sparse_step(X, dw, grad, C=1.0, max_iterations=1000):
+    Xt = X.T.tocsr()
+    return learners._sparse_newton_step(X, Xt, Xt.power(2), dw, grad, C,
+                                        max_iterations)
+
+
+class TestSparseNewtonStep:
+    @staticmethod
+    def system(fit_intercept, seed=0):
+        X, _, _ = sparse_instance(n=200, d=40, seed=seed)
+        rng = np.random.default_rng(seed + 1)
+        dw = rng.uniform(0.0, 0.25, size=200)
+        grad = rng.normal(size=40 + fit_intercept)
+        return X, dw, grad
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_matches_direct_solve_of_the_same_hessian(self, fit_intercept):
+        X, dw, grad = self.system(fit_intercept)
+        C = 0.5
+        A = X.toarray()
+        if fit_intercept:
+            A = np.hstack([A, np.ones((len(A), 1))])
+        H = A.T @ (A * dw[:, None])
+        H[np.arange(40), np.arange(40)] += 1.0 / C  # intercept unpenalized
+        expected = np.linalg.solve(H, grad)
+        got = sparse_step(X, dw, grad, C)
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    def test_zero_curvature_takes_the_dense_ridge(self):
+        # Saturated sigmoids: no point carries curvature, so the intercept's
+        # diagonal entry is 0 and only the ridge makes H invertible.
+        X, _, grad = self.system(True)
+        dw = np.zeros(X.shape[0])
+        got = sparse_step(X, dw, grad)
+        assert np.all(np.isfinite(got)) and grad @ got > 0
+        expected = learners._dense_newton_step(X.toarray(), dw, grad, 1.0)
+        assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_capped_step_is_a_descent_direction(self, cap):
+        X, dw, grad = self.system(True, seed=4)
+        got = sparse_step(X, dw, grad, max_iterations=cap)
+        assert grad @ got > 0
+        assert not np.allclose(got, sparse_step(X, dw, grad))
 
 
 class TestExpit:

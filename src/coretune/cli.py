@@ -185,11 +185,14 @@ def cmd_tune(cfg: RunConfig) -> int:
     bundle, manifest = _load_splits(cfg)
     result = run_grid(bundle, cfg.grid, cfg.train, workers=cfg.workers,
                       scores=_train_scores(cfg, bundle, manifest))
+    for failure in result.failures:
+        _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
+                  f"seed {failure.seed}: {failure.error}")
+    best = result.best  # raises, before any artifact is written, if all failed
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
     with atomic_output(trials_out) as tmp:
         trials_to_csv(result, tmp,
                       header_comment=f"config_hash={cfg.config_hash()}")
-    best = result.best
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
                    "provider_params": cfg.provider_params,
                    "train": asdict(cfg.train)}
@@ -200,9 +203,6 @@ def cmd_tune(cfg: RunConfig) -> int:
     _log(cfg, f"tune: {len(result.trials)} trials, {len(result.failures)} failed "
               f"cells; best validation F1 {best.validation.f1:.4f} "
               f"-> {trials_out}")
-    for failure in result.failures:
-        _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
-                  f"seed {failure.seed}: {failure.error}")
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 

@@ -303,17 +303,16 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
         # adding to zeros, as CSR todense() does, also stores -0.0 as 0.0.
         features = np.zeros((n, dim))
         features[np.repeat(np.arange(n), np.diff(indptr)), indices] += values
-    return Dataset(features, _normalize_labels(np.asarray(labels), path))
+    return Dataset(features, _normalize_labels(np.asarray(labels)))
 
 
-def _normalize_labels(raw: np.ndarray, source) -> np.ndarray:
-    values = set(np.unique(raw).tolist())
-    if values <= {-1.0, 1.0}:
-        return (np.asarray(raw) > 0).astype(np.int64)
-    out = np.asarray(raw, dtype=np.float64)  # integral: the parsers check
-    if np.any(out < 0):
-        raise ParseError(f"{source}: labels must be class ids (or -1/+1), got {sorted(values)[:5]}")
-    return out.astype(np.int64)
+def _normalize_labels(raw: np.ndarray) -> np.ndarray:
+    """-1/+1 labels to 0/1; any other set, by its sorted distinct values, to
+    0..K-1."""
+    values, ids = np.unique(raw, return_inverse=True)
+    if set(values.tolist()) <= {-1.0, 1.0}:
+        return (raw > 0).astype(np.int64)
+    return ids.astype(np.int64)
 
 
 def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset:
@@ -385,7 +384,7 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
         j = col + (col >= label_idx)
         raise ParseError(f"{path}:{linenos[i]}: non-finite "
                          f"feature cell {rows[i][j].strip()!r} in column {j}")
-    return Dataset(features, _normalize_labels(labels, path))
+    return Dataset(features, _normalize_labels(labels))
 
 
 def stratified_split(data: Dataset, fractions: tuple[float, float, float],

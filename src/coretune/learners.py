@@ -14,9 +14,8 @@ On CSR input each Newton system is solved matrix-free, by Jacobi-
 preconditioned conjugate gradients on Hessian-vector products, so training
 holds O(nnz) memory and needs no dense solver (the truncated Newton step of
 Lin, Weng & Keerthi, "Trust Region Newton Method for Logistic Regression",
-JMLR 2008). Dense input forms the Hessian and solves it directly: with numpy
-while the system has at most ``_NUMPY_SOLVE_UNKNOWNS`` unknowns, and with
-scipy's LAPACK Cholesky routines, imported on the first such solve, above.
+JMLR 2008). Dense input forms the Hessian and numpy solves it directly, so
+training imports nothing from scipy.
 """
 
 from __future__ import annotations
@@ -131,40 +130,17 @@ def _expit(x: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-x))
 
 
-# Dense Newton systems with at most this many unknowns are solved by numpy,
-# larger ones by scipy's LAPACK potrf/potrs; CSR input never forms one. On a
-# 2-CPU machine scipy solves 22 unknowns in 8 us and 502 in 3.3 ms; numpy's
-# cholesky plus solve take 32 us and 14.6 ms. Below the limit numpy's per-call overhead costs a grid less
-# than importing scipy.linalg (about 0.5 s); above it the solve dominates.
-_NUMPY_SOLVE_UNKNOWNS = 100
-
-
 def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve the dense Newton system ``H x = rhs`` for symmetric positive
     definite ``H``.
 
     Non-finite input is a ValueError, and a matrix that is not positive
-    definite raises LinAlgError. Systems with more than
-    ``_NUMPY_SOLVE_UNKNOWNS`` unknowns go through scipy's LAPACK
-    calls, as scipy.linalg's Cholesky solve makes them (upper-triangle
-    potrf, then potrs) without the wrappers' overhead.
+    definite raises LinAlgError.
     """
     if not (np.isfinite(H).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
-    if len(H) <= _NUMPY_SOLVE_UNKNOWNS:
-        np.linalg.cholesky(H)  # LinAlgError unless positive definite
-        return np.linalg.solve(H, rhs)
-    from scipy.linalg.lapack import dpotrf, dpotrs
-    factor, info = dpotrf(H, lower=False, overwrite_a=False, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite")
-    if info < 0:
-        raise ValueError(f"illegal value in {-info}th argument of potrf")
-    x, info = dpotrs(factor, rhs, lower=False, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of potrs")
-    return x
+    np.linalg.cholesky(H)  # LinAlgError unless positive definite
+    return np.linalg.solve(H, rhs)
 
 
 # Conjugate gradients stop once the residual is this small relative to the

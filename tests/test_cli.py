@@ -660,3 +660,43 @@ class TestZeroWeightPoints:
                   if "tune: failed cell" in line]
         assert len(failed) == 1
         assert f"point_ids [{int(train.point_ids[top])}]" in failed[0]
+
+    def test_grid_with_every_cell_failed_logs_them_and_writes_nothing(
+            self, workdir, capsys):
+        from coretune.data import Dataset, SplitBundle, save_split_bundle
+
+        tmp_path, config_path, config = workdir
+        out = tmp_path / "run"
+        assert run(config_path, "split") == 0
+        bundle, manifest = load_split_bundle(out / "splits")
+        train = bundle.train
+        weights = np.where(train.labels == 0, 0.0, train.weights)
+        zeroed = Dataset(train.features, train.labels, weights, train.point_ids)
+        save_split_bundle(SplitBundle(zeroed, bundle.validation, bundle.test),
+                          out / "splits", manifest["seed"], manifest["fractions"])
+        capsys.readouterr()
+        assert run(config_path, "tune") == 2
+        grid = config["grid"]
+        cells = np.prod([len(grid[axis]) for axis in (
+            "coreset_ratios", "det_ratios", "weight_strategies",
+            "class_allocations")]) * grid["repeats"]
+        failed = [line for line in (out / "run.log").read_text().splitlines()
+                  if "tune: failed cell" in line]
+        assert len(failed) == cells
+        assert capsys.readouterr().err.count("tune: failed cell") == cells
+        assert not (out / "trials.csv").exists()
+        assert not (out / "best_config.json").exists()
+
+
+class TestNonBinaryLabelIds:
+    def test_one_two_labels_run_through_tune(self, workdir):
+        tmp_path, config_path, _ = workdir
+        data = tmp_path / "data.csv"
+        lines = data.read_text().splitlines()
+        relabelled = [lines[0]] + [f"{row.rsplit(',', 1)[0]},{int(row[-1]) + 1}"
+                                   for row in lines[1:]]
+        data.write_text("\n".join(relabelled) + "\n")
+        for command in ("split", "score", "build", "tune"):
+            assert run(config_path, command) == 0, command
+        bundle, _ = load_split_bundle(tmp_path / "run" / "splits")
+        assert set(bundle.train.labels.tolist()) == {0, 1}

@@ -34,6 +34,11 @@ class TestParseLibsvm:
         ds = parse_libsvm(path)
         assert ds.labels.tolist() == [0]
 
+    def test_one_two_labels_become_class_ids(self, tmp_path):
+        # The LIBSVM mushrooms set labels its classes 1 and 2.
+        path = write(tmp_path, "a.libsvm", "2 1:1.0\n1 2:1.0\n2 2:3.0\n")
+        assert parse_libsvm(path).labels.tolist() == [1, 0, 1]
+
     def test_zero_index_rejected(self, tmp_path):
         path = write(tmp_path, "a.libsvm", "1 0:3.0\n")
         with pytest.raises(ParseError, match="1-based"):
@@ -139,6 +144,17 @@ class TestParseCsv:
     def test_pm_one_labels_remapped(self, tmp_path):
         path = write(tmp_path, "a.csv", "x,label\n1,-1\n2,1\n")
         assert parse_csv(path, "label").labels.tolist() == [0, 1]
+
+    @pytest.mark.parametrize("labels,ids", [
+        ("2,1,2", [1, 0, 1]),
+        ("-3,5,-3,0", [0, 2, 0, 1]),
+        ("1,1", [1, 1]),  # within {-1,+1}: +1 stays class 1
+        ("0,1,1", [0, 1, 1]),
+    ])
+    def test_labels_map_to_class_ids_in_sorted_order(self, tmp_path, labels, ids):
+        rows = "".join(f"{i},{label}\n" for i, label in enumerate(labels.split(",")))
+        path = write(tmp_path, "a.csv", "x,label\n" + rows)
+        assert parse_csv(path, "label").labels.tolist() == ids
 
 
 class TestStratifiedSplit:

@@ -83,10 +83,11 @@ def write_config(tmp_path: Path, dataset: dict, provider: str) -> str:
 
 def dense_config(tmp_path: Path) -> str:
     rng = np.random.default_rng(1)
-    X = rng.normal(size=(200, 3))
+    X = rng.normal(size=(200, 120))  # 121 unknowns with the intercept
     y = (X[:, 0] + rng.normal(size=200) > 0.7).astype(int)
-    lines = ["a,b,c,label"] + [",".join(repr(float(v)) for v in row) + f",{label}"
-                               for row, label in zip(X, y)]
+    header = ",".join(f"f{j}" for j in range(120)) + ",label"
+    lines = [header] + [",".join(repr(float(v)) for v in row) + f",{label}"
+                        for row, label in zip(X, y)]
     data = tmp_path / "data.csv"
     data.write_text("\n".join(lines) + "\n")
     return write_config(tmp_path, {"path": str(data), "format": "csv",
@@ -95,7 +96,7 @@ def dense_config(tmp_path: Path) -> str:
 
 def sparse_config(tmp_path: Path) -> str:
     rng = np.random.default_rng(2)
-    n, d = 200, 120  # over 100 unknowns, where dense training takes scipy
+    n, d = 200, 120  # 3 nonzeros a row: stored as CSR
     X = np.zeros((n, d))
     for i in range(n):
         X[i, rng.choice(d, size=3, replace=False)] = 1.0
@@ -144,7 +145,7 @@ def test_fresh_processes_write_what_in_process_runs_write(tmp_path, layout,
     loaded = {command: loaded_scipy(python(RUN_COMMAND, command, "--config", config))
               for command in commands}
     if layout == "dense":
-        # Dense data reads, scores by SVD, samples and trains (4 unknowns)
+        # Dense data reads, scores by SVD, samples and trains (121 unknowns)
         # with numpy alone.
         assert loaded == {command: [] for command in commands}
     else:

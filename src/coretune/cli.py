@@ -9,6 +9,7 @@ atomically. Exit codes: 0 success, 1 usage/config error, 2 runtime failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import datetime
 import json
 import os
@@ -188,8 +189,14 @@ def cmd_tune(cfg: RunConfig) -> int:
     for failure in result.failures:
         _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
                   f"seed {failure.seed}: {failure.error}")
-    best = result.best  # raises, before any artifact is written, if all failed
     trials_out = os.path.join(cfg.output_dir, "trials.csv")
+    if not result.trials:
+        # An earlier tune's best must not pass for this one's in refine and
+        # report.
+        for stale in (trials_out, _best_config_path(cfg)):
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(stale)
+    best = result.best  # raises, before any artifact is written, if all failed
     with atomic_output(trials_out) as tmp:
         trials_to_csv(result, tmp,
                       header_comment=f"config_hash={cfg.config_hash()}")

@@ -1,12 +1,14 @@
 """Dataset ingestion, splitting, and serialization.
 
-Feature matrices are either dense ``numpy.ndarray`` or ``scipy.sparse.csr_matrix``;
+Feature matrices are either dense ``numpy.ndarray`` or :class:`CSRMatrix`;
 LIBSVM inputs are stored sparsely when their density is below
 ``SPARSE_DENSITY_THRESHOLD``. Labels are normalized to contiguous class ids
 starting at 0 ({-1,+1} inputs are remapped to {0,1}).
 
-``scipy.sparse`` is imported only where a CSR matrix is made: when a LIBSVM
-file is parsed and when a CSR split is loaded.
+:class:`CSRMatrix` holds a sparse matrix in numpy arrays alone, so reading,
+splitting, sampling and training on CSR data import no scipy. A
+``scipy.sparse`` matrix given to the public entry points is converted by
+:func:`as_features`, which reads its CSR arrays.
 """
 
 from __future__ import annotations
@@ -16,15 +18,10 @@ import json
 import numbers
 import os
 import re
-import sys
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:
-    import scipy.sparse as sp
 
 SPARSE_DENSITY_THRESHOLD = 0.25
 
@@ -44,11 +41,119 @@ class SplitError(ValueError):
     pass
 
 
-def issparse(x) -> bool:
-    """``scipy.sparse.issparse(x)`` without importing scipy: no sparse matrix
-    can exist before ``scipy.sparse`` is loaded."""
-    sparse = sys.modules.get("scipy.sparse")
-    return sparse is not None and sparse.issparse(x)
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of ``arr``; ``arr`` itself stays writeable."""
+    view = arr.view()
+    view.flags.writeable = False
+    return view
+
+
+class CSRMatrix:
+    """A read-only compressed-sparse-row matrix in numpy arrays.
+
+    Row i holds the entries ``data[indptr[i]:indptr[i + 1]]`` in the
+    columns ``indices[indptr[i]:indptr[i + 1]]``. Entries keep their stored
+    order: unsorted columns, repeated columns and explicit zeros stay as
+    given. ``A @ x`` and ``A.T @ r`` add each output's terms in stored
+    order, starting from 0.0, as scipy's ``csr_matvec`` and ``csc_matvec``
+    do, so both equal scipy's products bit for bit.
+    """
+
+    def __init__(self, data, indices, indptr, shape):
+        n, d = (int(k) for k in shape)
+        data = np.asarray(data, dtype=np.float64)
+        indices = np.asarray(indices)
+        indptr = np.asarray(indptr)
+        if n < 0 or d < 0:
+            raise ValueError(f"bad CSR shape {(n, d)}")
+        for name, arr in (("indices", indices), ("indptr", indptr)):
+            if arr.ndim != 1 or arr.dtype.kind not in "iu":
+                raise ValueError(f"CSR {name} must be a 1-d integer array")
+        if indptr.shape != (n + 1,) or indptr[0] != 0:
+            raise ValueError(f"CSR indptr must have {n + 1} entries starting at 0")
+        if np.any(np.diff(indptr) < 0):
+            raise ValueError("CSR indptr must be nondecreasing")
+        if data.shape != (indptr[-1],) or indices.shape != data.shape:
+            raise ValueError(f"CSR data and indices must hold indptr[-1] = "
+                             f"{indptr[-1]} entries")
+        if len(indices) and not (indices.min() >= 0 and indices.max() < d):
+            raise ValueError(f"CSR column indices must lie in [0, {d})")
+        self.data = _read_only(data)
+        self.indices = _read_only(indices)
+        self.indptr = _read_only(indptr)
+        self.shape = (n, d)
+
+    def __reduce__(self):
+        # Unpickled arrays are writeable; construction makes them read-only.
+        return CSRMatrix, (self.data, self.indices, self.indptr, self.shape)
+
+    @cached_property
+    def _row_ids(self) -> np.ndarray:
+        """The row of each stored entry."""
+        return _read_only(np.repeat(np.arange(self.shape[0]),
+                                    np.diff(self.indptr)))
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.shape[1],):
+            raise ValueError(f"cannot multiply a {self.shape} CSR matrix by "
+                             f"an array of shape {x.shape}")
+        return np.bincount(self._row_ids, self.data * x[self.indices],
+                           minlength=self.shape[0])
+
+    @property
+    def T(self) -> "_TransposedCSR":
+        return _TransposedCSR(self)
+
+    def weighted_square_column_sums(self, weights: np.ndarray) -> np.ndarray:
+        """Column j's sum of ``weights[i] * a ** 2`` over its stored entries
+        ``a``: the diagonal of ``Aᵀ diag(weights) A`` when no row repeats a
+        column."""
+        return np.bincount(self.indices, self.data ** 2 * weights[self._row_ids],
+                           minlength=self.shape[1])
+
+    def __getitem__(self, rows) -> "CSRMatrix":
+        """The rows picked by an integer array (in its order, repeats
+        allowed) or a boolean mask."""
+        rows = np.arange(self.shape[0])[rows]  # numpy's checks and negatives
+        if rows.ndim != 1:
+            raise IndexError("CSR rows take a 1-d integer array or boolean mask")
+        starts = self.indptr[rows]
+        lengths = self.indptr[rows + 1] - starts
+        indptr = np.zeros(len(rows) + 1, dtype=self.indptr.dtype)
+        np.cumsum(lengths, out=indptr[1:])
+        # Entry k of the result is entry starts[r] + (k - indptr[r]) of row r.
+        entries = np.repeat(starts - indptr[:-1], lengths) + np.arange(indptr[-1])
+        return CSRMatrix(self.data[entries], self.indices[entries], indptr,
+                         (len(rows), self.shape[1]))
+
+
+class _TransposedCSR:
+    """``A.T`` for a :class:`CSRMatrix` ``A``, which only multiplies."""
+
+    def __init__(self, matrix: CSRMatrix):
+        self.matrix = matrix
+        self.shape = matrix.shape[::-1]
+
+    def __matmul__(self, r) -> np.ndarray:
+        A = self.matrix
+        r = np.asarray(r, dtype=np.float64)
+        if r.shape != (A.shape[0],):
+            raise ValueError(f"cannot multiply the transpose of a {A.shape} "
+                             f"CSR matrix by an array of shape {r.shape}")
+        return np.bincount(A.indices, A.data * r[A._row_ids],
+                           minlength=A.shape[1])
+
+
+def as_features(features):
+    """``features`` in a layout the pipeline computes with: a
+    ``scipy.sparse`` matrix becomes a :class:`CSRMatrix` over its CSR
+    arrays (no copy for float64 CSR input); anything else is returned as
+    it is."""
+    if hasattr(features, "tocsr"):
+        matrix = features.tocsr()
+        return CSRMatrix(matrix.data, matrix.indices, matrix.indptr, matrix.shape)
+    return features
 
 
 def count_distinct(ids: np.ndarray) -> int:
@@ -97,7 +202,8 @@ def boolean_field(name: str, value) -> bool:
 class Dataset:
     """A weighted classification dataset.
 
-    features : (n, d) dense array or CSR matrix
+    features : (n, d) dense array or :class:`CSRMatrix` (a scipy sparse
+               matrix is converted by :func:`as_features`)
     labels   : (n,) integer class ids in {0, ..., K-1}
     weights  : (n,) nonnegative finite per-point weights (1 for unweighted input)
     point_ids: (n,) stable integer identifiers, unique within the dataset
@@ -106,12 +212,13 @@ class Dataset:
     share read-only across workers.
     """
 
-    features: np.ndarray | sp.csr_matrix
+    features: np.ndarray | CSRMatrix
     labels: np.ndarray
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
     point_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
+        self.features = as_features(self.features)
         n = self.features.shape[0]
         if n < 1:
             raise ValueError("dataset must contain at least one point")
@@ -290,14 +397,12 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
         raise ParseError(f"{path}:{linenos[row]}: non-finite value {data[k]!r} "
                          f"for feature index {indices[k] + 1}")
     if len(data) / max(1, n * dim) < SPARSE_DENSITY_THRESHOLD:
-        import scipy.sparse as sp
-
-        features = sp.csr_matrix(
-            (values,
-             np.asarray(indices, dtype=np.int64),
-             np.asarray(indptr, dtype=np.int64)),
-            shape=(n, dim),
-        )
+        # 32-bit indices whenever they fit, as scipy.sparse picks them: the
+        # split files, and the digests over them, keep that dtype.
+        index_dtype = (np.int32 if max(n, dim, len(data)) <= np.iinfo(np.int32).max
+                       else np.int64)
+        features = CSRMatrix(values, np.asarray(indices, dtype=index_dtype),
+                             np.asarray(indptr, dtype=index_dtype), (n, dim))
     else:
         # Indices within a row are strictly increasing, so no entry repeats;
         # adding to zeros, as CSR todense() does, also stores -0.0 as 0.0.
@@ -449,8 +554,8 @@ def _split_arrays(split: Dataset) -> dict[str, np.ndarray]:
     """The arrays one split file holds: ``features`` for a dense matrix, or
     ``data``/``indices``/``indptr``/``shape`` for a CSR one, plus
     ``labels``, ``weights`` and ``point_ids``."""
-    if issparse(split.features):
-        matrix = split.features.tocsr()
+    if isinstance(split.features, CSRMatrix):
+        matrix = split.features
         arrays = {"data": matrix.data, "indices": matrix.indices,
                   "indptr": matrix.indptr,
                   "shape": np.asarray(matrix.shape, dtype=np.int64)}
@@ -528,11 +633,8 @@ def load_split_bundle(directory) -> tuple[SplitBundle, dict]:
         if "features" in arrays:
             features = arrays["features"]
         else:
-            import scipy.sparse as sp
-
-            features = sp.csr_matrix(
-                (arrays["data"], arrays["indices"], arrays["indptr"]),
-                shape=tuple(int(k) for k in arrays["shape"]))
+            features = CSRMatrix(arrays["data"], arrays["indices"],
+                                 arrays["indptr"], arrays["shape"])
         splits.append(Dataset(features, arrays["labels"], arrays["weights"],
                               arrays["point_ids"]))
     return SplitBundle(*splits), manifest

@@ -14,8 +14,11 @@ On CSR input each Newton system is solved matrix-free, by Jacobi-
 preconditioned conjugate gradients on Hessian-vector products, so training
 holds O(nnz) memory and needs no dense solver (the truncated Newton step of
 Lin, Weng & Keerthi, "Trust Region Newton Method for Logistic Regression",
-JMLR 2008). Dense input forms the Hessian and numpy solves it directly, so
-training imports nothing from scipy.
+JMLR 2008); the products are :class:`~coretune.data.CSRMatrix`'s numpy
+ones. Dense input forms the Hessian and numpy solves it directly. Training
+imports nothing from scipy: a ``scipy.sparse`` matrix passed to
+:func:`train`, :func:`weighted_loss` or :func:`decision_scores` is read as
+a :class:`~coretune.data.CSRMatrix`.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import boolean_field, integer_field, issparse, real_field
+from .data import (CSRMatrix, as_features, boolean_field, integer_field,
+                   real_field)
 
 LOSSES = ("logistic", "hinge")
 
@@ -78,7 +82,7 @@ def _check_train_inputs(features, labels, weights):
     weights = np.asarray(weights, dtype=np.float64)
     if len(labels) != n or len(weights) != n:
         raise ValueError("features, labels, and weights must have equal length")
-    feat_values = features.data if issparse(features) else features
+    feat_values = features.data if isinstance(features, CSRMatrix) else features
     if not np.all(np.isfinite(feat_values)):
         raise ValueError("features contain non-finite values")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
@@ -180,24 +184,22 @@ def _dense_newton_step(features, dw, grad, C):
         return _cholesky_solve(H, grad)
 
 
-def _sparse_newton_step(features, features_t, squares_t, dw, grad, C,
-                        max_iterations):
+def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations):
     """Solve the Newton system ``H p = grad`` for a CSR feature matrix ``A``
     by Jacobi-preconditioned conjugate gradients, never forming ``H``.
 
     ``H u = Aᵀ(dw ∘ (A u + c)) + u / C`` for coefficients ``u`` and, when
     ``grad`` has d + 1 entries, intercept ``c``, whose row is
-    ``Σ dw ∘ (A u + c)``. ``features_t`` is ``Aᵀ`` as CSR and ``squares_t``
-    is ``(A ∘ A)ᵀ``, which gives the Jacobi preconditioner. A diagonal entry
-    of zero, as saturated sigmoids leave the intercept's, shifts ``H`` by
-    the dense solve's ridge. After ``max_iterations``, or on
+    ``Σ dw ∘ (A u + c)``. H's diagonal is the Jacobi preconditioner; an
+    entry of zero, as saturated sigmoids leave the intercept's, shifts
+    ``H`` by the dense solve's ridge. After ``max_iterations``, or on
     curvature ``pᵀHp <= 0``, the current iterate is returned (the
     preconditioned gradient if there is none yet): each is a descent
     direction.
     """
     d = features.shape[1]
     fit_b = len(grad) > d
-    diagonal = np.asarray(squares_t @ dw).ravel() + 1.0 / C
+    diagonal = features.weighted_square_column_sums(dw) + 1.0 / C
     if fit_b:
         diagonal = np.append(diagonal, dw.sum())
     shift = 0.0 if np.all(diagonal > 0) else _ridge(diagonal)
@@ -208,7 +210,7 @@ def _sparse_newton_step(features, features_t, squares_t, dw, grad, C,
         if fit_b:
             q += u[d]
         q *= dw
-        hu = features_t @ q + u[:d] / C
+        hu = features.T @ q + u[:d] / C
         if fit_b:
             hu = np.append(hu, q.sum())
         return hu + shift * u
@@ -242,12 +244,8 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
     coef = np.zeros(d)
     b = 0.0
     converged = False
-    sparse = issparse(features)
+    sparse = isinstance(features, CSRMatrix)
     if sparse:
-        # Built once per fit: Hessian-vector products multiply by the
-        # transpose, and the squares give the CG preconditioner.
-        features_t = features.T.tocsr()
-        squares_t = features_t.power(2)
         cg_cap = _CG_ITERATIONS_PER_UNKNOWN * (d + fit_b)
     # The margins at (coef, b) and, once known, the objective there; an
     # accepted line-search step already computed both for the new iterate.
@@ -263,8 +261,7 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         # sigma(z) (1 - sigma(z)) is symmetric in z, so the tails give it.
         dw = weights * s * (1.0 - s)
         if sparse:
-            step = _sparse_newton_step(features, features_t, squares_t, dw,
-                                       grad, C, cg_cap)
+            step = _sparse_newton_step(features, dw, grad, C, cg_cap)
         else:
             step = _dense_newton_step(features, dw, grad, C)
         if obj is None:
@@ -363,6 +360,7 @@ def _hinge_objective(coef, b, features, y_pm, weights, C):
 
 def train(features, labels, weights, config: TrainConfig) -> LinearModel:
     """Fit a weighted linear classifier; deterministic for fixed inputs."""
+    features = as_features(features)
     y_pm, weights = _check_train_inputs(features, labels, weights)
     if config.loss == "logistic":
         coef, b, converged = _train_logistic(features, y_pm, weights, config)
@@ -376,6 +374,7 @@ def weighted_loss(model: LinearModel, features, labels, weights) -> float:
     and full-data losses compare like with like."""
     y_pm = _as_pm_labels(labels)
     weights = np.asarray(weights, dtype=np.float64)
+    features = as_features(features)
     z = np.asarray(features @ model.coefficients).ravel() + model.intercept
     if model.loss == "logistic":
         per_point = np.logaddexp(0.0, -y_pm * z)
@@ -385,5 +384,6 @@ def weighted_loss(model: LinearModel, features, labels, weights) -> float:
 
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:
+    features = as_features(features)
     return np.asarray(features @ model.coefficients).ravel() + model.intercept
 

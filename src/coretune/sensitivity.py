@@ -13,7 +13,9 @@ of the Gram's (pseudo-)inverse. A CSR matrix is never densified: memory is
 O(nnz + d^2 + block*d), and one Gram costs O(sum of squared row counts +
 d^3 + nnz*d) time. Leverage scores of a dense matrix come from a
 rank-revealing SVD. scipy is imported when Lewis weights, or leverage scores
-of a CSR matrix, are computed.
+of a CSR matrix, are computed; this is the one module that imports scipy.
+A :class:`~coretune.data.CSRMatrix` is handed to ``scipy.sparse`` by
+wrapping its arrays, without a copy.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (Dataset, boolean_field, integer_field, issparse, real_field,
-                   real_number, write_table)
+from .data import (CSRMatrix, Dataset, as_features, boolean_field,
+                   integer_field, real_field, real_number, write_table)
 
 
 class DegenerateScoresError(ValueError):
@@ -76,12 +78,14 @@ _BLOCK_ENTRIES = 1 << 16
 
 def _design_matrix(features, add_intercept: bool):
     """The feature matrix in float64, with a column of ones appended when
-    ``add_intercept``: a CSR input stays CSR, any other becomes a dense
-    array."""
-    if issparse(features):
+    ``add_intercept``: a CSR input becomes a ``scipy.sparse.csr_matrix``,
+    any other a dense array."""
+    features = as_features(features)
+    if isinstance(features, CSRMatrix):
         import scipy.sparse as sp
 
-        A = sp.csr_matrix(features, dtype=np.float64)
+        A = sp.csr_matrix((features.data, features.indices, features.indptr),
+                          shape=features.shape)
         if add_intercept:
             ones = sp.csr_matrix(np.ones((A.shape[0], 1)))
             A = sp.hstack([A, ones], format="csr")
@@ -137,8 +141,9 @@ def _inverse_cholesky_factor(gram) -> tuple[np.ndarray, bool]:
     """
     from scipy.linalg import lapack
 
-    fortran_copy = gram.toarray if issparse(gram) else gram.copy
-    if not np.all(np.isfinite(gram.data if issparse(gram) else gram)):
+    dense = isinstance(gram, np.ndarray)
+    fortran_copy = gram.copy if dense else gram.toarray
+    if not np.all(np.isfinite(gram if dense else gram.data)):
         raise ValueError("array must not contain infs or NaNs")
     factor, info = lapack.dpotrf(fortran_copy(order="F"), lower=1, clean=1,
                                  overwrite_a=1)
@@ -187,7 +192,7 @@ def leverage_sensitivities(features, mix: float = 0.5,
     """
     _check_leverage_params(mix, add_intercept)
     A = _design_matrix(features, add_intercept)
-    if issparse(A):
+    if not isinstance(A, np.ndarray):
         lev = _sparse_leverage(A)
     else:
         U, s, _ = np.linalg.svd(A, full_matrices=False)
@@ -251,7 +256,7 @@ def _lewis_iteration(A, w: np.ndarray) -> tuple[np.ndarray, bool]:
     A^T diag(w)^{-1} A is formed from A scaled by 1/w in A's own layout, and
     the quadratic forms from row blocks of A times its inverse Cholesky
     factor: a dense A costs one scaled copy, a CSR A O(nnz) more memory."""
-    if issparse(A):
+    if not isinstance(A, np.ndarray):
         import scipy.sparse as sp
 
         scaled = sp.csr_matrix((A.data / np.repeat(w, np.diff(A.indptr)),

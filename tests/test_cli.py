@@ -198,10 +198,8 @@ class TestTrialRecord:
 
 class TestSparseLibsvmPipeline:
     def test_one_hot_data_with_lewis_and_hinge(self, tmp_path):
-        import scipy.sparse as sp
-
         from conftest import write_libsvm
-        from coretune.data import parse_libsvm
+        from coretune.data import CSRMatrix, parse_libsvm
 
         rng = np.random.default_rng(0)
         n, d = 400, 40
@@ -212,7 +210,7 @@ class TestSparseLibsvmPipeline:
         y = (rng.random(n) < 1 / (1 + np.exp(-logits))).astype(int)
         data_path = tmp_path / "sparse.libsvm"
         write_libsvm(data_path, X, y)
-        assert sp.issparse(parse_libsvm(str(data_path)).features)
+        assert isinstance(parse_libsvm(str(data_path)).features, CSRMatrix)
 
         config = {
             "dataset": {"path": str(data_path), "format": "libsvm"},
@@ -668,6 +666,9 @@ class TestZeroWeightPoints:
         tmp_path, config_path, config = workdir
         out = tmp_path / "run"
         assert run(config_path, "split") == 0
+        # A successful tune first: its outputs must not outlive a failed one.
+        assert run(config_path, "tune") in (0, 3)
+        assert (out / "trials.csv").exists() and (out / "best_config.json").exists()
         bundle, manifest = load_split_bundle(out / "splits")
         train = bundle.train
         weights = np.where(train.labels == 0, 0.0, train.weights)
@@ -686,6 +687,8 @@ class TestZeroWeightPoints:
         assert capsys.readouterr().err.count("tune: failed cell") == cells
         assert not (out / "trials.csv").exists()
         assert not (out / "best_config.json").exists()
+        assert run(config_path, "refine") == 2
+        assert "run the tune command first" in capsys.readouterr().err
 
 
 class TestNonBinaryLabelIds:

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,14 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import write_libsvm
-from coretune.data import (Dataset, EmptyInputError, ParseError, SplitError,
-                           largest_remainder, load_split_bundle, parse_csv,
-                           parse_libsvm, real_field, save_split_bundle,
-                           stratified_split)
+from coretune.data import (CSRMatrix, Dataset, EmptyInputError, ParseError,
+                           SplitError, as_features, largest_remainder,
+                           load_split_bundle, parse_csv, parse_libsvm,
+                           real_field, save_split_bundle, stratified_split)
+from coretune.learners import TrainConfig, train
 
 
 def dense(features):
-    return features.toarray() if sp.issparse(features) else features
+    if isinstance(features, CSRMatrix):
+        return sp.csr_matrix((features.data, features.indices, features.indptr),
+                             shape=features.shape).toarray()
+    return features
 
 
 def write(tmp_path, name, text):
@@ -67,7 +73,7 @@ class TestParseLibsvm:
     def test_sparse_storage_for_one_hot_style(self, tmp_path):
         lines = "\n".join(f"+1 {i + 1}:1" for i in range(10))
         ds = parse_libsvm(write(tmp_path, "sparse.libsvm", lines))
-        assert sp.issparse(ds.features)
+        assert isinstance(ds.features, CSRMatrix)
         assert ds.dim == 10
 
     def test_dimension_hint_pads_columns(self, tmp_path):
@@ -291,7 +297,7 @@ class TestSplitBundleFiles:
         for name, orig, back in zip(bundle.names, bundle, loaded):
             assert manifest["splits"][name]["file"] == f"{name}.npz"
             assert manifest["splits"][name]["size"] == orig.n
-            assert sp.issparse(back.features) == sparse
+            assert isinstance(back.features, CSRMatrix) == sparse
             if sparse:
                 for part in ("data", "indices", "indptr"):
                     assert np.array_equal(getattr(orig.features, part),
@@ -305,6 +311,17 @@ class TestSplitBundleFiles:
                 assert getattr(back, field).tobytes() == getattr(orig, field).tobytes()
         if sparse:
             assert (loaded.train.features.data == 0.0).any()
+
+    def test_csr_splits_are_read_only(self, tmp_path):
+        lines = "\n".join(f"{(-1) ** i:+d} {i % 10 + 1}:1" for i in range(30))
+        data = parse_libsvm(write(tmp_path, "a.libsvm", lines))
+        save_split_bundle(stratified_split(data, (0.6, 0.2, 0.2), seed=1),
+                          tmp_path / "splits", 1, (0.6, 0.2, 0.2))
+        split, _ = load_split_bundle(tmp_path / "splits")
+        for features in (data.features, split.train.features):
+            for part in ("data", "indices", "indptr"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(features, part)[0] = 1
 
     def test_digest_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -321,6 +338,107 @@ class TestSplitBundleFiles:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_split_bundle(tmp_path / "nope")
+
+
+def csr_with_gaps(seed, n=40, d=12):
+    """A scipy CSR matrix with empty rows (0, 7 and the last) and explicit
+    zeros."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, d)) * (rng.random((n, d)) < 0.25)
+    X[[0, 7, n - 1]] = 0.0
+    S = sp.csr_matrix(X)
+    S.data[::5] = 0.0
+    return S
+
+
+def csr_unsorted_with_duplicates(seed, n=40, d=12):
+    """A scipy CSR matrix whose rows list columns out of order, some twice."""
+    rng = np.random.default_rng(seed)
+    counts = rng.integers(0, 6, size=n)
+    counts[3] = 0
+    S = sp.csr_matrix((rng.normal(size=counts.sum()),
+                       rng.integers(0, d, size=counts.sum()).astype(np.int32),
+                       np.concatenate([[0], np.cumsum(counts)]).astype(np.int32)),
+                      shape=(n, d))
+    assert not S.has_sorted_indices
+    S_sorted = S.copy()
+    S_sorted.sum_duplicates()
+    assert S_sorted.nnz < S.nnz
+    return S
+
+
+class TestCSRMatrix:
+    @pytest.mark.parametrize("make", [csr_with_gaps, csr_unsorted_with_duplicates])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_products_equal_scipys(self, make, seed):
+        S = make(seed)
+        A = as_features(S)
+        rng = np.random.default_rng(seed + 10)
+        x = rng.normal(size=S.shape[1])
+        r = rng.normal(size=S.shape[0])
+        assert np.array_equal(A @ x, S @ x)
+        assert np.array_equal(A.T @ r, S.T @ r)
+        dw = rng.uniform(0.0, 1.0, size=S.shape[0])
+        squares = sp.csr_matrix((S.data ** 2, S.indices, S.indptr), shape=S.shape)
+        assert np.array_equal(A.weighted_square_column_sums(dw), squares.T @ dw)
+
+    @pytest.mark.parametrize("make", [csr_with_gaps, csr_unsorted_with_duplicates])
+    def test_row_gathers_equal_scipys(self, make):
+        S = make(3)
+        A = as_features(S)
+        mask = np.random.default_rng(4).random(S.shape[0]) < 0.5
+        mask[[0, 7]] = True
+        for rows in (np.array([5, 0, 7, 39, 5, 3, -2]), mask,
+                     np.array([], dtype=np.int64)):
+            got, want = A[rows], S[rows]
+            assert got.shape == want.shape
+            for part in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(got, part), getattr(want, part)), part
+                assert getattr(got, part).dtype == getattr(want, part).dtype, part
+        with pytest.raises(IndexError):
+            A[np.array([S.shape[0]])]
+
+    def test_duplicate_entries_train_like_their_sums(self):
+        # Products and gathers read each stored entry, as scipy's did, so
+        # only the rounding of a repeated entry's terms can differ.
+        S = csr_unsorted_with_duplicates(5, n=120, d=15)
+        summed = S.copy()
+        summed.sum_duplicates()
+        y = (np.random.default_rng(6).random(120) < 0.4).astype(int)
+        w = np.ones(120)
+        got = train(S, y, w, TrainConfig())
+        want = train(summed, y, w, TrainConfig())
+        assert got.converged and want.converged
+        np.testing.assert_allclose(got.coefficients, want.coefficients,
+                                   rtol=1e-9, atol=1e-12)
+        assert got.intercept == pytest.approx(want.intercept, rel=1e-9, abs=1e-12)
+
+    def test_arrays_are_read_only_views(self):
+        S = csr_with_gaps(0)
+        A = as_features(S)
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(A, part), getattr(S, part))
+            assert not getattr(A, part).flags.writeable
+            assert getattr(S, part).flags.writeable
+        back = pickle.loads(pickle.dumps(A))
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(back, part), getattr(A, part))
+            assert not getattr(back, part).flags.writeable
+        assert back.shape == A.shape
+
+    @pytest.mark.parametrize("data,indices,indptr,shape,match", [
+        ([1.0], [3], [0, 1], (1, 3), "column indices"),
+        ([1.0], [-1], [0, 1], (1, 3), "column indices"),
+        ([1.0], [0], [0, 1, 1], (1, 3), "indptr"),
+        ([1.0], [0], [1, 1], (1, 3), "indptr"),
+        ([1.0, 2.0], [0, 1], [0, 2, 1], (2, 3), "nondecreasing"),
+        ([1.0, 2.0], [0], [0, 1], (1, 3), "entries"),
+        ([1.0], [0.0], [0, 1], (1, 3), "integer"),
+    ])
+    def test_rejects_malformed_arrays(self, data, indices, indptr, shape, match):
+        with pytest.raises(ValueError, match=match):
+            CSRMatrix(np.asarray(data), np.asarray(indices), np.asarray(indptr),
+                      shape)
 
 
 class TestDatasetInvariants:

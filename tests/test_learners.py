@@ -8,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from coretune import learners
+from coretune.data import as_features
 from coretune.learners import (LinearModel, TrainConfig, decision_scores, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective, weighted_loss)
@@ -205,8 +206,7 @@ def sparse_instance(n, d, seed, density=0.05):
 
 
 def sparse_step(X, dw, grad, C=1.0, max_iterations=1000):
-    Xt = X.T.tocsr()
-    return learners._sparse_newton_step(X, Xt, Xt.power(2), dw, grad, C,
+    return learners._sparse_newton_step(as_features(X), dw, grad, C,
                                         max_iterations)
 
 

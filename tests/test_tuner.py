@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from coretune.data import Dataset, stratified_split
+from coretune.data import CSRMatrix, Dataset, stratified_split
 from coretune.learners import TrainConfig
 from coretune.refine import RefineConfig
 from coretune.sampler import build_coreset
@@ -256,7 +256,7 @@ class TestRunGridGolden:
                              ids=["dense-leverage", "csr-lewis"])
     def test_trials_csv_bytes_pinned(self, tmp_path, sparse, provider):
         splits = golden_splits(sparse)
-        assert sp.issparse(splits.train.features) == sparse
+        assert isinstance(splits.train.features, CSRMatrix) == sparse
         result = run_grid(splits, GridSpec(sensitivity_provider=provider,
                                            **GOLDEN_GRID), TrainConfig())
         assert len(result.trials) == 72 and not result.failures

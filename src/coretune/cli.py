@@ -1,9 +1,10 @@
 """Command-line pipeline: split | score | build | tune | refine | report.
 
 Every command is driven by one JSON run config (--config) and is idempotent
-for fixed inputs and seeds; outputs embed the config hash and are written
-atomically. Exit codes: 0 success, 1 usage/config error, 2 runtime failure,
-3 partial grid (some cells failed).
+for fixed inputs and seeds; outputs embed the config hash. Every output but
+the split files is written atomically; a partly written split fails its
+manifest at the next load. Exit codes: 0 success, 1 usage/config error,
+2 runtime failure, 3 partial grid (some cells failed).
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .data import (load_split_bundle, parse_csv, parse_libsvm, read_table,
-                   save_split_bundle, stratified_split, write_table)
+from .data import (SplitError, load_split_bundle, parse_csv, parse_libsvm,
+                   read_table, save_split_bundle, stratified_split, write_table)
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
@@ -139,6 +140,11 @@ def _train_scores(cfg: RunConfig, bundle, manifest: dict,
 
 def cmd_split(cfg: RunConfig) -> int:
     dataset = _load_dataset(cfg)
+    # The learners and metrics are binary; fail here, not at tune.
+    n_classes = len(dataset.classes)
+    if n_classes != 2:
+        raise SplitError(f"{cfg.dataset_path}: expected 2 label classes, "
+                         f"found {n_classes}")
     bundle = stratified_split(dataset, cfg.split_fractions, cfg.split_seed)
     save_split_bundle(bundle, _splits_dir(cfg), cfg.split_seed,
                       cfg.split_fractions,

@@ -245,40 +245,13 @@ def select_deterministic(probs: np.ndarray, budget: int, det_ratio: float,
     return np.sort(order[:k])
 
 
-# Generator.choice's tolerance on the sum of float64 probabilities.
-_P_SUM_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
-
-
-def _draw_with_replacement(rp: np.ndarray, draws: int,
-                           rng: np.random.Generator) -> np.ndarray:
-    """``rng.choice(len(rp), size=draws, replace=True, p=rp)``, draw for draw.
-
-    These are choice's own steps for sampling with replacement under ``p``
-    (inverse CDF over ``rng.random``), with its checks on ``p``: no NaN, no
-    negative entry, a sum within sqrt(eps) of 1. choice checks a compensated
-    sum; the pairwise sum here differs from it by far less than sqrt(eps).
-    ``rp`` is a nonempty 1-d float64 array; choice's per-call argument
-    handling is what is skipped.
-    """
-    p_sum = float(rp.sum())
-    if np.isnan(p_sum):
-        raise ValueError("Probabilities contain NaN")
-    if np.any(rp < 0):
-        raise ValueError("Probabilities are not non-negative")
-    if abs(p_sum - 1.0) > _P_SUM_ATOL:
-        raise ValueError("Probabilities do not sum to 1")
-    cdf = rp.cumsum()
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(draws), side="right")
-
-
 def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Draw ``draws`` points i.i.d. with replacement from outside Q.
 
-    Probabilities over the complement of Q are renormalized to sum 1; the
-    result is the ascending sampled positions and their multiplicities, which
-    sum to ``draws``.
+    Probabilities over the complement of Q are renormalized to sum 1 and
+    drawn by ``rng.choice``; the result is the ascending sampled positions
+    and their multiplicities, which sum to ``draws``.
     """
     if draws < 1:
         raise ValueError("draws must be >= 1")
@@ -290,7 +263,7 @@ def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
     mass = p_residual.sum()
     if len(residual) == 0 or mass <= 0:
         raise ValueError("no residual probability mass outside the deterministic set")
-    picks = _draw_with_replacement(p_residual / mass, draws, rng)
+    picks = rng.choice(len(residual), size=draws, p=p_residual / mass)
     return np.unique(residual[picks], return_counts=True)
 
 

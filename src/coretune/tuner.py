@@ -206,10 +206,11 @@ def _fit_and_score(splits: SplitBundle, features, labels, weights,
                  for split in (splits.validation, splits.test))
 
 
-def _run_cell(splits, scores, plan: SamplingPlan, cell: Cell, repeat: int,
-              seed: int, train_config: TrainConfig):
-    """Build -> train -> evaluate one trial; ``plan`` is the SamplingPlan of
-    (splits.train, scores)."""
+def _run_cell(splits, scores, plan: SamplingPlan, train_config: TrainConfig,
+              task: tuple[Cell, int, int]):
+    """Build -> train -> evaluate one (cell, repeat, seed) trial; ``plan`` is
+    the SamplingPlan of (splits.train, scores)."""
+    cell, repeat, seed = task
     m = coreset_size_for(cell.coreset_ratio, splits.train.n, len(plan.class_counts))
     config = replace(cell.knobs, coreset_size=m, seed=seed)
     cfg = train_config
@@ -225,21 +226,18 @@ def _run_cell(splits, scores, plan: SamplingPlan, cell: Cell, repeat: int,
                        CoresetStats.of(coreset), vanilla=cell.vanilla)
 
 
-_WORKER_CTX: dict = {}
+# A pool worker's (splits, scores, plan, train_config), stored once per
+# worker process by the pool's initializer.
+_pool_inputs: tuple = ()
 
 
-def _worker_init(splits, scores, plan, cells, train_config, repeats, base_seed):
-    _WORKER_CTX["args"] = (splits, scores, plan, cells, train_config, repeats,
-                           base_seed)
+def _store_pool_inputs(*inputs):
+    global _pool_inputs
+    _pool_inputs = inputs
 
 
-def _worker_task(flat_index: int):
-    splits, scores, plan, cells, train_config, repeats, base_seed = \
-        _WORKER_CTX["args"]
-    cell = cells[flat_index // repeats]
-    repeat = flat_index % repeats
-    return _run_cell(splits, scores, plan, cell, repeat, base_seed + flat_index,
-                     train_config)
+def _pooled_cell(task):
+    return _run_cell(*_pool_inputs, task)
 
 
 def _usable_cpus() -> int:
@@ -266,20 +264,20 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
         scores = compute_scores(grid.sensitivity_provider, splits.train,
                                 **grid.provider_params)
     cells = enumerate_cells(grid)
-    n_tasks = len(cells) * grid.repeats
-    context = (splits, scores, SamplingPlan(splits.train, scores), cells,
-               train_config, grid.repeats, grid.base_seed)
+    tasks = [(cell, repeat, grid.base_seed + i) for i, (cell, repeat) in
+             enumerate(itertools.product(cells, range(grid.repeats)))]
+    inputs = (splits, scores, SamplingPlan(splits.train, scores), train_config)
     workers = min(workers, _usable_cpus())
-    if workers > 1 and n_tasks > 1:
+    if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init,
-                                 initargs=context) as pool:
-            chunk = max(1, n_tasks // (workers * 8))
-            outcomes = list(pool.map(_worker_task, range(n_tasks), chunksize=chunk))
+        with ProcessPoolExecutor(max_workers=workers,
+                                 initializer=_store_pool_inputs,
+                                 initargs=inputs) as pool:
+            chunk = max(1, len(tasks) // (workers * 8))
+            outcomes = list(pool.map(_pooled_cell, tasks, chunksize=chunk))
     else:
-        _worker_init(*context)
-        outcomes = [_worker_task(i) for i in range(n_tasks)]
+        outcomes = [_run_cell(*inputs, task) for task in tasks]
 
     trials = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if isinstance(o, FailedCell)]
@@ -287,15 +285,10 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
     by_cell: dict[int, list[TrialResult]] = {}
     for t in trials:
         by_cell.setdefault(t.cell_index, []).append(t)
-    summaries = []
-    for cell in cells:
-        group = by_cell.get(cell.index)
-        if not group:
-            continue
-        summaries.append(CellSummary(
-            cell,
-            float(np.mean([t.validation.f1 for t in group])),
-            float(np.mean([t.test.f1 for t in group]))))
+    summaries = [CellSummary(cells[index],
+                             float(np.mean([t.validation.f1 for t in group])),
+                             float(np.mean([t.test.f1 for t in group])))
+                 for index, group in by_cell.items()]
     summaries.sort(key=lambda s: (-s.mean_validation_f1, s.cell.index))
     rank_of = {s.cell.index: r for r, s in enumerate(summaries)}
     trials.sort(key=lambda t: (rank_of[t.cell_index], t.repeat))

@@ -264,6 +264,26 @@ class TestErrorsAndExitCodes:
         assert f"{data_path}:4: non-integer label 'inf'" in err
         assert not (tmp_path / "run" / "splits").exists()
 
+    @pytest.mark.parametrize("fmt", ["csv", "libsvm"])
+    def test_split_rejects_non_binary_labels(self, workdir, capsys, fmt):
+        tmp_path, config_path, config = workdir
+        if fmt == "csv":  # a third class
+            data_path = tmp_path / "data.csv"
+            lines = data_path.read_text().splitlines()
+            lines[1:4] = [f"{row.rsplit(',', 1)[0]},2" for row in lines[1:4]]
+            classes = 3
+        else:  # every row +1
+            data_path = tmp_path / "data.libsvm"
+            lines = [f"+1 1:{i + 1}.5 3:-2" for i in range(30)]
+            config["dataset"] = {"path": str(data_path), "format": "libsvm"}
+            classes = 1
+        data_path.write_text("\n".join(lines) + "\n")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run(config_path, "split") == 2
+        err = capsys.readouterr().err
+        assert f"{data_path}: expected 2 label classes, found {classes}" in err
+        assert not (tmp_path / "run" / "splits").exists()
+
     def test_score_before_split(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "score") == 2

@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from coretune.data import Dataset, stratified_split
-from coretune.learners import LinearModel, TrainConfig
+from coretune.learners import LinearModel, TrainConfig, decision_scores
 from coretune.refine import (RefineConfig, refine, trace_to_csv,
                              uncertainty_query)
 from coretune.sampler import SamplerConfig, build_coreset
@@ -233,6 +235,36 @@ class TestRefineBehaviour:
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "round,pool_size,phi_before,phi_after,patience,decision"
         assert len(lines) >= 3
+
+
+def validation_f1(model, validation):
+    """F1 at threshold 0, counted here rather than by coretune.metrics."""
+    predicted = decision_scores(model, validation.features) > 0
+    actual = validation.labels == 1
+    tp = int(np.sum(predicted & actual))
+    wrong = int(np.sum(predicted != actual))
+    return 2 * tp / (2 * tp + wrong) if tp or wrong else 0.0
+
+
+class TestCallableMetric:
+    @pytest.mark.parametrize("seed", [2, 7])  # kept_original, kept_refined
+    def test_callable_f1_matches_the_named_metric(self, seed):
+        splits = make_problem(seed=seed, n=200)
+        coreset = small_coreset(splits.train, size=14, seed=seed)
+        runs = [refine(splits.train, splits.validation, coreset, TrainConfig(),
+                       RefineConfig(batch_size=4, patience=2, metric=metric))
+                for metric in ("f1", validation_f1)]
+        (named, named_trace), (called, called_trace) = runs
+        assert called_trace == named_trace
+        for name in ("point_ids", "weights", "labels", "provenance", "counts"):
+            assert np.array_equal(getattr(called, name), getattr(named, name))
+
+    def test_nan_metric_is_rejected(self):
+        splits = make_problem(seed=2)
+        coreset = small_coreset(splits.train, size=14)
+        config = RefineConfig(batch_size=4, metric=lambda model, data: math.nan)
+        with pytest.raises(ValueError, match="not finite"):
+            refine(splits.train, splits.validation, coreset, TrainConfig(), config)
 
 
 class TestRefineConfig:

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -9,10 +10,10 @@ from hypothesis import strategies as st
 from coretune.data import Dataset
 from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
                               SamplingPlan, StrategyInfeasibleError,
-                              ZeroWeightPointError, _draw_with_replacement,
-                              allocate_class_budgets, assign_weights,
-                              build_coreset, coreset_from_csv, coreset_to_csv,
-                              sample_residual, select_deterministic)
+                              ZeroWeightPointError, allocate_class_budgets,
+                              assign_weights, build_coreset, coreset_from_csv,
+                              coreset_to_csv, sample_residual,
+                              select_deterministic)
 from coretune.sensitivity import SensitivityScores, compute_scores, uniform_scores
 
 
@@ -89,6 +90,9 @@ class TestSelectDeterministic:
         assert sorted(ids[q].tolist()) == [10, 20]
 
 
+NO_Q = np.array([], dtype=int)
+
+
 class TestSampleResidual:
     def test_forced_single_point(self):
         probs = np.array([0.4, 0.3, 0.3])
@@ -120,51 +124,30 @@ class TestSampleResidual:
         with pytest.raises(ValueError, match="residual"):
             sample_residual(probs, np.array([0, 1]), 3, np.random.default_rng(0))
 
-
-class TestDrawWithReplacement:
-    """Coreset bytes depend on these draws equalling Generator.choice's."""
-
-    @staticmethod
-    def assert_matches_choice(rp, draws, seed):
-        ours_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        ours = _draw_with_replacement(rp, draws, ours_rng)
-        theirs = choice_rng.choice(len(rp), size=draws, replace=True, p=rp)
-        assert ours.dtype == theirs.dtype
-        assert np.array_equal(ours, theirs)
-        # both consumed the same stream, so later draws stay in step
-        assert ours_rng.bit_generator.state == choice_rng.bit_generator.state
-
-    @pytest.mark.parametrize("seed", range(20))
-    def test_random_probabilities(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(1, 300))
-        v = rng.exponential(1.0, n) ** rng.uniform(0.5, 4.0)
-        self.assert_matches_choice(v / v.sum(), int(rng.integers(1, 2000)), seed)
-
-    @pytest.mark.parametrize("rp", [
+    # Coreset bytes depend on these draws being Generator.choice's.
+    @pytest.mark.parametrize("probs", [
         np.array([1.0]),
         np.array([1e-300, 1.0 - 1e-300]),
         np.array([1.0 - 2e-17, 1e-17, 1e-17]),
         np.r_[np.full(999, 1e-12), 1.0 - 999e-12],
-        np.full(7, 1.0 / 7),
         np.array([0.0, 0.5, 0.0, 0.5]),
-    ], ids=["n1", "tiny", "extreme", "spike", "uniform", "zeros"])
+    ], ids=["n1", "tiny", "extreme", "spike", "zeros"])
     @pytest.mark.parametrize("draws", [1, 3, 500])
-    def test_edge_cases(self, rp, draws):
-        for seed in range(5):
-            self.assert_matches_choice(rp, draws, seed)
-
-    @pytest.mark.parametrize("rp", [np.array([0.5, np.nan]),
-                                    np.array([1.5, -0.5]),
-                                    np.array([0.5, 0.4])])
-    def test_rejects_what_choice_rejects(self, rp):
-        with pytest.raises(ValueError):
-            np.random.default_rng(0).choice(2, size=3, replace=True, p=rp)
-        with pytest.raises(ValueError):
-            _draw_with_replacement(rp, 3, np.random.default_rng(0))
-
-
-NO_Q = np.array([], dtype=int)
+    def test_draws_are_choice_draws(self, probs, draws):
+        qs = [NO_Q] if len(probs) == 1 else [NO_Q, np.array([len(probs) - 1])]
+        for q, seed in itertools.product(qs, range(5)):
+            ours_rng, choice_rng = (np.random.default_rng(seed),
+                                    np.random.default_rng(seed))
+            positions, counts = sample_residual(probs, q, draws, ours_rng)
+            residual = np.setdiff1d(np.arange(len(probs)), q)
+            p = probs[residual]
+            picks = residual[choice_rng.choice(len(residual), size=draws,
+                                               replace=True, p=p / p.sum())]
+            expected = np.unique(picks, return_counts=True)
+            assert np.array_equal(positions, expected[0])
+            assert np.array_equal(counts, expected[1])
+            # both consumed the same stream, so later draws stay in step
+            assert ours_rng.bit_generator.state == choice_rng.bit_generator.state
 
 
 class TestAssignWeights:

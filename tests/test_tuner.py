@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -160,6 +162,14 @@ class TestRunGrid:
             [(t.cell_index, t.repeat) for t in parallel.trials]
         assert np.allclose([t.validation.f1 for t in serial.trials],
                            [t.validation.f1 for t in parallel.trials])
+
+    def test_serial_grid_keeps_no_inputs_alive(self):
+        splits = imbalanced_problem(seed=5)
+        alive = weakref.ref(splits)
+        run_grid(splits, SMALL_GRID, TrainConfig())
+        del splits
+        gc.collect()
+        assert alive() is None
 
     def test_trial_record_round_trips(self):
         result = run_grid(imbalanced_problem(seed=6), SMALL_GRID, TrainConfig())

@@ -124,30 +124,60 @@ class TestSampleResidual:
         with pytest.raises(ValueError, match="residual"):
             sample_residual(probs, np.array([0, 1]), 3, np.random.default_rng(0))
 
-    # Coreset bytes depend on these draws being Generator.choice's.
+    @staticmethod
+    def assert_matches_choice(probs, q, draws, seed):
+        """Coreset bytes depend on these draws being Generator.choice's."""
+        ours_rng, choice_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        positions, counts = sample_residual(probs, q, draws, ours_rng)
+        residual = np.setdiff1d(np.arange(len(probs)), q)
+        p = probs[residual]
+        picks = residual[choice_rng.choice(len(residual), size=draws,
+                                           replace=True, p=p / p.sum())]
+        expected = np.unique(picks, return_counts=True)
+        assert np.array_equal(positions, expected[0])
+        assert np.array_equal(counts, expected[1])
+        # both consumed the same stream, so later draws stay in step
+        assert ours_rng.bit_generator.state == choice_rng.bit_generator.state
+
     @pytest.mark.parametrize("probs", [
         np.array([1.0]),
         np.array([1e-300, 1.0 - 1e-300]),
         np.array([1.0 - 2e-17, 1e-17, 1e-17]),
         np.r_[np.full(999, 1e-12), 1.0 - 999e-12],
+        np.full(7, 1.0 / 7),
         np.array([0.0, 0.5, 0.0, 0.5]),
-    ], ids=["n1", "tiny", "extreme", "spike", "zeros"])
+    ], ids=["n1", "tiny", "extreme", "spike", "uniform", "zeros"])
     @pytest.mark.parametrize("draws", [1, 3, 500])
     def test_draws_are_choice_draws(self, probs, draws):
         qs = [NO_Q] if len(probs) == 1 else [NO_Q, np.array([len(probs) - 1])]
         for q, seed in itertools.product(qs, range(5)):
-            ours_rng, choice_rng = (np.random.default_rng(seed),
-                                    np.random.default_rng(seed))
-            positions, counts = sample_residual(probs, q, draws, ours_rng)
-            residual = np.setdiff1d(np.arange(len(probs)), q)
-            p = probs[residual]
-            picks = residual[choice_rng.choice(len(residual), size=draws,
-                                               replace=True, p=p / p.sum())]
-            expected = np.unique(picks, return_counts=True)
-            assert np.array_equal(positions, expected[0])
-            assert np.array_equal(counts, expected[1])
-            # both consumed the same stream, so later draws stay in step
-            assert ours_rng.bit_generator.state == choice_rng.bit_generator.state
+            self.assert_matches_choice(probs, q, draws, seed)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_probabilities(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 300))
+        v = rng.exponential(1.0, n) ** rng.uniform(0.5, 4.0)
+        q = np.sort(rng.choice(n, size=int(rng.integers(0, n)), replace=False))
+        self.assert_matches_choice(v / v.sum(), q, int(rng.integers(1, 2000)), seed)
+
+    def test_unnormalized_probabilities_are_renormalized(self):
+        for seed in range(5):
+            a = sample_residual(np.array([0.5, 0.4]), NO_Q, 50,
+                                np.random.default_rng(seed))
+            b = sample_residual(np.array([5.0, 4.0]) / 9.0, NO_Q, 50,
+                                np.random.default_rng(seed))
+            assert np.array_equal(a[0], b[0])
+            assert np.array_equal(a[1], b[1])
+
+    @pytest.mark.parametrize("probs", [np.array([0.5, np.nan]),
+                                       np.array([1.5, -0.5])],
+                             ids=["nan", "negative"])
+    def test_rejects_what_choice_rejects(self, probs):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(2, size=3, replace=True, p=probs)
+        with pytest.raises(ValueError):
+            sample_residual(probs, NO_Q, 3, np.random.default_rng(0))
 
 
 class TestAssignWeights:

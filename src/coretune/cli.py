@@ -1,9 +1,12 @@
 """Command-line pipeline: split | score | build | tune | refine | report.
 
 Every command is driven by one JSON run config (--config) and is idempotent
-for fixed inputs and seeds; outputs embed the config hash. Every output but
-the split files is written atomically; a partly written split fails its
-manifest at the next load. Exit codes: 0 success, 1 usage/config error,
+for fixed inputs and seeds; outputs embed the config hash. The commands
+after split read the split store and the train scores through ``_inputs``,
+which alone reuses or refreshes ``scores.npz``, and write their tables
+through ``_write``. Every output but the split files is written atomically;
+a partly written split fails its manifest at the next load, and a failed
+split leaves no store. Exit codes: 0 success, 1 usage/config error,
 2 runtime failure, 3 partial grid (some cells failed).
 """
 
@@ -14,14 +17,16 @@ import contextlib
 import datetime
 import json
 import os
+import shutil
 import sys
 import traceback
 from dataclasses import asdict, replace
 
 import numpy as np
 
-from .data import (SplitError, load_split_bundle, parse_csv, parse_libsvm,
-                   read_table, save_split_bundle, stratified_split, write_table)
+from .data import (SplitBundle, SplitError, load_split_bundle, parse_csv,
+                   parse_libsvm, read_table, save_split_bundle,
+                   stratified_split, write_table)
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
@@ -72,17 +77,35 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _path(cfg: RunConfig, name: str) -> str:
+    return os.path.join(cfg.output_dir, name)
+
+
+def _missing(artifact: str, command: str) -> ArtifactMissingError:
+    return ArtifactMissingError(f"no {artifact}; run the {command} command first")
+
+
 def _append_run_log(cfg: RunConfig, message: str) -> None:
     # Timestamps live only here, never in artifacts.
     os.makedirs(cfg.output_dir, exist_ok=True)
     stamp = datetime.datetime.now().isoformat(timespec="seconds")
-    with open(os.path.join(cfg.output_dir, "run.log"), "a") as fh:
+    with open(_path(cfg, "run.log"), "a") as fh:
         fh.write(f"{stamp} {message}\n")
 
 
 def _log(cfg: RunConfig, message: str) -> None:
     _append_run_log(cfg, message)
     print(message, file=sys.stderr)
+
+
+def _write(cfg: RunConfig, name: str, writer, *args, note: str = "") -> str:
+    """Write ``<output_dir>/<name>`` atomically by ``writer(*args, path,
+    header_comment=...)``, stamped ``config_hash=<hash><note>``; returns
+    its path."""
+    path = _path(cfg, name)
+    with atomic_output(path) as tmp:
+        writer(*args, tmp, header_comment=f"config_hash={cfg.config_hash()}{note}")
+    return path
 
 
 def _load_dataset(cfg: RunConfig):
@@ -93,37 +116,29 @@ def _load_dataset(cfg: RunConfig):
     return parse_csv(cfg.dataset_path, cfg.label_column, cfg.has_header)
 
 
-def _splits_dir(cfg: RunConfig) -> str:
-    return os.path.join(cfg.output_dir, "splits")
+def _inputs(cfg: RunConfig, sensitivity: tuple[str, dict] | None = None
+            ) -> tuple[SplitBundle, SensitivityScores]:
+    """The split store and the train split's scores under ``sensitivity``,
+    the (provider, params) recorded with the tuned best, or by default the
+    configured ones.
 
-
-def _load_splits(cfg: RunConfig):
-    try:
-        return load_split_bundle(_splits_dir(cfg))
-    except FileNotFoundError:
-        raise ArtifactMissingError(
-            f"no splits under {_splits_dir(cfg)}; run the split command first"
-        ) from None
-
-
-def _train_scores(cfg: RunConfig, bundle, manifest: dict,
-                  sensitivity: tuple[str, dict] | None = None
-                  ) -> SensitivityScores:
-    """The train split's scores under ``sensitivity``, the (provider,
-    params) recorded with the tuned best, or by default the configured ones.
-
-    They come from ``<output_dir>/scores.npz`` when its key (provider,
+    The scores come from ``<output_dir>/scores.npz`` when its key (provider,
     params, train-split digest) matches; otherwise they are computed once
     and stored there, replacing any scores of another key.
     """
+    splits = _path(cfg, "splits")
+    try:
+        bundle, manifest = load_split_bundle(splits)
+    except FileNotFoundError:
+        raise _missing(f"splits under {splits}", "split") from None
     provider, params = sensitivity or (cfg.provider, cfg.provider_params)
     key = json.dumps([provider, params, manifest["splits"]["train"]["sha256"]],
                      sort_keys=True)
-    path = os.path.join(cfg.output_dir, "scores.npz")
+    path = _path(cfg, "scores.npz")
     if os.path.exists(path):
         with np.load(path, allow_pickle=False) as stored:
             if str(stored["key"]) == key:
-                return SensitivityScores(
+                return bundle, SensitivityScores(
                     stored["values"], float(stored["total"]),
                     str(stored["provider_name"]), bool(stored["converged"]),
                     bool(stored["ridge_fallback"]))
@@ -135,10 +150,14 @@ def _train_scores(cfg: RunConfig, bundle, manifest: dict,
                      provider_name=np.asarray(scores.provider_name),
                      converged=scores.converged,
                      ridge_fallback=scores.ridge_fallback)
-    return scores
+    return bundle, scores
 
 
 def cmd_split(cfg: RunConfig) -> int:
+    # A split that fails must leave no store for later commands to run on.
+    splits = _path(cfg, "splits")
+    with contextlib.suppress(FileNotFoundError):
+        shutil.rmtree(splits)
     dataset = _load_dataset(cfg)
     # The learners and metrics are binary; fail here, not at tune.
     n_classes = len(dataset.classes)
@@ -146,70 +165,54 @@ def cmd_split(cfg: RunConfig) -> int:
         raise SplitError(f"{cfg.dataset_path}: expected 2 label classes, "
                          f"found {n_classes}")
     bundle = stratified_split(dataset, cfg.split_fractions, cfg.split_seed)
-    save_split_bundle(bundle, _splits_dir(cfg), cfg.split_seed,
-                      cfg.split_fractions,
+    save_split_bundle(bundle, splits, cfg.split_seed, cfg.split_fractions,
                       extra={"config_hash": cfg.config_hash(),
                              "source": cfg.dataset_path})
     sizes = {name: split.n for name, split in zip(bundle.names, bundle)}
-    _log(cfg, f"split: wrote {sizes} to {_splits_dir(cfg)}")
+    _log(cfg, f"split: wrote {sizes} to {splits}")
     return EXIT_OK
 
 
 def cmd_score(cfg: RunConfig) -> int:
-    bundle, manifest = _load_splits(cfg)
-    scores = _train_scores(cfg, bundle, manifest)
-    out = os.path.join(cfg.output_dir, "scores.csv")
-    with atomic_output(out) as tmp:
-        scores_to_csv(scores, bundle.train.point_ids, tmp,
-                      header_comment=f"config_hash={cfg.config_hash()}")
+    bundle, scores = _inputs(cfg)
+    out = _write(cfg, "scores.csv", scores_to_csv, scores, bundle.train.point_ids)
     _log(cfg, f"score: provider={cfg.provider} n={bundle.train.n} -> {out}")
     return EXIT_OK
 
 
 def cmd_build(cfg: RunConfig) -> int:
-    bundle, manifest = _load_splits(cfg)
+    bundle, scores = _inputs(cfg)
     train = bundle.train
     config = replace(cfg.build, coreset_size=coreset_size_for(
         cfg.build_ratio, train.n, len(train.classes)))
-    scores = _train_scores(cfg, bundle, manifest)
     coreset = build_coreset(train, scores, config)
-    out = os.path.join(cfg.output_dir, "coreset.csv")
-    with atomic_output(out) as tmp:
-        coreset_to_csv(coreset, tmp,
-                       header_comment=f"config_hash={cfg.config_hash()} "
-                                      f"sampler={json.dumps(config.to_dict(), sort_keys=True)}")
+    out = _write(cfg, "coreset.csv", coreset_to_csv, coreset,
+                 note=f" sampler={json.dumps(config.to_dict(), sort_keys=True)}")
     _log(cfg, f"build: m={config.coreset_size} unique={coreset.n_unique} -> {out}")
     return EXIT_OK
-
-
-def _best_config_path(cfg: RunConfig) -> str:
-    return os.path.join(cfg.output_dir, "best_config.json")
 
 
 def cmd_tune(cfg: RunConfig) -> int:
     if cfg.grid is None:
         raise ConfigError(f"{cfg.path}: missing config field 'grid'")
-    bundle, manifest = _load_splits(cfg)
+    bundle, scores = _inputs(cfg)
     result = run_grid(bundle, cfg.grid, cfg.train, workers=cfg.workers,
-                      scores=_train_scores(cfg, bundle, manifest))
+                      scores=scores)
     for failure in result.failures:
         _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
                   f"seed {failure.seed}: {failure.error}")
-    trials_out = os.path.join(cfg.output_dir, "trials.csv")
     if not result.trials:
         # An earlier tune's best must not pass for this one's in refine and
         # report.
-        for stale in (trials_out, _best_config_path(cfg)):
+        for stale in ("trials.csv", "best_config.json"):
             with contextlib.suppress(FileNotFoundError):
-                os.remove(stale)
+                os.remove(_path(cfg, stale))
     best = result.best  # raises, before any artifact is written, if all failed
-    with atomic_output(trials_out) as tmp:
-        trials_to_csv(result, tmp,
-                      header_comment=f"config_hash={cfg.config_hash()}")
+    trials_out = _write(cfg, "trials.csv", trials_to_csv, result)
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
                    "provider_params": cfg.provider_params,
                    "train": asdict(cfg.train)}
-    with atomic_output(_best_config_path(cfg)) as tmp:
+    with atomic_output(_path(cfg, "best_config.json")) as tmp:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
             fh.write("\n")
@@ -221,10 +224,9 @@ def cmd_tune(cfg: RunConfig) -> int:
 
 def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConfig]:
     """The tuned best trial, its (provider, params) and tune's TrainConfig."""
-    path = _best_config_path(cfg)
+    path = _path(cfg, "best_config.json")
     if not os.path.exists(path):
-        raise ArtifactMissingError(
-            f"no best-config record at {path}; run the tune command first")
+        raise _missing(f"best-config record at {path}", "tune")
     with open(path) as fh:
         record = json.load(fh)
     if "train" not in record:
@@ -236,20 +238,14 @@ def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConf
 
 
 def cmd_refine(cfg: RunConfig) -> int:
-    bundle, manifest = _load_splits(cfg)
     best, sensitivity, train_config = _load_best(cfg)
+    bundle, scores = _inputs(cfg, sensitivity)
     refine_cfg = cfg.refine or RefineConfig(batch_size=max(1, bundle.train.n // 20))
-    coreset, trace = refine_best(bundle, best, refine_cfg, train_config,
-                                 _train_scores(cfg, bundle, manifest, sensitivity))
-    coreset_out = os.path.join(cfg.output_dir, "refined_coreset.csv")
-    with atomic_output(coreset_out) as tmp:
-        coreset_to_csv(coreset, tmp,
-                       header_comment=f"config_hash={cfg.config_hash()} "
-                                      f"decision={trace.decision}")
-    trace_out = os.path.join(cfg.output_dir, "refine_trace.csv")
+    coreset, trace = refine_best(bundle, best, refine_cfg, train_config, scores)
+    coreset_out = _write(cfg, "refined_coreset.csv", coreset_to_csv, coreset,
+                         note=f" decision={trace.decision}")
     from .refine import trace_to_csv
-    with atomic_output(trace_out) as tmp:
-        trace_to_csv(trace, tmp, header_comment=f"config_hash={cfg.config_hash()}")
+    _write(cfg, "refine_trace.csv", trace_to_csv, trace)
     phi = (trace.phi_refined if trace.decision == "kept_refined"
            else trace.phi_original)
     _log(cfg, f"refine: {trace.decision} after {len(trace.rounds)} rounds; "
@@ -260,10 +256,9 @@ def cmd_refine(cfg: RunConfig) -> int:
 def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
     """Per-cell (coreset_ratio, vanilla, mean_validation_f1, mean_test_f1)
     from the trials table, in its rank order."""
-    path = os.path.join(cfg.output_dir, "trials.csv")
+    path = _path(cfg, "trials.csv")
     if not os.path.exists(path):
-        raise ArtifactMissingError(
-            f"no trials table at {path}; run the tune command first")
+        raise _missing(f"trials table at {path}", "tune")
     columns, table = read_table(path)
     cells: dict[str, list[dict]] = {}
     for values in table:
@@ -276,19 +271,17 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    bundle, manifest = _load_splits(cfg)
     cells = _load_trial_cells(cfg)
     best, sensitivity, train_config = _load_best(cfg)
-    comparison = compare_to_baselines(
-        bundle, best, train_config,
-        _train_scores(cfg, bundle, manifest, sensitivity))
+    bundle, scores = _inputs(cfg, sensitivity)
+    comparison = compare_to_baselines(bundle, best, train_config, scores)
     comment = f"config_hash={cfg.config_hash()}"
-    comp_out = os.path.join(cfg.output_dir, "comparison.csv")
+    comp_out = _path(cfg, "comparison.csv")
     with atomic_output(comp_out) as tmp:
         write_table(tmp, ("method", "split", "balanced_accuracy", "f1", "roc_auc"),
                     [(r.method, r.split, r.balanced_accuracy, r.f1, r.roc_auc)
                      for r in comparison], comment)
-    curve_out = os.path.join(cfg.output_dir, "curves.csv")
+    curve_out = _path(cfg, "curves.csv")
     with atomic_output(curve_out) as tmp:
         write_table(tmp, ("coreset_ratio", "method", "split", "f1"),
                     curve_rows(cells), comment)

@@ -182,6 +182,21 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
+def split_fractions(name: str, value) -> tuple[float, float, float]:
+    """``value`` as three positive real numbers summing to 1 within 1e-9;
+    anything else (a bool, a string, NaN, an infinity) is a SplitError."""
+    try:
+        fractions = tuple(real_number("fraction", f) for f in value)
+        valid = (len(fractions) == 3 and all(f > 0 for f in fractions)
+                 and abs(sum(fractions) - 1.0) <= 1e-9)
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise SplitError(f"{name} must be 3 positive reals summing to 1, "
+                         f"got {value!r}")
+    return fractions
+
+
 def real_field(name: str, value, minimum: float) -> float:
     """``value`` as a float if it is a finite real > ``minimum``: NaN, an
     infinity, a bool or a string is a ValueError."""
@@ -500,11 +515,7 @@ def stratified_split(data: Dataset, fractions: tuple[float, float, float],
     fraction x class count, so they match the exact quota within +-1.
     Deterministic for a fixed seed.
     """
-    fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise SplitError(f"fractions must be three positive reals, got {fractions}")
-    if abs(sum(fractions) - 1.0) > 1e-9:
-        raise SplitError(f"fractions must sum to 1, got sum {sum(fractions)!r}")
+    fractions = split_fractions("fractions", fractions)
     rng = np.random.default_rng(seed)
     parts: list[list[np.ndarray]] = [[], [], []]
     for cls in data.classes:

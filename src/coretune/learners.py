@@ -105,8 +105,8 @@ def weighted_logistic_objective(coef: np.ndarray, intercept: float, features,
 
 def _logistic_objective_at(z, coef, y_pm, weights, C) -> float:
     """:func:`weighted_logistic_objective` given the margins ``z``."""
-    data = float(np.dot(weights, np.logaddexp(0.0, -y_pm * z)))
-    return data + 0.5 * float(np.dot(coef, coef)) / C
+    return (_data_term("logistic", y_pm * z, weights)
+            + 0.5 * float(np.dot(coef, coef)) / C)
 
 
 def weighted_logistic_gradient(coef: np.ndarray, intercept: float, features,
@@ -353,9 +353,8 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
 
 
 def _hinge_objective(coef, b, features, y_pm, weights, C):
-    margins = y_pm * (features @ coef + b)
-    data = float(np.dot(weights, np.maximum(0.0, 1.0 - margins)))
-    return data + 0.5 * float(np.dot(coef, coef)) / C
+    return (_data_term("hinge", y_pm * (features @ coef + b), weights)
+            + 0.5 * float(np.dot(coef, coef)) / C)
 
 
 def train(features, labels, weights, config: TrainConfig) -> LinearModel:
@@ -376,10 +375,16 @@ def weighted_loss(model: LinearModel, features, labels, weights) -> float:
     weights = np.asarray(weights, dtype=np.float64)
     features = as_features(features)
     z = np.asarray(features @ model.coefficients).ravel() + model.intercept
-    if model.loss == "logistic":
-        per_point = np.logaddexp(0.0, -y_pm * z)
+    return _data_term(model.loss, y_pm * z, weights)
+
+
+def _data_term(loss: str, margins: np.ndarray, weights: np.ndarray) -> float:
+    """The weighted logistic or hinge loss, given ``y * z``: the +-1 labels
+    times the decision values."""
+    if loss == "logistic":
+        per_point = np.logaddexp(0.0, -margins)
     else:
-        per_point = np.maximum(0.0, 1.0 - y_pm * z)
+        per_point = np.maximum(0.0, 1.0 - margins)
     return float(np.dot(weights, per_point))
 
 

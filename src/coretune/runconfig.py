@@ -14,7 +14,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
-from .data import boolean_field, integer_field, real_number
+from .data import boolean_field, integer_field, real_number, split_fractions
 from .learners import TrainConfig
 from .refine import RefineConfig
 from .sampler import SamplerConfig
@@ -129,18 +129,8 @@ class RunConfig:
         self.dimension_hint = (None if hint is None else integer_field(
             "dataset.dimension_hint", hint, minimum=1))
 
-        fractions = self._require("split.fractions")
-        try:
-            self.split_fractions = tuple(real_number("fraction", f)
-                                         for f in fractions)
-            valid = (len(self.split_fractions) == 3
-                     and min(self.split_fractions) > 0
-                     and abs(sum(self.split_fractions) - 1.0) <= 1e-9)
-        except (TypeError, ValueError):
-            valid = False
-        if not valid:
-            raise ValueError("split.fractions must be 3 positive reals summing "
-                             f"to 1, got {fractions!r}")
+        self.split_fractions = split_fractions(
+            "split.fractions", self._require("split.fractions"))
         self.split_seed = integer_field("split.seed",
                                         self._require("split.seed"), minimum=0)
         self.workers = integer_field("workers", raw["workers"], minimum=1)

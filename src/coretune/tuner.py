@@ -372,11 +372,8 @@ TRIAL_COLUMNS = ("rank", "cell_index", "repeat", "seed", "provider",
                  "coreset_ratio", "coreset_size", "det_ratio", "weight_strategy",
                  "class_allocation", "regularization", "vanilla",
                  "mean_validation_f1",
-                 "validation_f1", "validation_balanced_accuracy",
-                 "validation_accuracy", "validation_roc_auc",
-                 "validation_average_precision",
-                 "test_f1", "test_balanced_accuracy", "test_accuracy",
-                 "test_roc_auc", "test_average_precision",
+                 *(f"{split}_{m}" for split in ("validation", "test")
+                   for m in METRIC_NAMES),
                  "tp", "fp", "tn", "fn",
                  "unique_points", "total_weight", "per_class_counts")
 

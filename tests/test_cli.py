@@ -1,12 +1,14 @@
+import importlib
 import json
 import os
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from coretune.cli import main
-from coretune.data import load_split_bundle
+from coretune.data import load_split_bundle, read_table
 from coretune.runconfig import load_run_config
 from coretune.tuner import TrialResult, curve_rows, run_grid
 
@@ -107,17 +109,29 @@ class TestPipeline:
         assert (out / "trials.csv").read_bytes() == first
 
     def test_config_hash_consistent_across_artifacts(self, workdir):
-        tmp_path, config_path, _ = workdir
+        tmp_path, config_path, config = workdir
         out = tmp_path / "run"
-        run(config_path, "split")
-        run(config_path, "score")
-        run(config_path, "build")
-        hash_from_scores = (out / "scores.csv").read_text().splitlines()[0]
-        hash_from_coreset = (out / "coreset.csv").read_text().splitlines()[0]
-        assert hash_from_scores.split("=")[1] == \
-            hash_from_coreset.split("=")[1].split()[0]
+        for command in ("split", "score", "build", "tune", "refine", "report"):
+            assert run(config_path, command) == 0, command
         manifest = json.loads((out / "splits" / "manifest.json").read_text())
-        assert manifest["config_hash"] == hash_from_scores.split("=")[1]
+        stamp = f"# config_hash={manifest['config_hash']}"
+        first = {name: (out / name).read_text().splitlines()[0]
+                 for name in HASHED if name.endswith(".csv")}
+        for name in ("scores.csv", "trials.csv", "refine_trace.csv",
+                     "comparison.csv", "curves.csv"):
+            assert first[name] == stamp, name
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["config_hash"] == manifest["config_hash"]
+
+        sampler = first["coreset.csv"].removeprefix(stamp + " sampler=")
+        assert sampler != first["coreset.csv"]
+        built = json.loads(sampler)
+        assert (built["det_ratio"], built["weight_strategy"], built["seed"]) == (
+            config["build"]["det_ratio"], config["build"]["weight_strategy"],
+            config["build"]["seed"])
+        decision = (out / "refine_trace.csv").read_text().splitlines()[-1]
+        assert first["refined_coreset.csv"] == \
+            f"{stamp} decision={decision.rsplit(',', 1)[1]}"
 
     def test_workers_flag_is_not_hashed(self, workdir):
         tmp_path, config_path, _ = workdir
@@ -181,6 +195,44 @@ class TestTrialRecord:
             assert run(config_path, command, "--override",
                        "train.max_iterations=2") == 0, command
         assert data_rows() == tuned_rows
+
+    def test_regularization_axis_reaches_trials_best_and_refine(
+            self, workdir, monkeypatch):
+        # The package's ``refine`` attribute is the function, not the module.
+        refine_module = importlib.import_module("coretune.refine")
+        tmp_path, config_path, config = workdir
+        out = tmp_path / "run"
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune", "--override",
+                   "grid.regularizations=[0.1,10.0]") == 0
+        columns, rows = read_table(out / "trials.csv")
+        vanilla = [row[columns.index("vanilla")] == "1" for row in rows]
+        regularizations = [float(row[columns.index("regularization")])
+                           for row in rows]
+        # Each product cell runs once per value; a vanilla cell has no knobs
+        # and trains at train.regularization.
+        grid = config["grid"]
+        cells = np.prod([len(grid[axis]) for axis in (
+            "coreset_ratios", "det_ratios", "weight_strategies",
+            "class_allocations")]) * grid["repeats"]
+        assert Counter(r for r, v in zip(regularizations, vanilla) if not v) == \
+            {0.1: cells, 10.0: cells}
+        assert {r for r, v in zip(regularizations, vanilla) if v} == \
+            {config["train"]["regularization"]}
+        best = json.loads((out / "best_config.json").read_text())
+        assert best["regularization"] == regularizations[0]  # rank 0 leads
+        assert best["regularization"] != config["train"]["regularization"]
+
+        trained_with = []
+        train = refine_module.train
+
+        def recording(features, labels, weights, train_config):
+            trained_with.append(train_config.regularization)
+            return train(features, labels, weights, train_config)
+
+        monkeypatch.setattr(refine_module, "train", recording)
+        assert run(config_path, "refine") == 0
+        assert trained_with and set(trained_with) == {best["regularization"]}
 
     def test_record_without_train_settings_asks_to_rerun_tune(self, workdir,
                                                               capsys):
@@ -283,6 +335,22 @@ class TestErrorsAndExitCodes:
         err = capsys.readouterr().err
         assert f"{data_path}: expected 2 label classes, found {classes}" in err
         assert not (tmp_path / "run" / "splits").exists()
+
+    def test_failed_split_leaves_no_store_to_run_on(self, workdir, capsys):
+        tmp_path, config_path, config = workdir
+        assert run(config_path, "split") == 0
+        three_class = tmp_path / "three_class.csv"
+        lines = (tmp_path / "data.csv").read_text().splitlines()
+        lines[1:4] = [f"{row.rsplit(',', 1)[0]},2" for row in lines[1:4]]
+        three_class.write_text("\n".join(lines) + "\n")
+        config["dataset"]["path"] = str(three_class)
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert run(config_path, "split") == 2
+        assert not (tmp_path / "run" / "splits").exists()
+        capsys.readouterr()
+        for command in ("score", "build", "tune"):
+            assert run(config_path, command) == 2, command
+            assert "run the split command first" in capsys.readouterr().err
 
     def test_score_before_split(self, workdir, capsys):
         _, config_path, _ = workdir

@@ -187,6 +187,13 @@ class TestStratifiedSplit:
         with pytest.raises(SplitError):
             stratified_split(self.hundred_points(), (0.5, 0.5, 0.5), seed=0)
 
+    @pytest.mark.parametrize("fractions", [("0.8", "0.1", "0.1"),
+                                           (float("nan"), 0.5, 0.5),
+                                           (0.5, float("nan"), 0.5)])
+    def test_string_and_nan_fractions_are_split_errors(self, fractions):
+        with pytest.raises(SplitError, match="fractions must be 3 positive reals"):
+            stratified_split(self.hundred_points(), fractions, seed=0)
+
     def test_class_smaller_than_splits(self):
         data = Dataset(np.zeros((5, 1)), np.array([0, 0, 0, 1, 1]))
         with pytest.raises(SplitError, match="class 1"):

@@ -197,6 +197,35 @@ class TestNewtonSolve:
         assert np.array_equal(decision_scores(model, X) > 0, y == 1)
 
 
+class TestLineSearch:
+    def test_overshooting_newton_step_backtracks_then_converges(self, monkeypatch):
+        # Heavy-tailed features: at one iterate the quadratic model badly
+        # overestimates the decrease, so the full Newton step must be halved.
+        candidates = []  # per Newton iteration, the trial points it evaluated
+        gradient_at = learners._logistic_gradient_at
+        objective_at = learners._logistic_objective_at
+
+        def gradient_spy(z, coef, *args):
+            candidates.append([coef.copy()])
+            return gradient_at(z, coef, *args)
+
+        def objective_spy(z, coef, *args):
+            if not np.array_equal(coef, candidates[-1][0]):
+                candidates[-1].append(coef.copy())
+            return objective_at(z, coef, *args)
+
+        monkeypatch.setattr(learners, "_logistic_gradient_at", gradient_spy)
+        monkeypatch.setattr(learners, "_logistic_objective_at", objective_spy)
+        X = np.array([[1.35, 0.01], [-173.73, -1.4], [-1.94, -0.16],
+                      [140.23, -5.54], [0.72, 7.11]])
+        y = np.array([0, 1, 1, 1, 0])
+        w = np.array([4.08, 4.87, 4.35, 3.43, 0.99])
+        model = train(X, y, w, TrainConfig(regularization=100.0))
+        tries = [len(points) - 1 for points in candidates]
+        assert max(tries) >= 2  # a rejected full step, then a shorter one
+        assert model.converged
+
+
 def sparse_instance(n, d, seed, density=0.05):
     rng = np.random.default_rng(seed)
     X = sp.random(n, d, density=density, format="csr", random_state=rng,

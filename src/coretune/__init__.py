@@ -6,7 +6,7 @@ from .data import (Dataset, SplitBundle, parse_csv, parse_libsvm,
 from .learners import (LinearModel, TrainConfig, decision_scores, train,
                        weighted_loss)
 from .metrics import MetricsReport, classification_report
-from .refine import RefineConfig, RefineTrace, refine, uncertainty_query
+from .refine import RefineConfig, RefineTrace, uncertainty_query
 from .sampler import Coreset, SamplerConfig, SamplingPlan, build_coreset
 from .sensitivity import (SensitivityScores, compute_scores,
                           leverage_sensitivities, lewis_weight_sensitivities,
@@ -23,7 +23,7 @@ __all__ = [
     "SplitBundle", "TrainConfig", "TrialResult", "build_coreset",
     "classification_report", "compare_to_baselines", "compute_scores",
     "decision_scores", "leverage_sensitivities", "lewis_weight_sensitivities",
-    "parse_csv", "parse_libsvm", "refine", "refine_best",
+    "parse_csv", "parse_libsvm", "refine_best",
     "run_grid", "stratified_split", "to_probabilities", "train",
     "uncertainty_query", "uniform_scores", "weighted_loss",
 ]

@@ -20,14 +20,14 @@ import os
 import shutil
 import sys
 import traceback
-from dataclasses import asdict, replace
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .data import (SplitBundle, SplitError, load_split_bundle, parse_csv,
                    parse_libsvm, read_table, save_split_bundle,
                    stratified_split, write_table)
-from .learners import TrainConfig
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
@@ -210,8 +210,7 @@ def cmd_tune(cfg: RunConfig) -> int:
     best = result.best  # raises, before any artifact is written, if all failed
     trials_out = _write(cfg, "trials.csv", trials_to_csv, result)
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),
-                   "provider_params": cfg.provider_params,
-                   "train": asdict(cfg.train)}
+                   "provider_params": cfg.provider_params}
     with atomic_output(_path(cfg, "best_config.json")) as tmp:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
@@ -222,8 +221,9 @@ def cmd_tune(cfg: RunConfig) -> int:
     return EXIT_PARTIAL if result.failures else EXIT_OK
 
 
-def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConfig]:
-    """The tuned best trial, its (provider, params) and tune's TrainConfig."""
+def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict]]:
+    """The tuned best trial, with its training settings, and its (provider,
+    params)."""
     path = _path(cfg, "best_config.json")
     if not os.path.exists(path):
         raise _missing(f"best-config record at {path}", "tune")
@@ -233,15 +233,14 @@ def _load_best(cfg: RunConfig) -> tuple[TrialResult, tuple[str, dict], TrainConf
         raise ArtifactMissingError(
             f"{path} records no training settings; rerun the tune command")
     return (TrialResult.from_dict(record),
-            (record["provider"], record["provider_params"]),
-            TrainConfig(**record["train"]))
+            (record["provider"], record["provider_params"]))
 
 
 def cmd_refine(cfg: RunConfig) -> int:
-    best, sensitivity, train_config = _load_best(cfg)
+    best, sensitivity = _load_best(cfg)
     bundle, scores = _inputs(cfg, sensitivity)
     refine_cfg = cfg.refine or RefineConfig(batch_size=max(1, bundle.train.n // 20))
-    coreset, trace = refine_best(bundle, best, refine_cfg, train_config, scores)
+    coreset, trace = refine_best(bundle, best, refine_cfg, scores)
     coreset_out = _write(cfg, "refined_coreset.csv", coreset_to_csv, coreset,
                          note=f" decision={trace.decision}")
     from .refine import trace_to_csv
@@ -272,19 +271,17 @@ def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
 
 def cmd_report(cfg: RunConfig) -> int:
     cells = _load_trial_cells(cfg)
-    best, sensitivity, train_config = _load_best(cfg)
+    best, sensitivity = _load_best(cfg)
     bundle, scores = _inputs(cfg, sensitivity)
-    comparison = compare_to_baselines(bundle, best, train_config, scores)
-    comment = f"config_hash={cfg.config_hash()}"
-    comp_out = _path(cfg, "comparison.csv")
-    with atomic_output(comp_out) as tmp:
-        write_table(tmp, ("method", "split", "balanced_accuracy", "f1", "roc_auc"),
-                    [(r.method, r.split, r.balanced_accuracy, r.f1, r.roc_auc)
-                     for r in comparison], comment)
-    curve_out = _path(cfg, "curves.csv")
-    with atomic_output(curve_out) as tmp:
-        write_table(tmp, ("coreset_ratio", "method", "split", "f1"),
-                    curve_rows(cells), comment)
+    comparison = compare_to_baselines(bundle, best, scores)
+    comp_out = _write(cfg, "comparison.csv", partial(
+        write_table,
+        columns=("method", "split", "balanced_accuracy", "f1", "roc_auc"),
+        rows=[(r.method, r.split, r.balanced_accuracy, r.f1, r.roc_auc)
+              for r in comparison]))
+    curve_out = _write(cfg, "curves.csv", partial(
+        write_table, columns=("coreset_ratio", "method", "split", "f1"),
+        rows=curve_rows(cells)))
     _log(cfg, f"report: wrote {comp_out} and {curve_out}")
     return EXIT_OK
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (Dataset, count_distinct, integer_field, largest_remainder,
-                   read_table, real_number, write_table)
+                   real_number, write_table)
 from .sensitivity import SensitivityScores
 
 WEIGHT_STRATEGIES = ("keep", "inv", "prop")
@@ -437,11 +437,3 @@ def coreset_to_csv(coreset: Coreset, path, header_comment: str | None = None) ->
     write_table(path, ("point_id", "class", "weight", "provenance", "count"),
                 zip(coreset.point_ids, coreset.labels, coreset.weights,
                     coreset.provenance, coreset.counts), header_comment)
-
-
-def coreset_from_csv(path) -> Coreset:
-    columns, rows = read_table(path)
-    cells = dict(zip(columns, zip(*rows)))
-    # Coreset.__post_init__ parses each string column into its dtype.
-    return Coreset(cells["point_id"], cells["weight"], cells["class"],
-                   cells["provenance"], cells["count"])

@@ -4,8 +4,9 @@ Every grid cell builds one coreset, trains one model, and records validation
 and test metrics from that same model. Cells are ranked by mean validation F1
 over repeats; test metrics are reported but never influence the ranking. The
 vanilla configuration (no deterministic inclusion, inverse-probability
-weights, proportional allocation) is injected for every coreset ratio so the
-tuned-vs-vanilla comparison always happens within a single run.
+weights, proportional allocation) is injected for every coreset ratio and
+regularization so the tuned-vs-vanilla comparison always happens within a
+single run.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import itertools
 import json
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -106,8 +107,8 @@ class CoresetStats:
 @dataclass(frozen=True)
 class TrialResult:
     """Metrics of one (cell, repeat) evaluation; validation and test come
-    from the same trained model. ``coreset_stats`` is None for a trial read
-    back with :meth:`from_dict`."""
+    from the same model, trained with ``train_config``. ``coreset_stats`` is
+    None for a trial read back with :meth:`from_dict`."""
 
     cell_index: int
     repeat: int
@@ -115,7 +116,7 @@ class TrialResult:
     provider: str
     config: SamplerConfig
     coreset_ratio: float
-    regularization: float
+    train_config: TrainConfig
     validation: MetricsReport
     test: MetricsReport
     coreset_stats: CoresetStats | None
@@ -127,7 +128,8 @@ class TrialResult:
                 "seed": self.seed, "provider": self.provider,
                 "sampler": self.config.to_dict(),
                 "coreset_ratio": self.coreset_ratio,
-                "regularization": self.regularization,
+                "regularization": self.train_config.regularization,
+                "train": asdict(self.train_config),
                 "validation": self.validation.to_dict(),
                 "test": self.test.to_dict(), "vanilla": self.vanilla}
 
@@ -136,7 +138,8 @@ class TrialResult:
         """Inverse of :meth:`to_dict`; other keys in ``d`` are ignored."""
         return cls(d["cell_index"], d["repeat"], d["seed"], d["provider"],
                    SamplerConfig(**d["sampler"]), d["coreset_ratio"],
-                   d["regularization"], MetricsReport.from_dict(d["validation"]),
+                   TrainConfig(**d["train"]),
+                   MetricsReport.from_dict(d["validation"]),
                    MetricsReport.from_dict(d["test"]), None, d["vanilla"])
 
 
@@ -174,26 +177,23 @@ def coreset_size_for(ratio: float, n: int, n_classes: int) -> int:
 
 
 def enumerate_cells(grid: GridSpec) -> list[Cell]:
-    """Vanilla cells (one per coreset ratio) followed by the Cartesian
-    product of the grid axes, deduplicated keeping the first occurrence."""
+    """Vanilla cells (coreset ratio x regularization) followed by the
+    Cartesian product of the grid axes, deduplicated keeping the first
+    occurrence."""
     regs = grid.regularizations if grid.regularizations is not None else (None,)
+    tuned = [replace(VANILLA, det_ratio=det, weight_strategy=strategy,
+                     class_allocation=alloc)
+             for det, strategy, alloc in itertools.product(
+                 grid.det_ratios, grid.weight_strategies, grid.class_allocations)]
     cells: list[Cell] = []
     seen = set()
-    for ratio in grid.coreset_ratios:
-        cell = Cell(len(cells), ratio, VANILLA, None, vanilla=True)
-        if cell.key() not in seen:
-            seen.add(cell.key())
-            cells.append(cell)
-    for ratio, det, strategy, alloc, reg in itertools.product(
-            grid.coreset_ratios, grid.det_ratios, grid.weight_strategies,
-            grid.class_allocations, regs):
-        knobs = replace(VANILLA, det_ratio=det, weight_strategy=strategy,
-                        class_allocation=alloc)
-        cell = Cell(len(cells), ratio, knobs, reg)
-        if cell.key() in seen:
-            continue
-        seen.add(cell.key())
-        cells.append(cell)
+    for vanilla, knob_sets in ((True, [VANILLA]), (False, tuned)):
+        for ratio, knobs, reg in itertools.product(grid.coreset_ratios,
+                                                   knob_sets, regs):
+            cell = Cell(len(cells), ratio, knobs, reg, vanilla)
+            if cell.key() not in seen:
+                seen.add(cell.key())
+                cells.append(cell)
     return cells
 
 
@@ -222,7 +222,7 @@ def _run_cell(splits, scores, plan: SamplingPlan, train_config: TrainConfig,
     except (AllocationError, StrategyInfeasibleError) as exc:
         return FailedCell(cell.index, repeat, seed, str(exc))
     return TrialResult(cell.index, repeat, seed, scores.provider_name, config,
-                       cell.coreset_ratio, cfg.regularization, val, test,
+                       cell.coreset_ratio, cfg, val, test,
                        CoresetStats.of(coreset), vanilla=cell.vanilla)
 
 
@@ -305,14 +305,14 @@ class ComparisonRow:
 
 
 def compare_to_baselines(splits: SplitBundle, best: TrialResult,
-                         train_config: TrainConfig,
                          scores: SensitivityScores) -> list[ComparisonRow]:
     """Tuned vs vanilla vs uniform-sampling vs full-data training rows.
 
-    The tuned rows are the best trial's recorded metrics. The vanilla and
-    random coresets use its size and seed; vanilla samples by ``scores``,
-    the train split's scores under the best trial's provider, while random
-    samples uniformly. Full-data training appears exactly once per split.
+    The tuned rows are the best trial's recorded metrics; every other row
+    trains with its ``train_config``. The vanilla and random coresets use
+    its size and seed; vanilla samples by ``scores``, the train split's
+    scores under the best trial's provider, while random samples uniformly.
+    Full-data training appears exactly once per split.
     """
     train_split = splits.train
     uniform = compute_scores("uniform", train_split)
@@ -330,21 +330,20 @@ def compare_to_baselines(splits: SplitBundle, best: TrialResult,
     for method, method_scores in (("vanilla", scores), ("random", uniform)):
         coreset = build_coreset(train_split, method_scores, base)
         add(method, *_fit_and_score(splits, *coreset.materialize(train_split),
-                                    train_config))
+                                    best.train_config))
     add("full", *_fit_and_score(splits, train_split.features, train_split.labels,
-                                train_split.weights, train_config))
+                                train_split.weights, best.train_config))
     return rows
 
 
 def refine_best(splits: SplitBundle, best: TrialResult,
-                refine_config: RefineConfig, train_config: TrainConfig,
+                refine_config: RefineConfig,
                 scores: SensitivityScores) -> tuple[Coreset, RefineTrace]:
     """Rebuild the best coreset from ``scores`` (the train split's scores
-    under the best trial's provider) and refine it at the best trial's
-    regularization; returns :func:`refine`'s (coreset, trace)."""
+    under the best trial's provider) and refine it with the best trial's
+    ``train_config``; returns :func:`refine`'s (coreset, trace)."""
     coreset = build_coreset(splits.train, scores, best.config)
-    return refine(splits.train, splits.validation, coreset,
-                  replace(train_config, regularization=best.regularization),
+    return refine(splits.train, splits.validation, coreset, best.train_config,
                   refine_config)
 
 
@@ -386,7 +385,7 @@ def trials_to_csv(result: GridSearchResult, path,
              t.coreset_ratio, t.config.coreset_size, t.config.det_ratio,
              t.config.weight_strategy,
              t.config.allocation_label().replace(",", ";"),
-             t.regularization, int(t.vanilla), mean_f1[t.cell_index],
+             t.train_config.regularization, int(t.vanilla), mean_f1[t.cell_index],
              *(t.validation.value(m) for m in METRIC_NAMES),
              *(t.test.value(m) for m in METRIC_NAMES), *t.test.confusion,
              t.coreset_stats.unique_points, t.coreset_stats.total_weight,

@@ -1,4 +1,3 @@
-import importlib
 import json
 import os
 from collections import Counter
@@ -198,8 +197,8 @@ class TestTrialRecord:
 
     def test_regularization_axis_reaches_trials_best_and_refine(
             self, workdir, monkeypatch):
-        # The package's ``refine`` attribute is the function, not the module.
-        refine_module = importlib.import_module("coretune.refine")
+        import coretune.refine
+
         tmp_path, config_path, config = workdir
         out = tmp_path / "run"
         assert run(config_path, "split") == 0
@@ -209,28 +208,29 @@ class TestTrialRecord:
         vanilla = [row[columns.index("vanilla")] == "1" for row in rows]
         regularizations = [float(row[columns.index("regularization")])
                            for row in rows]
-        # Each product cell runs once per value; a vanilla cell has no knobs
-        # and trains at train.regularization.
+        # Each product cell and each vanilla cell runs once per value; the
+        # product cell with the vanilla knobs is the vanilla cell.
         grid = config["grid"]
-        cells = np.prod([len(grid[axis]) for axis in (
-            "coreset_ratios", "det_ratios", "weight_strategies",
-            "class_allocations")]) * grid["repeats"]
+        ratios = len(grid["coreset_ratios"])
+        cells = (np.prod([len(grid[axis]) for axis in (
+            "det_ratios", "weight_strategies", "class_allocations")]) - 1) * ratios
         assert Counter(r for r, v in zip(regularizations, vanilla) if not v) == \
-            {0.1: cells, 10.0: cells}
-        assert {r for r, v in zip(regularizations, vanilla) if v} == \
-            {config["train"]["regularization"]}
+            {0.1: cells * grid["repeats"], 10.0: cells * grid["repeats"]}
+        assert Counter(r for r, v in zip(regularizations, vanilla) if v) == \
+            {0.1: ratios * grid["repeats"], 10.0: ratios * grid["repeats"]}
         best = json.loads((out / "best_config.json").read_text())
         assert best["regularization"] == regularizations[0]  # rank 0 leads
         assert best["regularization"] != config["train"]["regularization"]
+        assert best["train"]["regularization"] == best["regularization"]
 
         trained_with = []
-        train = refine_module.train
+        train = coretune.refine.train
 
         def recording(features, labels, weights, train_config):
             trained_with.append(train_config.regularization)
             return train(features, labels, weights, train_config)
 
-        monkeypatch.setattr(refine_module, "train", recording)
+        monkeypatch.setattr(coretune.refine, "train", recording)
         assert run(config_path, "refine") == 0
         assert trained_with and set(trained_with) == {best["regularization"]}
 

@@ -1,3 +1,5 @@
+import types
+
 import coretune
 
 # The names the benchmark harness (perfbench/run.py) imports from coretune.
@@ -14,3 +16,11 @@ def test_every_exported_name_resolves():
 def test_harness_imports_exist():
     missing = [name for name in HARNESS_NAMES if not hasattr(coretune, name)]
     assert missing == []
+
+
+def test_refine_names_the_module():
+    import coretune.learners
+    import coretune.refine
+
+    assert isinstance(coretune.refine, types.ModuleType)
+    assert coretune.refine.train is coretune.learners.train

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coretune.data import Dataset
+from coretune.data import Dataset, read_table
 from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
                               SamplingPlan, StrategyInfeasibleError,
                               ZeroWeightPointError, allocate_class_budgets,
-                              assign_weights, build_coreset, coreset_from_csv,
-                              coreset_to_csv, sample_residual,
-                              select_deterministic)
+                              assign_weights, build_coreset, coreset_to_csv,
+                              sample_residual, select_deterministic)
 from coretune.sensitivity import SensitivityScores, compute_scores, uniform_scores
 
 
@@ -506,7 +505,11 @@ class TestCoresetInvariantsAndIo:
                                               weight_strategy="prop", seed=7))
         path = tmp_path / "coreset.csv"
         coreset_to_csv(coreset, path, header_comment="config_hash=deadbeef")
-        back = coreset_from_csv(path)
+        columns, rows = read_table(path)
+        cells = dict(zip(columns, zip(*rows)))
+        # Coreset.__post_init__ parses each string column into its dtype.
+        back = Coreset(cells["point_id"], cells["weight"], cells["class"],
+                       cells["provenance"], cells["count"])
         assert np.array_equal(coreset.point_ids, back.point_ids)
         assert np.allclose(coreset.weights, back.weights)
         assert np.array_equal(coreset.counts, back.counts)

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import json
 import weakref
 from dataclasses import replace
@@ -9,7 +10,7 @@ import pytest
 import scipy.sparse as sp
 
 from coretune.data import CSRMatrix, Dataset, stratified_split
-from coretune.learners import TrainConfig
+from coretune.learners import TrainConfig, train
 from coretune.refine import RefineConfig
 from coretune.sampler import build_coreset
 from coretune.sensitivity import compute_scores
@@ -81,6 +82,28 @@ class TestEnumerateCells:
     def test_indices_are_serial(self):
         cells = enumerate_cells(SMALL_GRID)
         assert [c.index for c in cells] == list(range(len(cells)))
+
+    def test_cells_without_an_axis_keep_their_order(self):
+        # Vanilla cells per ratio, then the product ratio-major with the
+        # vanilla knobs dropped: cell indices, and so trial seeds, stay put.
+        grid = SMALL_GRID
+        vanilla = (0.0, "inv", "proportional")
+        expected = [(r, *vanilla, True) for r in grid.coreset_ratios] + [
+            (r, d, s, a, False) for r, d, s, a in itertools.product(
+                grid.coreset_ratios, grid.det_ratios, grid.weight_strategies,
+                grid.class_allocations) if (d, s, a) != vanilla]
+        cells = enumerate_cells(grid)
+        assert [(c.coreset_ratio, c.knobs.det_ratio, c.knobs.weight_strategy,
+                 c.knobs.class_allocation, c.vanilla) for c in cells] == expected
+        assert all(c.regularization is None for c in cells)
+
+    def test_vanilla_cells_cross_the_regularization_axis(self):
+        grid = replace(SMALL_GRID, regularizations=(0.1, 10.0))
+        cells = enumerate_cells(grid)
+        vanilla = [(c.coreset_ratio, c.regularization) for c in cells if c.vanilla]
+        assert vanilla == list(itertools.product(grid.coreset_ratios, (0.1, 10.0)))
+        assert len(cells) == 2 * len(enumerate_cells(SMALL_GRID))
+        assert len({c.key() for c in cells}) == len(cells)
 
 
 class TestRunGrid:
@@ -282,7 +305,7 @@ class TestCompareAndCurves:
         grid = GridSpec(coreset_ratios=(0.3,), det_ratios=(0.0, 0.2),
                         sensitivity_provider="leverage", base_seed=2)
         result = run_grid(splits, grid, TrainConfig())
-        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+        rows = compare_to_baselines(splits, result.best,
                                     compute_scores(result.best.provider, splits.train))
         methods = [(r.method, r.split) for r in rows]
         for method in ("tuned", "vanilla", "random", "full"):
@@ -295,7 +318,7 @@ class TestCompareAndCurves:
                         base_seed=3)
         result = run_grid(splits, grid, TrainConfig())
         assert result.best.vanilla
-        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+        rows = compare_to_baselines(splits, result.best,
                                     compute_scores(result.best.provider, splits.train))
         by_key = {(r.method, r.split): r for r in rows}
         for split in ("validation", "test"):
@@ -317,7 +340,7 @@ class TestCompareAndCurves:
             return build_coreset(data, scores, config)
 
         monkeypatch.setattr(coretune.tuner, "build_coreset", counting)
-        rows = compare_to_baselines(splits, result.best, TrainConfig(),
+        rows = compare_to_baselines(splits, result.best,
                                     compute_scores(result.best.provider, splits.train))
         # only the vanilla and random coresets are built; tuned is not retrained
         assert len(builds) == 2
@@ -328,6 +351,25 @@ class TestCompareAndCurves:
             tuned = next(r for r in rows if (r.method, r.split) == ("tuned", split))
             assert (tuned.balanced_accuracy, tuned.f1, tuned.roc_auc) == \
                 (report.balanced_accuracy, report.f1, report.roc_auc)
+
+    def test_baselines_train_at_the_best_trials_regularization(self, monkeypatch):
+        import coretune.tuner
+
+        splits = imbalanced_problem(seed=7)
+        result = run_grid(splits, replace(SMALL_GRID, regularizations=(0.1, 10.0)),
+                          TrainConfig())
+        best_c = result.best.train_config.regularization
+        assert best_c != TrainConfig().regularization
+        trained_with = []
+
+        def recording(features, labels, weights, train_config):
+            trained_with.append(train_config.regularization)
+            return train(features, labels, weights, train_config)
+
+        monkeypatch.setattr(coretune.tuner, "train", recording)
+        compare_to_baselines(splits, result.best,
+                             compute_scores(result.best.provider, splits.train))
+        assert trained_with == [best_c] * 3  # vanilla, random, full
 
     def test_curve_rows_cover_each_ratio(self):
         splits = imbalanced_problem(seed=9)
@@ -369,8 +411,7 @@ class TestRefineBest:
         scores = compute_scores(result.best.provider, splits.train)
         kept, trace = refine_best(splits, result.best,
                                   RefineConfig(batch_size=10, patience=1,
-                                               metric=never_better),
-                                  TrainConfig(), scores)
+                                               metric=never_better), scores)
         assert trace.decision == "kept_original"
         best = build_coreset(splits.train, scores, result.best.config)
         for name in ("point_ids", "weights", "labels", "provenance", "counts"):
@@ -383,7 +424,6 @@ class TestRefineBest:
         result = run_grid(splits, grid, TrainConfig())
         _, trace = refine_best(splits, result.best,
                                RefineConfig(batch_size=15, patience=2, metric="f1"),
-                               TrainConfig(),
                                compute_scores(result.best.provider, splits.train))
         assert trace.phi_original == pytest.approx(result.best.validation.f1)
         if trace.decision == "kept_refined":
@@ -399,7 +439,6 @@ class TestRefineBest:
         _, trace = refine_best(splits, result.best,
                                RefineConfig(batch_size=5, patience=50,
                                             max_rounds=3, metric="f1"),
-                               TrainConfig(),
                                compute_scores(result.best.provider, splits.train))
         assert len(trace.rounds) <= 3
 

@@ -53,8 +53,7 @@ def default_config(data_path, out_dir):
         },
         "train": {"loss": "logistic", "regularization": 1.0, "tolerance": 1e-8,
                   "max_iterations": 500, "fit_intercept": True},
-        "refine": {"batch_size": 64, "patience": 2, "metric": "f1",
-                   "query_strategy": "margin"},
+        "refine": {"batch_size": 64, "patience": 2, "metric": "f1"},
         "build": {"coreset_ratio": 0.1, "det_ratio": 0.2,
                   "weight_strategy": "inv", "class_allocation": "proportional",
                   "seed": 0},

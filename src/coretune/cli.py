@@ -26,8 +26,8 @@ from functools import partial
 import numpy as np
 
 from .data import (SplitBundle, SplitError, load_split_bundle, parse_csv,
-                   parse_libsvm, read_table, save_split_bundle,
-                   stratified_split, write_table)
+                   parse_libsvm, save_split_bundle, stratified_split,
+                   write_table)
 from .refine import RefineConfig
 from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from .sampler import build_coreset, coreset_to_csv
@@ -62,9 +62,9 @@ def build_parser() -> _Parser:
             ("split", "parse the dataset and write train/validation/test splits"),
             ("score", "compute sensitivity scores for the train split"),
             ("build", "build one coreset from the configured sampler knobs"),
-            ("tune", "grid-search the sampler parameters"),
+            ("tune", "grid-search the sampler parameters; write ratio-F1 curves"),
             ("refine", "refine the best tuned coreset via active sampling"),
-            ("report", "write the baselines comparison and ratio-F1 curves")]:
+            ("report", "compare the tuned best with the baselines")]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--seed", type=int, default=None,
@@ -176,7 +176,8 @@ def cmd_split(cfg: RunConfig) -> int:
 def cmd_score(cfg: RunConfig) -> int:
     bundle, scores = _inputs(cfg)
     out = _write(cfg, "scores.csv", scores_to_csv, scores, bundle.train.point_ids)
-    _log(cfg, f"score: provider={cfg.provider} n={bundle.train.n} -> {out}")
+    _log(cfg, f"score: provider={cfg.provider} n={bundle.train.n} converged="
+              f"{scores.converged} ridge_fallback={scores.ridge_fallback} -> {out}")
     return EXIT_OK
 
 
@@ -202,9 +203,8 @@ def cmd_tune(cfg: RunConfig) -> int:
         _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
                   f"seed {failure.seed}: {failure.error}")
     if not result.trials:
-        # An earlier tune's best must not pass for this one's in refine and
-        # report.
-        for stale in ("trials.csv", "best_config.json"):
+        # An earlier tune's outputs must not pass for this one's.
+        for stale in ("trials.csv", "best_config.json", "curves.csv"):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(_path(cfg, stale))
     best = result.best  # raises, before any artifact is written, if all failed
@@ -215,6 +215,9 @@ def cmd_tune(cfg: RunConfig) -> int:
         with open(tmp, "w") as fh:
             json.dump(best_record, fh, indent=1, sort_keys=True)
             fh.write("\n")
+    _write(cfg, "curves.csv", partial(
+        write_table, columns=("coreset_ratio", "method", "split", "f1"),
+        rows=curve_rows(result.summaries)))
     _log(cfg, f"tune: {len(result.trials)} trials, {len(result.failures)} failed "
               f"cells; best validation F1 {best.validation.f1:.4f} "
               f"-> {trials_out}")
@@ -252,25 +255,7 @@ def cmd_refine(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _load_trial_cells(cfg: RunConfig) -> list[tuple[float, bool, float, float]]:
-    """Per-cell (coreset_ratio, vanilla, mean_validation_f1, mean_test_f1)
-    from the trials table, in its rank order."""
-    path = _path(cfg, "trials.csv")
-    if not os.path.exists(path):
-        raise _missing(f"trials table at {path}", "tune")
-    columns, table = read_table(path)
-    cells: dict[str, list[dict]] = {}
-    for values in table:
-        row = dict(zip(columns, values))
-        cells.setdefault(row["cell_index"], []).append(row)
-    return [(float(rows[0]["coreset_ratio"]), rows[0]["vanilla"] == "1",
-             float(rows[0]["mean_validation_f1"]),
-             float(np.mean([float(r["test_f1"]) for r in rows])))
-            for rows in cells.values()]
-
-
 def cmd_report(cfg: RunConfig) -> int:
-    cells = _load_trial_cells(cfg)
     best, sensitivity = _load_best(cfg)
     bundle, scores = _inputs(cfg, sensitivity)
     comparison = compare_to_baselines(bundle, best, scores)
@@ -279,10 +264,7 @@ def cmd_report(cfg: RunConfig) -> int:
         columns=("method", "split", "balanced_accuracy", "f1", "roc_auc"),
         rows=[(r.method, r.split, r.balanced_accuracy, r.f1, r.roc_auc)
               for r in comparison]))
-    curve_out = _write(cfg, "curves.csv", partial(
-        write_table, columns=("coreset_ratio", "method", "split", "f1"),
-        rows=curve_rows(cells)))
-    _log(cfg, f"report: wrote {comp_out} and {curve_out}")
+    _log(cfg, f"report: wrote {comp_out}")
     return EXIT_OK
 
 

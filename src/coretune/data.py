@@ -549,15 +549,6 @@ def write_table(path, columns, rows, header_comment: str | None = None) -> None:
                               for v in row) + "\n")
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Read a :func:`write_table` table as (header columns, rows of string
-    cells); ``#`` comment lines and blank lines are skipped."""
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh
-                 if line.strip() and not line.startswith("#")]
-    return lines[0].split(","), [line.split(",") for line in lines[1:]]
-
-
 MANIFEST_FILE = "manifest.json"
 
 

@@ -347,23 +347,23 @@ def refine_best(splits: SplitBundle, best: TrialResult,
                   refine_config)
 
 
-def curve_rows(cells) -> list[tuple[float, str, str, float]]:
+def curve_rows(summaries: list[CellSummary]) -> list[tuple[float, str, str, float]]:
     """(coreset_ratio, method, split, f1) rows for ratio-vs-F1 plots.
 
-    ``cells`` are (coreset_ratio, vanilla, mean_validation_f1, mean_test_f1)
-    tuples in rank order. The tuned curve takes the best-ranked cell at each
-    ratio.
+    ``summaries`` are in rank order, as :func:`run_grid` returns them. The
+    tuned curve takes the best-ranked cell at each ratio, the vanilla curve
+    its best-ranked vanilla cell.
     """
     rows = []
-    for ratio in sorted({c[0] for c in cells}):
-        at_ratio = [c for c in cells if c[0] == ratio]
+    for ratio in sorted({s.cell.coreset_ratio for s in summaries}):
+        at_ratio = [s for s in summaries if s.cell.coreset_ratio == ratio]
         tuned = at_ratio[0]
-        rows.append((ratio, "tuned", "validation", tuned[2]))
-        rows.append((ratio, "tuned", "test", tuned[3]))
-        vanilla = [c for c in at_ratio if c[1]]
+        rows.append((ratio, "tuned", "validation", tuned.mean_validation_f1))
+        rows.append((ratio, "tuned", "test", tuned.mean_test_f1))
+        vanilla = [s for s in at_ratio if s.cell.vanilla]
         if vanilla:
-            rows.append((ratio, "vanilla", "validation", vanilla[0][2]))
-            rows.append((ratio, "vanilla", "test", vanilla[0][3]))
+            rows.append((ratio, "vanilla", "validation", vanilla[0].mean_validation_f1))
+            rows.append((ratio, "vanilla", "test", vanilla[0].mean_test_f1))
     return rows
 
 

@@ -21,3 +21,12 @@ def write_libsvm(path, features, labels) -> None:
             cols = np.flatnonzero(row)
             fh.write(" ".join(["+1" if label == 1 else "-1"] +
                               [f"{c + 1}:{row[c]:.17g}" for c in cols]) + "\n")
+
+
+def read_table(path) -> tuple[list[str], list[list[str]]]:
+    """Read a ``coretune.data.write_table`` table as (header columns, rows
+    of string cells); ``#`` comment lines and blank lines are skipped."""
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh
+                 if line.strip() and not line.startswith("#")]
+    return lines[0].split(","), [line.split(",") for line in lines[1:]]

@@ -6,8 +6,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import read_table
 from coretune.cli import main
-from coretune.data import load_split_bundle, read_table
+from coretune.data import load_split_bundle
 from coretune.runconfig import load_run_config
 from coretune.tuner import TrialResult, curve_rows, run_grid
 
@@ -76,6 +77,8 @@ class TestPipeline:
         assert (out / "trials.csv").exists()
         best = json.loads((out / "best_config.json").read_text())
         assert "sampler" in best and "validation" in best
+        curves = (out / "curves.csv").read_text()
+        assert "coreset_ratio,method,split,f1" in curves
 
         assert run(config_path, "refine") == 0
         assert (out / "refined_coreset.csv").exists()
@@ -86,8 +89,6 @@ class TestPipeline:
         comparison = (out / "comparison.csv").read_text()
         assert "method,split,balanced_accuracy,f1,roc_auc" in comparison
         assert comparison.count("full,") == 2
-        curves = (out / "curves.csv").read_text()
-        assert "coreset_ratio,method,split,f1" in curves
 
     def test_build_is_byte_reproducible(self, workdir):
         tmp_path, config_path, _ = workdir
@@ -160,21 +161,28 @@ class TestTrialRecord:
         best = tune_in_process(config_path).best
         assert loaded == replace(best, coreset_stats=None)
 
-    def test_report_curves_equal_curve_rows(self, workdir):
+    def test_tune_curves_equal_curve_rows(self, workdir):
         tmp_path, _, config = workdir
         config = dict(config, grid=dict(config["grid"], repeats=2))
         config_path = str(tmp_path / "repeats.json")
         with open(config_path, "w") as fh:
             json.dump(config, fh)
-        for command in ("split", "tune", "report"):
+        for command in ("split", "tune"):
             assert run(config_path, command) == 0, command
         lines = (tmp_path / "run" / "curves.csv").read_text().splitlines()
         written = [(float(r), m, s, float(f))
                    for r, m, s, f in (line.split(",") for line in lines[2:])]
-        cells = [(s.cell.coreset_ratio, s.cell.vanilla, s.mean_validation_f1,
-                  s.mean_test_f1) for s in tune_in_process(config_path).summaries]
-        assert written == curve_rows(cells)
+        assert written == curve_rows(tune_in_process(config_path).summaries)
 
+    def test_report_reads_no_trials_table(self, workdir):
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        for command in ("split", "tune", "report"):
+            assert run(config_path, command) == 0, command
+        comparison = (out / "comparison.csv").read_bytes()
+        (out / "trials.csv").unlink()
+        assert run(config_path, "report") == 0
+        assert (out / "comparison.csv").read_bytes() == comparison
 
     def test_refine_and_report_train_with_the_recorded_settings(self, workdir):
         tmp_path, config_path, _ = workdir
@@ -705,6 +713,21 @@ class TestScoresArtifact:
                        "sensitivity.params.mix=0.3") == 0, command
         assert data_rows() == tuned_at_mix_half
 
+    @pytest.mark.parametrize("max_iters,converged", [(100, True), (1, False)])
+    def test_score_logs_whether_lewis_converged(self, workdir, max_iters,
+                                                converged):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        assert run(config_path, "score", "--override",
+                   'sensitivity.provider="lewis"', "--override",
+                   f"sensitivity.params.max_iters={max_iters}") == 0
+        logged = [line for line in
+                  (tmp_path / "run" / "run.log").read_text().splitlines()
+                  if " score: " in line]
+        assert len(logged) == 1
+        assert (f"score: provider=lewis n=168 converged={converged} "
+                "ridge_fallback=False -> ") in logged[0]
+
     def test_bad_grid_fails_before_scoring(self, workdir, monkeypatch):
         _, config_path, _ = workdir
         assert run(config_path, "split") == 0
@@ -753,10 +776,12 @@ class TestZeroWeightPoints:
 
         tmp_path, config_path, config = workdir
         out = tmp_path / "run"
-        assert run(config_path, "split") == 0
-        # A successful tune first: its outputs must not outlive a failed one.
-        assert run(config_path, "tune") in (0, 3)
-        assert (out / "trials.csv").exists() and (out / "best_config.json").exists()
+        # A successful chain first: its tune outputs must not outlive a
+        # failed tune.
+        for command in ("split", *DOWNSTREAM):
+            assert run(config_path, command) == 0, command
+        tuned = ("trials.csv", "best_config.json", "curves.csv")
+        assert all((out / name).exists() for name in tuned)
         bundle, manifest = load_split_bundle(out / "splits")
         train = bundle.train
         weights = np.where(train.labels == 0, 0.0, train.weights)
@@ -773,8 +798,7 @@ class TestZeroWeightPoints:
                   if "tune: failed cell" in line]
         assert len(failed) == cells
         assert capsys.readouterr().err.count("tune: failed cell") == cells
-        assert not (out / "trials.csv").exists()
-        assert not (out / "best_config.json").exists()
+        assert not any((out / name).exists() for name in tuned)
         assert run(config_path, "refine") == 2
         assert "run the tune command first" in capsys.readouterr().err
 

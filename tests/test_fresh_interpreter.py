@@ -38,9 +38,9 @@ ARTIFACTS = {
     "split": ("splits/manifest.json",),
     "score": ("scores.csv",),
     "build": ("coreset.csv",),
-    "tune": ("trials.csv", "best_config.json"),
+    "tune": ("trials.csv", "best_config.json", "curves.csv"),
     "refine": ("refined_coreset.csv", "refine_trace.csv"),
-    "report": ("comparison.csv", "curves.csv"),
+    "report": ("comparison.csv",),
 }
 
 

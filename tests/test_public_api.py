@@ -1,4 +1,6 @@
+import importlib.util
 import types
+from pathlib import Path
 
 import coretune
 
@@ -24,3 +26,29 @@ def test_refine_names_the_module():
 
     assert isinstance(coretune.refine, types.ModuleType)
     assert coretune.refine.train is coretune.learners.train
+
+
+def _tracing_module():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The traced benchmark pass wraps these names where they are looked up; a
+# renamed or moved one would fail only that pass.
+def test_tracer_function_targets_resolve():
+    unresolved = [(module, attr) for module, attr, _, _ in
+                  _tracing_module().FUNCTION_TARGETS
+                  if not callable(getattr(importlib.import_module(module), attr,
+                                          None))]
+    assert unresolved == []
+
+
+def test_tracer_method_targets_are_class_attributes():
+    unresolved = [(module, cls, attr) for module, cls, attr, _ in
+                  _tracing_module().METHOD_TARGETS
+                  if attr not in vars(getattr(importlib.import_module(module),
+                                              cls))]
+    assert unresolved == []

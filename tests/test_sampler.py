@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coretune.data import Dataset, read_table
+from conftest import read_table
+from coretune.data import Dataset
 from coretune.sampler import (AllocationError, Coreset, SamplerConfig,
                               SamplingPlan, StrategyInfeasibleError,
                               ZeroWeightPointError, allocate_class_budgets,

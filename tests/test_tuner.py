@@ -374,9 +374,7 @@ class TestCompareAndCurves:
     def test_curve_rows_cover_each_ratio(self):
         splits = imbalanced_problem(seed=9)
         result = run_grid(splits, SMALL_GRID, TrainConfig())
-        rows = curve_rows([(s.cell.coreset_ratio, s.cell.vanilla,
-                            s.mean_validation_f1, s.mean_test_f1)
-                           for s in result.summaries])
+        rows = curve_rows(result.summaries)
         ratios = {r[0] for r in rows}
         assert ratios == {0.2, 0.35}
         for ratio in ratios:

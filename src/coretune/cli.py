@@ -203,8 +203,10 @@ def cmd_tune(cfg: RunConfig) -> int:
         _log(cfg, f"tune: failed cell {failure.cell_index} repeat {failure.repeat} "
                   f"seed {failure.seed}: {failure.error}")
     if not result.trials:
-        # An earlier tune's outputs must not pass for this one's.
-        for stale in ("trials.csv", "best_config.json", "curves.csv"):
+        # An earlier tune's outputs, and the refine and report outputs that
+        # derive from its best_config.json, must not pass for this one's.
+        for stale in ("trials.csv", "best_config.json", "curves.csv",
+                      "refined_coreset.csv", "refine_trace.csv", "comparison.csv"):
             with contextlib.suppress(FileNotFoundError):
                 os.remove(_path(cfg, stale))
     best = result.best  # raises, before any artifact is written, if all failed
@@ -250,7 +252,8 @@ def cmd_refine(cfg: RunConfig) -> int:
     _write(cfg, "refine_trace.csv", trace_to_csv, trace)
     phi = (trace.phi_refined if trace.decision == "kept_refined"
            else trace.phi_original)
-    _log(cfg, f"refine: {trace.decision} after {len(trace.rounds)} rounds; "
+    _log(cfg, f"refine: {trace.decision} after {len(trace.rounds)} rounds"
+              f"{'; ' + trace.note if trace.note else ''}; "
               f"validation {refine_cfg.metric} {phi:.4f} -> {coreset_out}")
     return EXIT_OK
 

@@ -32,7 +32,9 @@ class RefineConfig:
     batch_size is the number of points queried per round; patience is the
     number of consecutive non-improving rounds tolerated before stopping.
     metric is a named validation metric, or any callable
-    (model, dataset) -> float. max_rounds defaults to ceil(|train| / batch).
+    (model, dataset) -> float. max_rounds caps the number of rounds; None
+    means no cap, so the loop runs until patience runs out or the pool is
+    empty.
     """
 
     batch_size: int
@@ -80,17 +82,19 @@ def _phi(config: RefineConfig, model: LinearModel, validation: Dataset) -> float
     return value
 
 
-def uncertainty_query(model: LinearModel, pool: Dataset, k: int) -> np.ndarray:
-    """point_ids of the k pool points with the smallest |decision score|.
+def uncertainty_query(model: LinearModel, features, point_ids: np.ndarray,
+                      k: int) -> np.ndarray:
+    """Row indices into ``features`` of the k rows with the smallest
+    |decision score|.
 
-    Ties break by ascending point_id. For binary linear models the margin,
+    Ties break by ascending point_id. When k covers every row, every row is
+    returned in order, unscored. For binary linear models the margin,
     least-confidence, and entropy criteria induce this same ranking.
     """
-    if k >= pool.n:
-        return pool.point_ids.copy()
-    magnitude = np.abs(decision_scores(model, pool.features))
-    order = np.lexsort((pool.point_ids, magnitude))
-    return pool.point_ids[order[:k]]
+    if k >= len(point_ids):
+        return np.arange(len(point_ids))
+    magnitude = np.abs(decision_scores(model, features))
+    return np.lexsort((point_ids, magnitude))[:k]
 
 
 def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
@@ -98,68 +102,59 @@ def refine(train_set: Dataset, validation: Dataset, coreset: Coreset,
            config: RefineConfig) -> tuple[Coreset, RefineTrace]:
     """Run the active-sampling refinement loop on ``coreset``.
 
-    Returns the refined coreset when its retrained model strictly beats the
-    original on the validation metric, otherwise the original, plus the
-    per-round trace. Deterministic: querying has no randomness and training
-    is deterministic.
+    The loop state is the coreset's train rows with their weights and a row
+    mask; the pool is the rows outside it. The loop stops after
+    ``config.patience`` non-improving rounds, on an empty pool, or after
+    ``config.max_rounds`` rounds if set. Returns the refined coreset when its
+    retrained model strictly beats the original on the validation metric,
+    otherwise the original, plus the per-round trace. Deterministic. An id
+    outside ``train_set`` is a KeyError, a label mismatch a ValueError.
     """
-    missing = set(coreset.point_ids.tolist()) - set(train_set.point_ids.tolist())
-    if missing:
-        raise ValueError(f"coreset points not in train set: {sorted(missing)[:5]}")
-    max_rounds = config.max_rounds
-    if max_rounds is None:
-        max_rounds = max(1, math.ceil(train_set.n / config.batch_size))
-
-    trace = RefineTrace()
-    current = coreset
-    model = train(*current.materialize(train_set), train_config)
+    model = train(*coreset.materialize(train_set), train_config)
     phi_original = _phi(config, model, validation)
     phi_current = phi_original
+    rows = train_set.positions_of(coreset.point_ids)
+    weights = coreset.weights
+    in_coreset = np.zeros(train_set.n, dtype=bool)
+    in_coreset[rows] = True
 
+    trace = RefineTrace()
     patience = 0
-    rounds = 0
-    while patience < config.patience and rounds < max_rounds:
-        in_coreset = np.isin(train_set.point_ids, current.point_ids)
-        pool_positions = np.flatnonzero(~in_coreset)
-        if len(pool_positions) == 0:
-            if rounds == 0:
-                trace.note = "empty pool; nothing to query"
-            else:
-                trace.note = "pool exhausted"
+    while patience < config.patience and (
+            config.max_rounds is None or len(trace.rounds) < config.max_rounds):
+        pool = np.flatnonzero(~in_coreset)
+        if len(pool) == 0:
+            trace.note = ("pool exhausted" if trace.rounds
+                          else "empty pool; nothing to query")
             break
-        pool = train_set.take(pool_positions)
-        queried = uncertainty_query(model, pool, config.batch_size)
-        added = len(queried)
-        current = Coreset(
-            np.concatenate([current.point_ids, queried]),
-            np.concatenate([current.weights, np.ones(added)]),
-            np.concatenate([current.labels,
-                            train_set.labels[train_set.positions_of(queried)]]),
-            np.concatenate([current.provenance,
-                            np.full(added, PROVENANCE_ACTIVE, dtype=object)]),
-            np.concatenate([current.counts, np.ones(added, dtype=np.int64)]))
-        candidate = train(*current.materialize(train_set), train_config)
+        picked = pool[uncertainty_query(model, train_set.features[pool],
+                                        train_set.point_ids[pool],
+                                        config.batch_size)]
+        in_coreset[picked] = True
+        rows = np.concatenate([rows, picked])
+        weights = np.concatenate([weights, np.ones(len(picked))])
+        candidate = train(train_set.features[rows], train_set.labels[rows],
+                          weights, train_config)
         phi_candidate = _phi(config, candidate, validation)
-
-        if phi_current < phi_candidate:
-            patience = 0
-        else:
-            patience += 1
-        trace.rounds.append(RoundRecord(rounds, len(pool_positions),
+        patience = 0 if phi_current < phi_candidate else patience + 1
+        trace.rounds.append(RoundRecord(len(trace.rounds), len(pool),
                                         phi_current, phi_candidate, patience))
         model = candidate
         phi_current = phi_candidate
-        rounds += 1
 
     # Head-to-head comparison of the original and refined coresets. Training
     # is deterministic, so the cached metric values equal retrained ones.
     trace.phi_original = phi_original
     trace.phi_refined = phi_current
-    if phi_original < phi_current:
-        trace.decision = "kept_refined"
-        return current, trace
-    trace.decision = "kept_original"
-    return coreset, trace
+    if not phi_original < phi_current:
+        return coreset, trace
+    trace.decision = "kept_refined"
+    added = len(rows) - coreset.n_unique
+    return Coreset(
+        train_set.point_ids[rows], weights, train_set.labels[rows],
+        np.concatenate([coreset.provenance,
+                        np.full(added, PROVENANCE_ACTIVE, dtype=object)]),
+        np.concatenate([coreset.counts, np.ones(added, dtype=np.int64)])), trace
 
 
 def trace_to_csv(trace: RefineTrace, path, header_comment: str | None = None) -> None:

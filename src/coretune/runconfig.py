@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .data import boolean_field, integer_field, real_number, split_fractions
 from .learners import TrainConfig
@@ -33,14 +33,15 @@ DEFAULTS = {
     "workers": 1,
 }
 
-# The fields of the top level and of the sections parsed here; the other
-# sections are built by a dataclass, whose constructor rejects unknown fields.
+# The fields of the top level, of the sections parsed here and of refine; the
+# dataclass that builds each other section rejects an unknown field itself.
 KNOWN_FIELDS = {
     "": {"dataset", "split", "sensitivity", "train", "grid", "refine", "build",
          "output_dir", "workers"},
     "dataset": {"path", "format", "label_column", "has_header", "dimension_hint"},
     "split": {"fractions", "seed"},
     "sensitivity": {"provider", "params"},
+    "refine": {f.name for f in fields(RefineConfig)},
 }
 
 
@@ -161,14 +162,8 @@ class RunConfig:
 
         self.refine = None
         if "refine" in raw:
-            refine = dict(raw["refine"])
             with _section("refine"):
-                # Refinement always queries by smallest |decision score|.
-                strategy = refine.pop("query_strategy", "margin")
-                if strategy != "margin":
-                    raise ValueError(f"query_strategy {strategy!r} is not "
-                                     "supported; use 'margin' or omit the field")
-                self.refine = RefineConfig(**refine)
+                self.refine = RefineConfig(**raw["refine"])
 
         build = dict(raw.get("build", {}))
         with _section("build.coreset_ratio"):

@@ -6,7 +6,10 @@ a lucky draw. Explicit ``@example`` cases pin known regressions on top.
 """
 
 import numpy as np
+import scipy.sparse as sp
 from hypothesis import settings
+
+from coretune.data import Dataset, stratified_split
 
 settings.register_profile("deterministic", derandomize=True)
 settings.load_profile("deterministic")
@@ -30,3 +33,17 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
         lines = [line.rstrip("\n") for line in fh
                  if line.strip() and not line.startswith("#")]
     return lines[0].split(","), [line.split(",") for line in lines[1:]]
+
+
+def golden_splits(sparse: bool):
+    """360 weighted points, 20% positive, shuffled gapped point_ids; the CSR
+    variant keeps about 30% of the entries."""
+    rng = np.random.default_rng(31)
+    n, d = 360, 8
+    y = (rng.random(n) < 0.2).astype(int)
+    X = rng.normal(size=(n, d)) + 0.8 * y[:, None]
+    if sparse:
+        X = sp.csr_matrix(np.where(rng.random((n, d)) < 0.3, X, 0.0))
+    w = rng.uniform(0.5, 2.0, n)
+    return stratified_split(Dataset(X, y, w, 5 + 3 * rng.permutation(n)),
+                            (0.6, 0.2, 0.2), seed=2)

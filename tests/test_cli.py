@@ -133,6 +133,17 @@ class TestPipeline:
         assert first["refined_coreset.csv"] == \
             f"{stamp} decision={decision.rsplit(',', 1)[1]}"
 
+    def test_refine_logs_why_it_stopped(self, workdir):
+        tmp_path, config_path, _ = workdir
+        for command in ("split", "tune"):
+            assert run(config_path, command) == 0, command
+        # One round absorbs the whole pool; the next finds it empty.
+        assert run(config_path, "refine", "--override", "refine.batch_size=100000",
+                   "--override", "refine.patience=2") == 0
+        logged = [line for line in (tmp_path / "run" / "run.log").read_text()
+                  .splitlines() if " refine: " in line]
+        assert len(logged) == 1 and "after 1 rounds; pool exhausted;" in logged[0]
+
     def test_workers_flag_is_not_hashed(self, workdir):
         tmp_path, config_path, _ = workdir
         out = tmp_path / "run"
@@ -417,15 +428,16 @@ class TestErrorsAndExitCodes:
                    'grid.weight_strategies=["inv", "mean"]') == 1
         assert "weight_strategy" in capsys.readouterr().err
 
-    def test_retired_query_strategy_names_margin(self, workdir, capsys):
+    @pytest.mark.parametrize("strategy", ["entropy", "margin"])
+    def test_retired_query_strategy_is_an_unknown_field(self, workdir, capsys,
+                                                        strategy):
         _, config_path, _ = workdir
         assert run(config_path, "split") == 0
         assert run(config_path, "tune") == 0
         assert run(config_path, "refine", "--override",
-                   "refine.query_strategy=entropy") == 1
-        assert "'margin'" in capsys.readouterr().err
-        assert run(config_path, "refine", "--override",
-                   "refine.query_strategy=margin") == 0
+                   f"refine.query_strategy={strategy}") == 1
+        assert "unknown config field 'refine.query_strategy'" in \
+            capsys.readouterr().err
 
     @pytest.mark.parametrize("provider", ["unified", "random"])
     def test_unknown_provider_is_a_config_error(self, workdir, capsys, provider):
@@ -780,7 +792,9 @@ class TestZeroWeightPoints:
         # failed tune.
         for command in ("split", *DOWNSTREAM):
             assert run(config_path, command) == 0, command
-        tuned = ("trials.csv", "best_config.json", "curves.csv")
+        # refine's and report's outputs derive from best_config.json.
+        tuned = ("trials.csv", "best_config.json", "curves.csv",
+                 "refined_coreset.csv", "refine_trace.csv", "comparison.csv")
         assert all((out / name).exists() for name in tuned)
         bundle, manifest = load_split_bundle(out / "splits")
         train = bundle.train

@@ -2,6 +2,8 @@ import importlib.util
 import types
 from pathlib import Path
 
+import numpy as np
+
 import coretune
 
 # The names the benchmark harness (perfbench/run.py) imports from coretune.
@@ -26,6 +28,18 @@ def test_refine_names_the_module():
 
     assert isinstance(coretune.refine, types.ModuleType)
     assert coretune.refine.train is coretune.learners.train
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = readme.split("\n## Library\n", 1)[1]
+    example = example.split("```python\n", 1)[1].split("```", 1)[0]
+    rng = np.random.default_rng(0)
+    features = rng.normal(size=(2000, 5))
+    labels = (rng.random(2000) < 0.3).astype(int)
+    namespace = {"features": features, "labels": labels}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert namespace["trace"].decision in ("kept_original", "kept_refined")
 
 
 def _tracing_module():

@@ -1,13 +1,15 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from conftest import golden_splits
 from coretune.data import Dataset, stratified_split
 from coretune.learners import LinearModel, TrainConfig, decision_scores
 from coretune.refine import (RefineConfig, refine, trace_to_csv,
                              uncertainty_query)
-from coretune.sampler import SamplerConfig, build_coreset
+from coretune.sampler import SamplerConfig, build_coreset, coreset_to_csv
 from coretune.sensitivity import compute_scores
 
 
@@ -30,23 +32,26 @@ def small_coreset(train, size=20, seed=0):
 
 class TestUncertaintyQuery:
     def test_smallest_magnitudes(self):
-        pool = Dataset(np.array([[-3.0], [0.1], [2.0], [-0.05]]),
-                       np.array([0, 1, 1, 0]))
+        features = np.array([[-3.0], [0.1], [2.0], [-0.05]])
         model = LinearModel(np.array([1.0]), 0.0, "logistic", True)
-        picked = uncertainty_query(model, pool, k=2)
+        picked = uncertainty_query(model, features, np.array([4, 5, 6, 7]), k=2)
         assert sorted(picked.tolist()) == [1, 3]
 
-    def test_k_at_least_pool_returns_everything(self):
-        pool = Dataset(np.array([[1.0], [2.0]]), np.array([0, 1]))
+    def test_k_at_least_pool_returns_every_row_unscored(self, monkeypatch):
+        def no_scoring(*args):
+            raise AssertionError("scored although every row is returned")
+
+        monkeypatch.setattr("coretune.refine.decision_scores", no_scoring)
         model = LinearModel(np.array([1.0]), 0.0, "logistic", True)
-        assert sorted(uncertainty_query(model, pool, k=5).tolist()) == [0, 1]
+        picked = uncertainty_query(model, np.array([[1.0], [2.0]]),
+                                   np.array([9, 4]), k=5)
+        assert picked.tolist() == [0, 1]
 
     def test_tie_breaks_by_lower_point_id(self):
-        pool = Dataset(np.array([[1.0], [-1.0], [2.0]]), np.array([1, 0, 1]),
-                       point_ids=np.array([7, 3, 9]))
+        features = np.array([[1.0], [-1.0], [2.0]])
         model = LinearModel(np.array([1.0]), 0.0, "logistic", True)
-        picked = uncertainty_query(model, pool, k=1)
-        assert picked.tolist() == [3]
+        picked = uncertainty_query(model, features, np.array([7, 3, 9]), k=1)
+        assert picked.tolist() == [1]
 
 
 def simulate_patience(improvements, patience_limit, max_rounds):
@@ -217,10 +222,31 @@ class TestRefineBehaviour:
                           TrainConfig(), config)
         assert len(trace.rounds) == 4
 
+    def test_no_cap_runs_until_the_pool_is_exhausted(self):
+        splits = make_problem(seed=13)
+        coreset = small_coreset(splits.train, size=12)
+        batch = 30
+        rounds = math.ceil((splits.train.n - coreset.n_unique) / batch)
+        # A cap of ceil(n / batch) rounds would stop the loop in the round
+        # that empties the pool, before it finds the pool empty.
+        assert rounds == math.ceil(splits.train.n / batch)
+        counter = {"v": 0.0}
+
+        def ever_improving(model, validation):
+            counter["v"] += 1.0
+            return counter["v"]
+
+        returned, trace = refine(splits.train, splits.validation, coreset,
+                                 TrainConfig(), RefineConfig(
+                                     batch_size=batch, metric=ever_improving))
+        assert len(trace.rounds) == rounds
+        assert trace.note == "pool exhausted"
+        assert returned.n_unique == splits.train.n
+
     def test_coreset_outside_train_rejected(self):
         splits = make_problem(seed=15)
         coreset = small_coreset(splits.train, size=10)
-        with pytest.raises(ValueError, match="not in train"):
+        with pytest.raises(KeyError, match="unknown point_ids"):
             refine(splits.validation, splits.test, coreset, TrainConfig(),
                    RefineConfig(batch_size=2))
 
@@ -235,6 +261,32 @@ class TestRefineBehaviour:
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "round,pool_size,phi_before,phi_after,patience,decision"
         assert len(lines) >= 3
+
+
+# sha256 of refined_coreset.csv's bytes followed by refine_trace.csv's, for a
+# kept_refined run on golden_splits(sparse); a rewrite of the loop must leave
+# these bytes unchanged.
+GOLDEN_REFINE = {
+    False: "4f0db3c38350e4f401a72ea021a92ed4889e4b2bee937ff8cbab68aab2723e91",
+    True: "4eff4ed58cb69f4e99af731b78acc5c2d6e2f6058c78dd4b76ed2a8057b0cc36",
+}
+
+
+@pytest.mark.parametrize("sparse,provider,seed,rounds",
+                         [(False, "leverage", 0, 5), (True, "lewis", 1, 4)],
+                         ids=["dense-leverage", "csr-lewis"])
+def test_refine_bytes_pinned(tmp_path, sparse, provider, seed, rounds):
+    splits = golden_splits(sparse)
+    coreset = build_coreset(splits.train, compute_scores(provider, splits.train),
+                            SamplerConfig(30, det_ratio=0.2, seed=seed))
+    refined, trace = refine(splits.train, splits.validation, coreset,
+                            TrainConfig(), RefineConfig(batch_size=10, patience=2))
+    assert trace.decision == "kept_refined" and len(trace.rounds) == rounds
+    coreset_to_csv(refined, tmp_path / "refined_coreset.csv")
+    trace_to_csv(trace, tmp_path / "refine_trace.csv")
+    written = b"".join((tmp_path / name).read_bytes()
+                       for name in ("refined_coreset.csv", "refine_trace.csv"))
+    assert hashlib.sha256(written).hexdigest() == GOLDEN_REFINE[sparse]
 
 
 def validation_f1(model, validation):

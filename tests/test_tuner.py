@@ -7,8 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
+from conftest import golden_splits
 from coretune.data import CSRMatrix, Dataset, stratified_split
 from coretune.learners import TrainConfig, train
 from coretune.refine import RefineConfig
@@ -267,20 +267,6 @@ GOLDEN_TRIALS = {
     False: "9fada30aabe244d30fc65e2906e0376afc4ee2138f25c27a4fc951a3b4962a8a",
     True: "3338e5da662be7577d11034ed009e92be1ef7abe6ac5e9d915f7ca50f683c2ef",
 }
-
-
-def golden_splits(sparse: bool):
-    """360 weighted points, 20% positive, shuffled gapped point_ids; the CSR
-    variant keeps about 30% of the entries."""
-    rng = np.random.default_rng(31)
-    n, d = 360, 8
-    y = (rng.random(n) < 0.2).astype(int)
-    X = rng.normal(size=(n, d)) + 0.8 * y[:, None]
-    if sparse:
-        X = sp.csr_matrix(np.where(rng.random((n, d)) < 0.3, X, 0.0))
-    w = rng.uniform(0.5, 2.0, n)
-    return stratified_split(Dataset(X, y, w, 5 + 3 * rng.permutation(n)),
-                            (0.6, 0.2, 0.2), seed=2)
 
 
 class TestRunGridGolden:

@@ -15,10 +15,15 @@ preconditioned conjugate gradients on Hessian-vector products, so training
 holds O(nnz) memory and needs no dense solver (the truncated Newton step of
 Lin, Weng & Keerthi, "Trust Region Newton Method for Logistic Regression",
 JMLR 2008); the products are :class:`~coretune.data.CSRMatrix`'s numpy
-ones. Dense input forms the Hessian and numpy solves it directly. Training
-imports nothing from scipy: a ``scipy.sparse`` matrix passed to
-:func:`train`, :func:`weighted_loss` or :func:`decision_scores` is read as
-a :class:`~coretune.data.CSRMatrix`.
+ones. The step is inexact: conjugate gradients stop once the residual is
+below ``min(0.5, ||g||)`` times the gradient norm ``||g||``, the forcing
+term of Dembo, Eisenstat & Steihaug ("Inexact Newton methods", SIAM J.
+Numer. Anal. 1982; Nocedal & Wright, Numerical Optimization, §7.1). It
+keeps Newton's quadratic convergence, while the early steps, far from the
+optimum, take few products. Dense input forms the Hessian and numpy solves
+it directly. Training imports nothing from scipy: a ``scipy.sparse``
+matrix passed to :func:`train`, :func:`weighted_loss` or
+:func:`decision_scores` is read as a :class:`~coretune.data.CSRMatrix`.
 """
 
 from __future__ import annotations
@@ -147,10 +152,8 @@ def _cholesky_solve(H: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(H, rhs)
 
 
-# Conjugate gradients stop once the residual is this small relative to the
-# gradient, or after this many iterations per unknown; a capped step is
-# still a descent direction, and the line search scales it.
-_CG_TOLERANCE = 1e-12
+# Conjugate gradients stop after at most this many iterations per unknown;
+# a capped step is still a descent direction, and the line search scales it.
 _CG_ITERATIONS_PER_UNKNOWN = 2
 
 
@@ -184,9 +187,11 @@ def _dense_newton_step(features, dw, grad, C):
         return _cholesky_solve(H, grad)
 
 
-def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations):
+def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations,
+                        tolerance):
     """Solve the Newton system ``H p = grad`` for a CSR feature matrix ``A``
-    by Jacobi-preconditioned conjugate gradients, never forming ``H``.
+    by Jacobi-preconditioned conjugate gradients, never forming ``H``,
+    until the residual satisfies ``||H p - grad|| <= tolerance * ||grad||``.
 
     ``H u = Aᵀ(dw ∘ (A u + c)) + u / C`` for coefficients ``u`` and, when
     ``grad`` has d + 1 entries, intercept ``c``, whose row is
@@ -195,7 +200,9 @@ def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations):
     ``H`` by the dense solve's ridge. After ``max_iterations``, or on
     curvature ``pᵀHp <= 0``, the current iterate is returned (the
     preconditioned gradient if there is none yet): each is a descent
-    direction.
+    direction. Training passes the forcing term ``min(0.5, ||grad||)``
+    (Dembo, Eisenstat & Steihaug 1982) as ``tolerance``, so each system is
+    solved only as tightly as quadratic convergence needs.
     """
     d = features.shape[1]
     fit_b = len(grad) > d
@@ -220,7 +227,7 @@ def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations):
     z = r / diagonal
     p = z
     rz = float(r @ z)
-    stop = _CG_TOLERANCE * np.linalg.norm(grad)
+    stop = tolerance * np.linalg.norm(grad)
     for k in range(max_iterations):
         hp = product(p)
         curvature = float(p @ hp)
@@ -255,13 +262,15 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         grad_coef, grad_b, s = _logistic_gradient_at(z, coef, features, y_pm,
                                                      weights, C)
         grad = np.append(grad_coef, grad_b) if fit_b else grad_coef
-        if np.linalg.norm(grad) < config.tolerance:
+        grad_norm = np.linalg.norm(grad)
+        if grad_norm < config.tolerance:
             converged = True
             break
         # sigma(z) (1 - sigma(z)) is symmetric in z, so the tails give it.
         dw = weights * s * (1.0 - s)
         if sparse:
-            step = _sparse_newton_step(features, dw, grad, C, cg_cap)
+            step = _sparse_newton_step(features, dw, grad, C, cg_cap,
+                                       min(0.5, grad_norm))
         else:
             step = _dense_newton_step(features, dw, grad, C)
         if obj is None:

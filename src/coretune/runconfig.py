@@ -33,15 +33,21 @@ DEFAULTS = {
     "workers": 1,
 }
 
-# The fields of the top level, of the sections parsed here and of refine; the
-# dataclass that builds each other section rejects an unknown field itself.
+# The fields each section may set: those parsed here, and for the others the
+# fields of the dataclass built from it, less those the run config fills in
+# itself (the grid's provider, the build's size) and plus build's ratio.
 KNOWN_FIELDS = {
     "": {"dataset", "split", "sensitivity", "train", "grid", "refine", "build",
          "output_dir", "workers"},
     "dataset": {"path", "format", "label_column", "has_header", "dimension_hint"},
     "split": {"fractions", "seed"},
     "sensitivity": {"provider", "params"},
+    "train": {f.name for f in fields(TrainConfig)},
+    "grid": {f.name for f in fields(GridSpec)}
+    - {"sensitivity_provider", "provider_params"},
     "refine": {f.name for f in fields(RefineConfig)},
+    "build": {f.name for f in fields(SamplerConfig)} - {"coreset_size"}
+    | {"coreset_ratio"},
 }
 
 
@@ -180,8 +186,8 @@ class RunConfig:
 
 @contextmanager
 def _section(name: str):
-    """Prefix the message of a malformed value or an unknown field with the
-    section it is in."""
+    """Prefix the message of a malformed or missing value with the section
+    it is in."""
     try:
         yield
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -439,6 +439,16 @@ class TestErrorsAndExitCodes:
         assert "unknown config field 'refine.query_strategy'" in \
             capsys.readouterr().err
 
+    @pytest.mark.parametrize("override", [
+        "train.foo=1", "grid.foo=1", "build.foo=1",
+        "grid.sensitivity_provider=lewis", "build.coreset_size=5"])
+    def test_unknown_section_field_is_named(self, workdir, capsys, override):
+        # grid's provider and build's size are set by the run config itself
+        _, config_path, _ = workdir
+        assert run(config_path, "split", "--override", override) == 1
+        path = override.partition("=")[0]
+        assert f"unknown config field '{path}'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("provider", ["unified", "random"])
     def test_unknown_provider_is_a_config_error(self, workdir, capsys, provider):
         _, config_path, _ = workdir

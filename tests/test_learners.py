@@ -8,7 +8,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.special import expit
 
 from coretune import learners
-from coretune.data import as_features
+from coretune.data import CSRMatrix, as_features
 from coretune.learners import (LinearModel, TrainConfig, decision_scores, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective, weighted_loss)
@@ -135,6 +135,60 @@ class TestTrainLogistic:
         assert np.linalg.norm(dense.coefficients - sparse.coefficients) < 1e-8
         assert abs(dense.intercept - sparse.intercept) < 1e-8
 
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_sparse_matches_dense_on_coreset_like_weights(self, seed, C,
+                                                          fit_intercept):
+        # Inverse-probability weights of a skewed sampling distribution span
+        # orders of magnitude, as a sensitivity coreset's do; CSR steps are
+        # inexact, dense ones direct, and both fits stop at one tolerance.
+        rng = np.random.default_rng(seed)
+        n, d = 400, 200
+        X = sp.random(n, d, density=0.03, format="csr", random_state=rng,
+                      data_rvs=lambda k: rng.normal(size=k))
+        y = (X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) > 0).astype(int)
+        w = 1.0 / (n * rng.dirichlet(np.full(n, 0.3)))
+        w *= 8000.0 / w.sum()
+        config = TrainConfig(regularization=C, fit_intercept=fit_intercept)
+        dense = train(X.toarray(), y, w, config)
+        sparse = train(X, y, w, config)
+        assert dense.converged and sparse.converged
+        want = np.append(dense.coefficients, dense.intercept)
+        got = np.append(sparse.coefficients, sparse.intercept)
+        assert (np.linalg.norm(got - want)
+                <= 1e-8 * max(1.0, C) * np.linalg.norm(want))
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_sparse_fit_takes_few_conjugate_gradient_products(
+            self, fit_intercept, monkeypatch):
+        # One forward product per CG iteration. Solving every Newton system
+        # to a 1e-12 residual took 208 products here, with or without the
+        # intercept; the forcing term min(0.5, ||g||) takes 33 and 35.
+        products = []
+        in_step = []
+        matmul = CSRMatrix.__matmul__
+        step = learners._sparse_newton_step
+
+        def matmul_spy(self, x):
+            if in_step:
+                products.append(1)
+            return matmul(self, x)
+
+        def step_spy(*args):
+            in_step.append(1)
+            try:
+                return step(*args)
+            finally:
+                in_step.pop()
+
+        monkeypatch.setattr(CSRMatrix, "__matmul__", matmul_spy)
+        monkeypatch.setattr(learners, "_sparse_newton_step", step_spy)
+        X, y, w = sparse_instance(n=300, d=150, seed=23)
+        model = train(X, y, w, TrainConfig(fit_intercept=fit_intercept))
+        assert model.converged
+        assert 0 < len(products) <= 50
+
     def test_converges_on_well_conditioned_instance(self):
         X, y, w = random_instance(seed=19)
         assert train(X, y, w, TrainConfig()).converged
@@ -234,9 +288,9 @@ def sparse_instance(n, d, seed, density=0.05):
     return X, y, rng.uniform(0.5, 2.0, size=n)
 
 
-def sparse_step(X, dw, grad, C=1.0, max_iterations=1000):
+def sparse_step(X, dw, grad, tolerance, C=1.0, max_iterations=1000):
     return learners._sparse_newton_step(as_features(X), dw, grad, C,
-                                        max_iterations)
+                                        max_iterations, tolerance)
 
 
 class TestSparseNewtonStep:
@@ -248,17 +302,22 @@ class TestSparseNewtonStep:
         grad = rng.normal(size=40 + fit_intercept)
         return X, dw, grad
 
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_matches_direct_solve_of_the_same_hessian(self, fit_intercept):
-        X, dw, grad = self.system(fit_intercept)
-        C = 0.5
+    @staticmethod
+    def dense_hessian(X, dw, C, fit_intercept):
         A = X.toarray()
         if fit_intercept:
             A = np.hstack([A, np.ones((len(A), 1))])
         H = A.T @ (A * dw[:, None])
         H[np.arange(40), np.arange(40)] += 1.0 / C  # intercept unpenalized
-        expected = np.linalg.solve(H, grad)
-        got = sparse_step(X, dw, grad, C)
+        return H
+
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    def test_matches_direct_solve_of_the_same_hessian(self, fit_intercept):
+        X, dw, grad = self.system(fit_intercept)
+        C = 0.5
+        expected = np.linalg.solve(self.dense_hessian(X, dw, C, fit_intercept),
+                                   grad)
+        got = sparse_step(X, dw, grad, 1e-12, C)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_zero_curvature_takes_the_dense_ridge(self):
@@ -266,17 +325,28 @@ class TestSparseNewtonStep:
         # diagonal entry is 0 and only the ridge makes H invertible.
         X, _, grad = self.system(True)
         dw = np.zeros(X.shape[0])
-        got = sparse_step(X, dw, grad)
+        got = sparse_step(X, dw, grad, 1e-12)
         assert np.all(np.isfinite(got)) and grad @ got > 0
         expected = learners._dense_newton_step(X.toarray(), dw, grad, 1.0)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
+    @pytest.mark.parametrize("fit_intercept", [True, False])
+    @pytest.mark.parametrize("tolerance", [0.5, 1e-3])
+    def test_inexact_step_meets_the_forcing_tolerance(self, tolerance,
+                                                      fit_intercept):
+        X, dw, grad = self.system(fit_intercept, seed=2)
+        C = 0.5
+        H = self.dense_hessian(X, dw, C, fit_intercept)
+        got = sparse_step(X, dw, grad, tolerance, C)
+        assert np.linalg.norm(H @ got - grad) <= tolerance * np.linalg.norm(grad)
+        assert grad @ got > 0
+
     @pytest.mark.parametrize("cap", [1, 3])
     def test_capped_step_is_a_descent_direction(self, cap):
         X, dw, grad = self.system(True, seed=4)
-        got = sparse_step(X, dw, grad, max_iterations=cap)
+        got = sparse_step(X, dw, grad, 1e-12, max_iterations=cap)
         assert grad @ got > 0
-        assert not np.allclose(got, sparse_step(X, dw, grad))
+        assert not np.allclose(got, sparse_step(X, dw, grad, 1e-12))
 
 
 class TestExpit:

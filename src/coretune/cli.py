@@ -29,7 +29,8 @@ from .data import (SplitBundle, SplitError, load_split_bundle, parse_csv,
                    parse_libsvm, save_split_bundle, stratified_split,
                    write_table)
 from .refine import RefineConfig
-from .runconfig import ConfigError, RunConfig, atomic_output, load_run_config
+from .runconfig import (ConfigError, RunConfig, atomic_output, config_hash,
+                        load_run_config)
 from .sampler import build_coreset, coreset_to_csv
 from .sensitivity import SensitivityScores, compute_scores, scores_to_csv
 from .tuner import (TrialResult, compare_to_baselines, coreset_size_for,
@@ -116,13 +117,31 @@ def _load_dataset(cfg: RunConfig):
     return parse_csv(cfg.dataset_path, cfg.label_column, cfg.has_header)
 
 
+def _split_key(cfg: RunConfig) -> str:
+    """The digest of the config sections that determine the split store."""
+    return config_hash({name: cfg.raw[name] for name in ("dataset", "split")})
+
+
+# The outputs that derive from best_config.json: a tune whose cells all fail
+# deletes them, and split deletes them with the rest of its old outputs.
+_TUNED_OUTPUTS = ("trials.csv", "best_config.json", "curves.csv",
+                  "refined_coreset.csv", "refine_trace.csv", "comparison.csv")
+
+
+def _remove_outputs(cfg: RunConfig, names) -> None:
+    for name in names:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(_path(cfg, name))
+
+
 def _inputs(cfg: RunConfig, sensitivity: tuple[str, dict] | None = None
             ) -> tuple[SplitBundle, SensitivityScores]:
     """The split store and the train split's scores under ``sensitivity``,
     the (provider, params) recorded with the tuned best, or by default the
     configured ones.
 
-    The scores come from ``<output_dir>/scores.npz`` when its key (provider,
+    The store must carry the key of the config's dataset and split
+    sections. The scores come from ``<output_dir>/scores.npz`` when its key (provider,
     params, train-split digest) matches; otherwise they are computed once
     and stored there, replacing any scores of another key.
     """
@@ -131,6 +150,10 @@ def _inputs(cfg: RunConfig, sensitivity: tuple[str, dict] | None = None
         bundle, manifest = load_split_bundle(splits)
     except FileNotFoundError:
         raise _missing(f"splits under {splits}", "split") from None
+    if manifest.get("key") != _split_key(cfg):
+        raise ArtifactMissingError(
+            f"the splits under {splits} were made under another dataset or "
+            "split config; rerun the split command")
     provider, params = sensitivity or (cfg.provider, cfg.provider_params)
     key = json.dumps([provider, params, manifest["splits"]["train"]["sha256"]],
                      sort_keys=True)
@@ -154,10 +177,12 @@ def _inputs(cfg: RunConfig, sensitivity: tuple[str, dict] | None = None
 
 
 def cmd_split(cfg: RunConfig) -> int:
-    # A split that fails must leave no store for later commands to run on.
+    # A split that fails must leave no store for later commands to run on,
+    # and no output of the old store may pass for one of the new.
     splits = _path(cfg, "splits")
     with contextlib.suppress(FileNotFoundError):
         shutil.rmtree(splits)
+    _remove_outputs(cfg, ("scores.csv", "coreset.csv") + _TUNED_OUTPUTS)
     dataset = _load_dataset(cfg)
     # The learners and metrics are binary; fail here, not at tune.
     n_classes = len(dataset.classes)
@@ -167,7 +192,7 @@ def cmd_split(cfg: RunConfig) -> int:
     bundle = stratified_split(dataset, cfg.split_fractions, cfg.split_seed)
     save_split_bundle(bundle, splits, cfg.split_seed, cfg.split_fractions,
                       extra={"config_hash": cfg.config_hash(),
-                             "source": cfg.dataset_path})
+                             "key": _split_key(cfg), "source": cfg.dataset_path})
     sizes = {name: split.n for name, split in zip(bundle.names, bundle)}
     _log(cfg, f"split: wrote {sizes} to {splits}")
     return EXIT_OK
@@ -205,10 +230,7 @@ def cmd_tune(cfg: RunConfig) -> int:
     if not result.trials:
         # An earlier tune's outputs, and the refine and report outputs that
         # derive from its best_config.json, must not pass for this one's.
-        for stale in ("trials.csv", "best_config.json", "curves.csv",
-                      "refined_coreset.csv", "refine_trace.csv", "comparison.csv"):
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(_path(cfg, stale))
+        _remove_outputs(cfg, _TUNED_OUTPUTS)
     best = result.best  # raises, before any artifact is written, if all failed
     trials_out = _write(cfg, "trials.csv", trials_to_csv, result)
     best_record = {**best.to_dict(), "config_hash": cfg.config_hash(),

@@ -56,11 +56,14 @@ def confusion_counts(true_labels, predicted_labels) -> tuple[int, int, int, int]
     yhat = _check_binary(predicted_labels, "predicted labels")
     if len(y) != len(yhat):
         raise ValueError(f"length mismatch: {len(y)} vs {len(yhat)}")
-    tp = int(np.sum((y == 1) & (yhat == 1)))
-    fp = int(np.sum((y == 0) & (yhat == 1)))
-    tn = int(np.sum((y == 0) & (yhat == 0)))
-    fn = int(np.sum((y == 1) & (yhat == 0)))
-    return tp, fp, tn, fn
+    return _confusion(y, yhat)
+
+
+def _confusion(y: np.ndarray, yhat: np.ndarray) -> tuple[int, int, int, int]:
+    positives = int(np.count_nonzero(y))
+    predicted = int(np.count_nonzero(yhat))
+    tp = int(np.count_nonzero(y & yhat))
+    return tp, predicted - tp, len(y) - positives - predicted + tp, positives - tp
 
 
 def f1(confusion: tuple[int, int, int, int]) -> float:
@@ -94,18 +97,49 @@ def accuracy(confusion: tuple[int, int, int, int]) -> float:
     return (tp + tn) / total
 
 
-def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks, ties sharing the mean of their ranks (exact halves);
-    all NaN when any value is NaN."""
-    if np.isnan(values).any():
-        return np.full(len(values), np.nan)
-    order = np.argsort(values, kind="mergesort")
-    ordered = values[order]
+def _descending(scores: np.ndarray) -> np.ndarray:
+    """Positions by descending score, ties (and NaNs, which come last) by
+    ascending position."""
+    return np.argsort(-scores, kind="stable")
+
+
+def _checked_scores(y: np.ndarray, scores) -> np.ndarray:
+    scores = np.asarray(scores, dtype=np.float64)
+    if len(y) != len(scores):
+        raise ValueError("length mismatch between labels and scores")
+    return scores
+
+
+def _roc_auc(y: np.ndarray, scores: np.ndarray, order: np.ndarray) -> float:
+    """The Mann-Whitney statistic from the descending ``order``; NaN when
+    any score is NaN. Ties share the mean of their ranks, each an exact
+    half, so the rank sum is exact in any order."""
+    n = len(y)
+    n_pos = int(y.sum())
+    n_neg = n - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise UndefinedMetricError("roc_auc needs both classes present")
+    if np.isnan(scores).any():
+        return float("nan")
+    ordered = scores[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    ends = np.append(starts[1:], len(values))
-    ranks = np.empty(len(values), dtype=np.float64)
-    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
-    return ranks
+    ends = np.append(starts[1:], n)
+    # A tie group at descending positions [start, end) holds the ascending
+    # ranks n - end + 1 .. n - start.
+    mean_ranks = np.repeat((2 * n + 1 - starts - ends) / 2.0, ends - starts)
+    rank_sum = float(mean_ranks[y[order] == 1].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _average_precision(y: np.ndarray, order: np.ndarray) -> float:
+    n_pos = int(y.sum())
+    if n_pos == 0:
+        raise UndefinedMetricError("average_precision needs at least one positive")
+    hits = y[order]
+    tp_cum = np.cumsum(hits)
+    k = np.arange(1, len(y) + 1)
+    precision_at = tp_cum / k
+    return float(precision_at[hits == 1].sum() / n_pos)
 
 
 def roc_auc(true_labels, scores) -> float:
@@ -114,16 +148,8 @@ def roc_auc(true_labels, scores) -> float:
     Mann-Whitney rank statistic; equals the trapezoidal ROC area.
     """
     y = _check_binary(true_labels, "true labels")
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(y) != len(scores):
-        raise ValueError("length mismatch between labels and scores")
-    n_pos = int(y.sum())
-    n_neg = len(y) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise UndefinedMetricError("roc_auc needs both classes present")
-    ranks = _average_ranks(scores)
-    rank_sum = float(ranks[y == 1].sum())
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+    scores = _checked_scores(y, scores)
+    return _roc_auc(y, scores, _descending(scores))
 
 
 def average_precision(true_labels, scores) -> float:
@@ -133,31 +159,26 @@ def average_precision(true_labels, scores) -> float:
     deterministic.
     """
     y = _check_binary(true_labels, "true labels")
-    scores = np.asarray(scores, dtype=np.float64)
-    if len(y) != len(scores):
-        raise ValueError("length mismatch between labels and scores")
-    n_pos = int(y.sum())
-    if n_pos == 0:
-        raise UndefinedMetricError("average_precision needs at least one positive")
-    order = np.lexsort((np.arange(len(y)), -scores))
-    hits = y[order]
-    tp_cum = np.cumsum(hits)
-    k = np.arange(1, len(y) + 1)
-    precision_at = tp_cum / k
-    return float(precision_at[hits == 1].sum() / n_pos)
+    scores = _checked_scores(y, scores)
+    return _average_precision(y, _descending(scores))
 
 
 def classification_report(true_labels, scores) -> MetricsReport:
     """All metrics from decision scores; labels are predicted at threshold 0
-    (a score of exactly 0 maps to class 0)."""
+    (a score of exactly 0 maps to class 0). One sort of the scores serves
+    both ranking metrics."""
     scores = np.asarray(scores, dtype=np.float64)
-    predicted = (scores > 0).astype(np.int64)
-    conf = confusion_counts(true_labels, predicted)
+    y = _check_binary(true_labels, "true labels")
+    if len(y) != len(scores):
+        raise ValueError(f"length mismatch: {len(y)} vs {len(scores)}")
+    conf = _confusion(y, scores > 0)
+    balanced = balanced_accuracy(conf)  # raises "no samples" first
+    order = _descending(scores)
     return MetricsReport(
         f1=f1(conf),
-        balanced_accuracy=balanced_accuracy(conf),
+        balanced_accuracy=balanced,
         accuracy=accuracy(conf),
-        roc_auc=roc_auc(true_labels, scores),
-        average_precision=average_precision(true_labels, scores),
+        roc_auc=_roc_auc(y, scores, order),
+        average_precision=_average_precision(y, order),
         confusion=conf,
     )

@@ -6,14 +6,15 @@ sampling. The providers are uniform, leverage scores and l1 Lewis weights,
 listed in :data:`PROVIDERS`; the sampler takes any
 :class:`SensitivityScores`.
 
-Lewis weights, dense or CSR, and leverage scores of a CSR matrix come from
-the d x d Gram matrix, formed in the input's layout and then densified; each
-row's quadratic form comes from row blocks of the matrix times a d x d factor
-of the Gram's (pseudo-)inverse. A CSR matrix is never densified: memory is
-O(nnz + d^2 + block*d), and one Gram costs O(sum of squared row counts +
-d^3 + nnz*d) time. Leverage scores of a dense matrix come from a
-rank-revealing SVD. scipy is imported when Lewis weights, or leverage scores
-of a CSR matrix, are computed; this is the one module that imports scipy.
+Leverage scores and Lewis weights, of dense or CSR input, come from the
+d x d Gram matrix, formed in the input's layout and then densified; each
+row's quadratic form comes from row blocks of the matrix times a d x d
+factor of the Gram's (pseudo-)inverse. A CSR matrix is never densified:
+memory is O(nnz + d^2 + block*d), and one Gram costs O(sum of squared row
+counts + d^3 + nnz*d) time. A dense matrix is held once, intercept column
+included; Lewis weights add one row-scaled copy. scipy is imported when
+Lewis weights, or leverage scores of a CSR matrix, are computed; this is
+the one module that imports scipy. Dense leverage scores load no scipy.
 A :class:`~coretune.data.CSRMatrix` is handed to ``scipy.sparse`` by
 wrapping its arrays, without a copy.
 """
@@ -180,34 +181,33 @@ def leverage_sensitivities(features, mix: float = 0.5,
 
     Leverage l_i is the squared row norm of an orthonormal column basis of
     the (optionally intercept-augmented) matrix A; the output is
-    (1-mix) * l_i / sum(l) + mix / n. A dense A uses a rank-revealing SVD
-    that keeps singular values above s_max * max(n, d) * eps.
+    (1-mix) * l_i / sum(l) + mix / n.
 
-    A CSR A uses l_i = x_i^T G^+ x_i with the pseudo-inverse of the Gram
-    G = A^T A from its eigendecomposition, keeping the eigenvalues above
-    lambda_max * max(n, d) * eps. An eigenvalue of G is a squared singular
-    value, and forming G loses half the digits, so this is the SVD's rank
+    Dense and CSR A alike use l_i = x_i^T G^+ x_i with the pseudo-inverse of
+    the Gram G = A^T A from its eigendecomposition, keeping the eigenvalues
+    above lambda_max * max(n, d) * eps. An eigenvalue of G is a squared
+    singular value, and forming G loses half the digits, so this is the
+    rank of an SVD that keeps singular values above s_max * max(n, d) * eps
     unless a singular value lies between s_max * max(n, d) * eps and
-    s_max * sqrt(max(n, d) * eps).
+    s_max * sqrt(max(n, d) * eps). The scores of a direction with singular
+    value s carry a relative error of about eps * (s_max / s)^2.
     """
     _check_leverage_params(mix, add_intercept)
     A = _design_matrix(features, add_intercept)
-    if not isinstance(A, np.ndarray):
-        lev = _sparse_leverage(A)
+    return _mix_with_uniform(_leverage(A), mix, "leverage")
+
+
+def _leverage(A) -> np.ndarray:
+    """x_i^T G^+ x_i for each row of dense or CSR ``A``, by the rank rule of
+    :func:`leverage_sensitivities`."""
+    if isinstance(A, np.ndarray):
+        lam, V = np.linalg.eigh(A.T @ A)
     else:
-        U, s, _ = np.linalg.svd(A, full_matrices=False)
-        tol = s[0] * max(A.shape) * np.finfo(np.float64).eps if len(s) else 0.0
-        rank = int(np.sum(s > tol))
-        lev = (U[:, :rank] ** 2).sum(axis=1) if rank else np.zeros(A.shape[0])
-    return _mix_with_uniform(lev, mix, "leverage")
+        from scipy.linalg import eigh
 
-
-def _sparse_leverage(A) -> np.ndarray:
-    from scipy.linalg import eigh
-
-    # Two d x d arrays at most: the Gram, overwritten, and the eigenvectors.
-    lam, V = eigh((A.T @ A).toarray(order="F"), overwrite_a=True)
-    if lam[-1] <= 0:
+        # Two d x d arrays at most: the Gram, overwritten, and the eigenvectors.
+        lam, V = eigh((A.T @ A).toarray(order="F"), overwrite_a=True)
+    if len(lam) == 0 or lam[-1] <= 0:
         return np.zeros(A.shape[0])
     # Eigenvalues ascend, so the kept ones are the last.
     first = int(np.sum(lam <= lam[-1] * max(A.shape) * np.finfo(np.float64).eps))

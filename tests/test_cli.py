@@ -651,6 +651,8 @@ class TestOverrides:
         run(config_path, "split")
         run(config_path, "build")
         base = (out / "coreset.csv").read_text()
+        # split.seed is a split-store key: the store must be remade first
+        assert run(config_path, "split", "--seed", "99") == 0
         assert run(config_path, "build", "--seed", "99") == 0
         assert (out / "coreset.csv").read_text() != base
 
@@ -674,6 +676,48 @@ HASHED = ("scores.csv", "coreset.csv", "trials.csv", "best_config.json",
           "refined_coreset.csv", "refine_trace.csv", "comparison.csv",
           "curves.csv")
 DOWNSTREAM = ("score", "build", "tune", "refine", "report")
+
+
+class TestSplitStoreKey:
+    """The split store is keyed by the config's dataset and split sections;
+    a command under another key is refused, with nothing written."""
+
+    @pytest.mark.parametrize("command,override", [
+        ("score", "split.seed=7"),
+        ("tune", "split.fractions=[0.5,0.25,0.25]"),
+    ])
+    def test_store_of_another_split_config_is_refused(self, workdir, capsys,
+                                                      command, override):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        capsys.readouterr()
+        assert run(config_path, command, "--override", override) == 2
+        assert "rerun the split command" in capsys.readouterr().err
+        assert not any((tmp_path / "run" / name).exists() for name in HASHED)
+
+    def test_split_deletes_the_outputs_of_its_old_store(self, workdir, capsys):
+        tmp_path, config_path, _ = workdir
+        out = tmp_path / "run"
+        for command in ("split", *DOWNSTREAM):
+            assert run(config_path, command) == 0, command
+        assert all((out / name).exists() for name in HASHED)
+        assert run(config_path, "split", "--seed", "5") == 0
+        assert not any((out / name).exists() for name in HASHED)
+        capsys.readouterr()
+        assert run(config_path, "report", "--seed", "5") == 2
+        assert "run the tune command first" in capsys.readouterr().err
+        assert not (out / "comparison.csv").exists()
+
+    def test_store_without_a_key_is_refused(self, workdir, capsys):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        manifest_path = tmp_path / "run" / "splits" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        del manifest["key"]
+        manifest_path.write_text(json.dumps(manifest))
+        capsys.readouterr()
+        assert run(config_path, "build") == 2
+        assert "rerun the split command" in capsys.readouterr().err
 
 
 class TestScoresArtifact:
@@ -781,7 +825,8 @@ class TestZeroWeightPoints:
         weights[top] = 0.0
         zeroed = Dataset(train.features, train.labels, weights, train.point_ids)
         save_split_bundle(SplitBundle(zeroed, bundle.validation, bundle.test),
-                          splits_dir, manifest["seed"], manifest["fractions"])
+                          splits_dir, manifest["seed"], manifest["fractions"],
+                          extra={"key": manifest["key"]})
         grid = dict(config["grid"], coreset_ratios=[0.05], det_ratios=[0.0, 0.5],
                     weight_strategies=["inv"], class_allocations=["proportional"])
         assert run(config_path, "tune", "--override",
@@ -811,7 +856,8 @@ class TestZeroWeightPoints:
         weights = np.where(train.labels == 0, 0.0, train.weights)
         zeroed = Dataset(train.features, train.labels, weights, train.point_ids)
         save_split_bundle(SplitBundle(zeroed, bundle.validation, bundle.test),
-                          out / "splits", manifest["seed"], manifest["fractions"])
+                          out / "splits", manifest["seed"], manifest["fractions"],
+                          extra={"key": manifest["key"]})
         capsys.readouterr()
         assert run(config_path, "tune") == 2
         grid = config["grid"]

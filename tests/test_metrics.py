@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -157,7 +159,41 @@ class TestAveragePrecision:
             average_precision([0, 0], [0.1, 0.2])
 
 
+def average_precision_oracle(y, scores):
+    """Independent oracle: the precision at each positive, by descending
+    score and then position, summed with numpy's sum as the metric sums."""
+    order = sorted(range(len(y)), key=lambda i: -scores[i])
+    precisions, hits = [], 0
+    for k, i in enumerate(order, start=1):
+        if y[i]:
+            hits += 1
+            precisions.append(hits / k)
+    return float(np.sum(precisions) / hits)
+
+
+def confusion_oracle(y, scores):
+    pairs = list(zip(y, scores > 0))
+    return tuple(sum(1 for pair in pairs if pair == wanted) for wanted in
+                 [(1, True), (0, True), (0, False), (1, False)])
+
+
 class TestClassificationReport:
+    @given(st.lists(st.tuples(st.sampled_from([0, 1]),
+                              st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0])),
+                    max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_equals_the_per_metric_oracles_bit_for_bit(self, pairs):
+        # Both classes present, and they tie at least once.
+        pairs = pairs + [(0, 0.25), (1, 0.25)]
+        y = np.array([label for label, _ in pairs])
+        scores = np.array([score for _, score in pairs])
+        conf = confusion_oracle(y, scores)
+        expected = MetricsReport(f1(conf), balanced_accuracy(conf), accuracy(conf),
+                                 float(pair_count_auc(y, scores)),
+                                 average_precision_oracle(y, scores), conf)
+        assert pickle.dumps(classification_report(y, scores)) == \
+            pickle.dumps(expected)
+
     def test_report_fields_consistent(self):
         rng = np.random.default_rng(3)
         y = rng.integers(0, 2, size=50)

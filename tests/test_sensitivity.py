@@ -33,6 +33,14 @@ def hat_diagonal(X):
     return np.diag(H)
 
 
+def svd_leverage(A):
+    """Independent oracle: squared row norms of the left singular vectors
+    whose singular values exceed s_max * max(n, d) * eps."""
+    U, s, _ = np.linalg.svd(A, full_matrices=False)
+    keep = s > s[0] * max(A.shape) * np.finfo(np.float64).eps
+    return (U[:, keep] ** 2).sum(axis=1)
+
+
 class TestLeverage:
     def test_identity_rows(self):
         scores = leverage_sensitivities(np.eye(3), mix=0.0, add_intercept=False)
@@ -52,6 +60,12 @@ class TestLeverage:
         scores = leverage_sensitivities(X, mix=1.0)
         assert np.allclose(scores.values, uniform_scores(10).values)
 
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_no_columns_score_uniform(self, layout):
+        X = np.zeros((5, 0)) if layout == "dense" else sp.csr_matrix((5, 0))
+        scores = leverage_sensitivities(X, add_intercept=False)
+        assert scores.values.tolist() == [0.2] * 5
+
     def test_zero_matrix_mix_zero_degenerate(self):
         with pytest.raises(DegenerateScoresError):
             leverage_sensitivities(np.zeros((4, 2)), mix=0.0, add_intercept=False)
@@ -63,12 +77,33 @@ class TestLeverage:
         A = np.hstack([X, np.ones((X.shape[0], 1))])
         rank = np.linalg.matrix_rank(A)
         scores = leverage_sensitivities(X, mix=0.0)
-        U, s, _ = np.linalg.svd(A, full_matrices=False)
-        tol = s[0] * max(A.shape) * np.finfo(np.float64).eps
-        lev = (U[:, : np.sum(s > tol)] ** 2).sum(axis=1)
-        assert abs(lev.sum() - rank) < 1e-8
+        assert abs(svd_leverage(A).sum() - rank) < 1e-8
         # normalized output still sums to 1
         assert abs(scores.values.sum() - 1.0) < 1e-9
+
+    @given(d=st.integers(1, 8), extra_rows=st.integers(0, 60),
+           seed=st.integers(0, 2**32 - 1),
+           exponents=st.lists(st.floats(0, 2), min_size=8, max_size=8),
+           scale=st.integers(-30, 30))
+    @settings(max_examples=100, deadline=None)
+    def test_well_conditioned_leverage_matches_the_svd(self, d, extra_rows, seed,
+                                                        exponents, scale):
+        # A = Q1 diag(s) Q2^T with s_max / s_min <= 100. Leverage from the
+        # Gram errs by about eps * (s_max / s_min)^2: 1e-12 here, but 0.5 at
+        # the rank rule's edge, s_min = s_max * sqrt(max(n, d) * eps).
+        rng = np.random.default_rng(seed)
+        n = d + extra_rows
+        rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
+        Q1 = np.linalg.qr(rows)[0]
+        Q2 = np.linalg.qr(rng.normal(size=(d, d)))[0]
+        singular = 10.0 ** -np.array(exponents[:d])
+        A = (Q1 * singular) @ Q2.T * 10.0 ** scale
+        s = np.linalg.svd(A, compute_uv=False)
+        assert s[-1] > s[0] * np.sqrt(max(n, d) * np.finfo(np.float64).eps)
+        expected = svd_leverage(A)
+        got = leverage_sensitivities(A, mix=0.0, add_intercept=False).values
+        expected /= expected.sum()
+        assert np.linalg.norm(got - expected) < 1e-10 * np.linalg.norm(expected)
 
 
 def lewis_fixed_point_oracle(X, tol=1e-10, max_iters=10000):
@@ -231,21 +266,23 @@ class TestSparseScoring:
 
     @pytest.mark.parametrize("seed", [9, 10, 11, 12])
     @pytest.mark.parametrize("dependent", ["duplicate", "combination"])
-    def test_sparse_leverage_has_the_svd_rank(self, dependent, seed):
-        from coretune.sensitivity import _design_matrix, _sparse_leverage
+    @pytest.mark.parametrize("layout", ["dense", "csr"])
+    def test_leverage_has_the_svd_rank(self, layout, dependent, seed):
+        from coretune.sensitivity import _design_matrix, _leverage
 
         X = sparse_design(200, 10, 0.3, seed=seed)
         extra = (X[:, [3]] if dependent == "duplicate"
                  else 0.1 * X[:, [3]] + 0.7 * X[:, [5]])
         X = sp.hstack([X, extra], format="csr")
-        A = _design_matrix(X, add_intercept=True)
+        features = X.toarray() if layout == "dense" else X
+        A = _design_matrix(features, add_intercept=True)
+        dense_A = A if layout == "dense" else A.toarray()
         # The Gram's rounding-level eigenvalue is positive for some seeds.
-        rank = np.linalg.matrix_rank(A.toarray())
+        rank = np.linalg.matrix_rank(dense_A)
         assert rank == 11 < A.shape[1]
-        assert abs(_sparse_leverage(A).sum() - rank) < 1e-8
-        dense = leverage_sensitivities(X.toarray(), mix=0.0)
-        csr = leverage_sensitivities(X, mix=0.0)
-        assert relative_error(csr.values, dense.values) < 1e-8
+        lev = _leverage(A)
+        assert abs(lev.sum() - rank) < 1e-8
+        assert relative_error(lev, svd_leverage(dense_A)) < 1e-8
 
     def test_csr_lewis_memory_stays_well_below_a_dense_copy(self):
         import scipy.linalg  # noqa: F401 - its import is not the scoring's

@@ -104,13 +104,14 @@ def weighted_logistic_objective(coef: np.ndarray, intercept: float, features,
                                 y_pm: np.ndarray, weights: np.ndarray,
                                 C: float) -> float:
     """Weighted logistic loss plus ||coef||^2/(2C); intercept unpenalized."""
-    z = features @ coef + intercept
-    return _logistic_objective_at(z, coef, y_pm, weights, C)
+    return _objective("logistic", features @ coef + intercept, coef, y_pm,
+                      weights, C)
 
 
-def _logistic_objective_at(z, coef, y_pm, weights, C) -> float:
-    """:func:`weighted_logistic_objective` given the margins ``z``."""
-    return (_data_term("logistic", y_pm * z, weights)
+def _objective(loss, z, coef, y_pm, weights, C) -> float:
+    """The training objective of ``loss`` given the margins ``z``: the
+    weighted loss plus ||coef||^2/(2C)."""
+    return (_data_term(loss, y_pm * z, weights)
             + 0.5 * float(np.dot(coef, coef)) / C)
 
 
@@ -127,9 +128,7 @@ def _logistic_gradient_at(z, coef, features, y_pm, weights, C):
     tails ``s = expit(-y z)`` it weighs the points by."""
     s = _expit(-y_pm * z)
     r = weights * y_pm * s
-    grad_coef = -(features.T @ r) + coef / C
-    grad_coef = np.asarray(grad_coef).ravel()
-    return grad_coef, -float(r.sum()), s
+    return -(features.T @ r) + coef / C, -float(r.sum()), s
 
 
 def _expit(x: np.ndarray) -> np.ndarray:
@@ -254,8 +253,7 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
     sparse = isinstance(features, CSRMatrix)
     if sparse:
         cg_cap = _CG_ITERATIONS_PER_UNKNOWN * (d + fit_b)
-    # The margins at (coef, b) and, once known, the objective there; an
-    # accepted line-search step already computed both for the new iterate.
+    # The margins at (coef, b) and, once known, the objective there.
     z = features @ coef + b
     obj = None
     for _ in range(config.max_iterations):
@@ -274,30 +272,29 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         else:
             step = _dense_newton_step(features, dw, grad, C)
         if obj is None:
-            obj = _logistic_objective_at(z, coef, y_pm, weights, C)
+            obj = _objective("logistic", z, coef, y_pm, weights, C)
         slope = float(grad @ step)
-        if slope > 1e-12 * (1.0 + abs(obj)):
-            # Backtrack only while the expected decrease is measurable in
-            # float64; near the optimum the pure Newton step is taken.
-            t = 1.0
-            while t > 1e-12:
-                cand_coef = coef - t * step[:d]
-                cand_b = b - t * step[d] if fit_b else b
-                cand_z = features @ cand_coef + cand_b
-                cand_obj = _logistic_objective_at(cand_z, cand_coef, y_pm,
-                                                  weights, C)
-                if cand_obj <= obj - 1e-4 * t * slope:
-                    break
-                t *= 0.5
-            else:
-                break  # no measurable progress possible
-            coef, b, z, obj = cand_coef, cand_b, cand_z, cand_obj
+        # The full Newton step is the first candidate. While the decrease it
+        # promises is measurable in float64, it must pass the Armijo test and
+        # is halved until it does; near the optimum it is taken as it is, and
+        # its objective is left to the next iteration, if there is one.
+        armijo = slope > 1e-12 * (1.0 + abs(obj))
+        t = 1.0
+        while t > 1e-12:
+            cand_coef = coef - t * step[:d]
+            cand_b = b - t * step[d] if fit_b else b
+            cand_z = features @ cand_coef + cand_b
+            if not armijo:
+                cand_obj = None
+                break
+            cand_obj = _objective("logistic", cand_z, cand_coef, y_pm,
+                                  weights, C)
+            if cand_obj <= obj - 1e-4 * t * slope:
+                break
+            t *= 0.5
         else:
-            coef = coef - step[:d]
-            if fit_b:
-                b = b - step[d]
-            z = features @ coef + b
-            obj = None
+            break  # no measurable progress possible
+        coef, b, z, obj = cand_coef, cand_b, cand_z, cand_obj
     return coef, b, converged
 
 
@@ -307,8 +304,7 @@ def _hinge_data_grad(features, y_pm, weights, coef, b):
     if not np.any(active):
         return np.zeros_like(coef), 0.0
     r = weights[active] * y_pm[active]
-    g_coef = -np.asarray(features[active].T @ r).ravel()
-    return g_coef, -float(r.sum())
+    return -(features[active].T @ r), -float(r.sum())
 
 
 def _train_hinge(features, y_pm, weights, config: TrainConfig):
@@ -353,17 +349,14 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
     avg_b = sum_b / max(n_avg, 1) if fit_b else 0.0
     converged = False
     if mid_coef is not None and mid_n > 0:
-        obj_full = _hinge_objective(avg_coef, avg_b, features, y_pm, weights, C)
-        obj_mid = _hinge_objective(mid_coef / mid_n, mid_b / mid_n, features,
-                                   y_pm, weights, C)
+        mid_coef = mid_coef / mid_n
+        obj_full = _objective("hinge", features @ avg_coef + avg_b, avg_coef,
+                              y_pm, weights, C)
+        obj_mid = _objective("hinge", features @ mid_coef + mid_b / mid_n,
+                             mid_coef, y_pm, weights, C)
         converged = abs(obj_full - obj_mid) <= np.sqrt(config.tolerance) * (
             1.0 + abs(obj_full))
     return avg_coef, avg_b, converged
-
-
-def _hinge_objective(coef, b, features, y_pm, weights, C):
-    return (_data_term("hinge", y_pm * (features @ coef + b), weights)
-            + 0.5 * float(np.dot(coef, coef)) / C)
 
 
 def train(features, labels, weights, config: TrainConfig) -> LinearModel:
@@ -374,7 +367,7 @@ def train(features, labels, weights, config: TrainConfig) -> LinearModel:
         coef, b, converged = _train_logistic(features, y_pm, weights, config)
     else:
         coef, b, converged = _train_hinge(features, y_pm, weights, config)
-    return LinearModel(coef, float(b), config.loss, converged)
+    return LinearModel(coef, float(b), config.loss, bool(converged))
 
 
 def weighted_loss(model: LinearModel, features, labels, weights) -> float:
@@ -383,7 +376,7 @@ def weighted_loss(model: LinearModel, features, labels, weights) -> float:
     y_pm = _as_pm_labels(labels)
     weights = np.asarray(weights, dtype=np.float64)
     features = as_features(features)
-    z = np.asarray(features @ model.coefficients).ravel() + model.intercept
+    z = features @ model.coefficients + model.intercept
     return _data_term(model.loss, y_pm * z, weights)
 
 
@@ -399,5 +392,5 @@ def _data_term(loss: str, margins: np.ndarray, weights: np.ndarray) -> float:
 
 def decision_scores(model: LinearModel, features) -> np.ndarray:
     features = as_features(features)
-    return np.asarray(features @ model.coefficients).ravel() + model.intercept
+    return features @ model.coefficients + model.intercept
 

@@ -224,24 +224,21 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
     return {c: int(b) for c, b in zip(classes, budgets)}
 
 
-def select_deterministic(probs: np.ndarray, budget: int, det_ratio: float,
-                         point_ids: np.ndarray,
-                         order: np.ndarray | None = None) -> np.ndarray:
-    """Positions of the floor(det_ratio * budget) highest-probability points.
+def select_deterministic(order: np.ndarray, budget: int,
+                         det_ratio: float) -> np.ndarray:
+    """Ascending positions of the floor(det_ratio * budget) highest-probability
+    points.
 
-    Ties break by ascending point_id. det_ratio < 1 keeps the deterministic
-    set strictly smaller than the budget. ``order``, when given, is
-    ``np.lexsort((point_ids, -probs))`` computed once by the caller.
+    ``order`` ranks the positions by probability descending, ties by
+    ascending point_id: a :class:`SamplingPlan` computes it once per class.
+    det_ratio < 1 keeps the deterministic set strictly smaller than the
+    budget.
     """
     if not (0.0 <= det_ratio < 1.0):
         raise ValueError("det_ratio must lie in [0, 1)")
     k = int(np.floor(det_ratio * budget))
     if k >= budget:
         raise ValueError("deterministic set must stay below the budget")
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if order is None:
-        order = np.lexsort((np.asarray(point_ids), -np.asarray(probs)))
     return np.sort(order[:k])
 
 
@@ -385,8 +382,7 @@ class SamplingPlan:
         parts: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for c, cls_seed in zip(self._classes, class_seeds):
             budget = budgets[c.label]
-            q = select_deterministic(c.probs, budget, config.det_ratio,
-                                     c.point_ids, order=c.order)
+            q = select_deterministic(c.order, budget, config.det_ratio)
             sampled, counts = sample_residual(c.probs, q, budget - len(q),
                                               np.random.default_rng(cls_seed))
             try:

@@ -153,22 +153,37 @@ class FailedCell:
 
 @dataclass(frozen=True)
 class CellSummary:
+    """A cell's successful trials, in repeat order, and their mean F1s."""
+
     cell: Cell
-    mean_validation_f1: float
-    mean_test_f1: float
+    trials: tuple[TrialResult, ...]
+
+    @property
+    def mean_validation_f1(self) -> float:
+        return float(np.mean([t.validation.f1 for t in self.trials]))
+
+    @property
+    def mean_test_f1(self) -> float:
+        return float(np.mean([t.test.f1 for t in self.trials]))
 
 
 @dataclass
 class GridSearchResult:
-    trials: list[TrialResult]
-    failures: list[FailedCell]
+    """The cells with a successful trial, in rank order, and the failures."""
+
     summaries: list[CellSummary]
+    failures: list[FailedCell]
+
+    @property
+    def trials(self) -> list[TrialResult]:
+        """Every successful trial, by cell rank, then repeat."""
+        return [t for summary in self.summaries for t in summary.trials]
 
     @property
     def best(self) -> TrialResult:
-        if not self.trials:
+        if not self.summaries:
             raise RuntimeError("grid search produced no successful trials")
-        return self.trials[0]
+        return self.summaries[0].trials[0]
 
 
 def coreset_size_for(ratio: float, n: int, n_classes: int) -> int:
@@ -282,17 +297,11 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
     trials = [o for o in outcomes if isinstance(o, TrialResult)]
     failures = [o for o in outcomes if isinstance(o, FailedCell)]
 
-    by_cell: dict[int, list[TrialResult]] = {}
-    for t in trials:
-        by_cell.setdefault(t.cell_index, []).append(t)
-    summaries = [CellSummary(cells[index],
-                             float(np.mean([t.validation.f1 for t in group])),
-                             float(np.mean([t.test.f1 for t in group])))
-                 for index, group in by_cell.items()]
+    # Outcomes come in task order: cell-major, repeats within a cell.
+    summaries = [CellSummary(cells[index], tuple(group)) for index, group in
+                 itertools.groupby(trials, key=lambda t: t.cell_index)]
     summaries.sort(key=lambda s: (-s.mean_validation_f1, s.cell.index))
-    rank_of = {s.cell.index: r for r, s in enumerate(summaries)}
-    trials.sort(key=lambda t: (rank_of[t.cell_index], t.repeat))
-    return GridSearchResult(trials, failures, summaries)
+    return GridSearchResult(summaries, failures)
 
 
 @dataclass(frozen=True)
@@ -379,16 +388,16 @@ TRIAL_COLUMNS = ("rank", "cell_index", "repeat", "seed", "provider",
 
 def trials_to_csv(result: GridSearchResult, path,
                   header_comment: str | None = None) -> None:
-    mean_f1 = {s.cell.index: s.mean_validation_f1 for s in result.summaries}
-    rank = {s.cell.index: r for r, s in enumerate(result.summaries)}
-    rows = ([rank[t.cell_index], t.cell_index, t.repeat, t.seed, t.provider,
+    rows = ([rank, t.cell_index, t.repeat, t.seed, t.provider,
              t.coreset_ratio, t.config.coreset_size, t.config.det_ratio,
              t.config.weight_strategy,
              t.config.allocation_label().replace(",", ";"),
-             t.train_config.regularization, int(t.vanilla), mean_f1[t.cell_index],
+             t.train_config.regularization, int(t.vanilla),
+             summary.mean_validation_f1,
              *(t.validation.value(m) for m in METRIC_NAMES),
              *(t.test.value(m) for m in METRIC_NAMES), *t.test.confusion,
              t.coreset_stats.unique_points, t.coreset_stats.total_weight,
              json.dumps(dict(t.coreset_stats.per_class_counts)).replace(",", ";")]
-            for t in result.trials)
+            for rank, summary in enumerate(result.summaries)
+            for t in summary.trials)
     write_table(path, TRIAL_COLUMNS, rows, header_comment)

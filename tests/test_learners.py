@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import warnings
 
@@ -257,19 +259,19 @@ class TestLineSearch:
         # overestimates the decrease, so the full Newton step must be halved.
         candidates = []  # per Newton iteration, the trial points it evaluated
         gradient_at = learners._logistic_gradient_at
-        objective_at = learners._logistic_objective_at
+        objective = learners._objective
 
         def gradient_spy(z, coef, *args):
             candidates.append([coef.copy()])
             return gradient_at(z, coef, *args)
 
-        def objective_spy(z, coef, *args):
+        def objective_spy(loss, z, coef, *args):
             if not np.array_equal(coef, candidates[-1][0]):
                 candidates[-1].append(coef.copy())
-            return objective_at(z, coef, *args)
+            return objective(loss, z, coef, *args)
 
         monkeypatch.setattr(learners, "_logistic_gradient_at", gradient_spy)
-        monkeypatch.setattr(learners, "_logistic_objective_at", objective_spy)
+        monkeypatch.setattr(learners, "_objective", objective_spy)
         X = np.array([[1.35, 0.01], [-173.73, -1.4], [-1.94, -0.16],
                       [140.23, -5.54], [0.72, 7.11]])
         y = np.array([0, 1, 1, 1, 0])
@@ -278,6 +280,45 @@ class TestLineSearch:
         tries = [len(points) - 1 for points in candidates]
         assert max(tries) >= 2  # a rejected full step, then a shorter one
         assert model.converged
+
+
+# sha256 of each fit's coefficient bytes, intercept bytes and converged
+# flag. The metric-table goldens rarely move when a coefficient moves by one
+# ulp; these move with any change to a fit.
+PINNED_FITS = {
+    "dense-logistic": (
+        False, TrainConfig(),
+        "4d040358fb7c4fe5c20cee7b7052f64e49bff91cbb85bff05e6127de99ad186d"),
+    "dense-logistic-no-intercept": (
+        False, TrainConfig(fit_intercept=False),
+        "daaf11076ed632dd900e985d5c06ddf1a3f564a63978f766d66d814d25efadf1"),
+    "csr-logistic": (
+        True, TrainConfig(),
+        "205001ce989ab48c64d9fad8de64b01c1078a22c972e93b2fbb92739fa3ce3b3"),
+    "dense-hinge": (
+        False, TrainConfig(loss="hinge"),
+        "e0a71e098e070b6c841b5d1523c7a20a4d62e6151d3115061e8728a4d13d1eb6"),
+}
+
+
+class TestTrainPinned:
+    @pytest.mark.parametrize("key", sorted(PINNED_FITS))
+    def test_fit_bytes_pinned(self, key):
+        sparse, config, expected = PINNED_FITS[key]
+        X, y, w = (sparse_instance(n=300, d=60, seed=8) if sparse
+                   else random_instance(n=200, d=8, seed=8))
+        model = train(X, y, w, config)
+        digest = hashlib.sha256(model.coefficients.tobytes())
+        digest.update(np.float64(model.intercept).tobytes())
+        digest.update(b"1" if model.converged else b"0")
+        assert digest.hexdigest() == expected
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge"])
+    def test_converged_is_a_python_bool(self, loss):
+        X, y, w = random_instance(seed=4)
+        model = train(X, y, w, TrainConfig(loss=loss))
+        assert type(model.converged) is bool
+        assert json.loads(json.dumps(model.converged)) == model.converged
 
 
 def sparse_instance(n, d, seed, density=0.05):

@@ -66,27 +66,35 @@ class TestAllocateClassBudgets:
             assert 1 <= budget <= counts[cls]
 
 
+def plan_order(probs, point_ids):
+    """The order a SamplingPlan ranks a class by: probability descending,
+    then point_id ascending."""
+    return np.lexsort((point_ids, -probs))
+
+
 class TestSelectDeterministic:
     def test_top_one(self):
         probs = np.array([0.7, 0.1, 0.1, 0.1])
-        q = select_deterministic(probs, budget=2, det_ratio=0.5,
-                                 point_ids=np.arange(4))
+        q = select_deterministic(plan_order(probs, np.arange(4)), budget=2,
+                                 det_ratio=0.5)
         assert q.tolist() == [0]
 
     def test_zero_ratio_empty(self):
         probs = np.array([0.7, 0.1, 0.1, 0.1])
-        assert select_deterministic(probs, 2, 0.0, np.arange(4)).tolist() == []
+        assert select_deterministic(plan_order(probs, np.arange(4)), 2,
+                                    0.0).tolist() == []
 
     def test_tie_break_by_position(self):
         probs = np.array([0.25, 0.25, 0.25, 0.25])
-        q = select_deterministic(probs, budget=4, det_ratio=0.5,
-                                 point_ids=np.arange(4))
+        q = select_deterministic(plan_order(probs, np.arange(4)), budget=4,
+                                 det_ratio=0.5)
         assert q.tolist() == [0, 1]
 
     def test_tie_break_by_point_id(self):
         probs = np.array([0.25, 0.25, 0.25, 0.25])
         ids = np.array([40, 30, 20, 10])
-        q = select_deterministic(probs, budget=4, det_ratio=0.5, point_ids=ids)
+        q = select_deterministic(plan_order(probs, ids), budget=4,
+                                 det_ratio=0.5)
         assert sorted(ids[q].tolist()) == [10, 20]
 
 
@@ -364,6 +372,22 @@ class TestBuildCoreset:
         scores = uniform_scores(90)
         coreset = build_coreset(data, scores,
                                 SamplerConfig(coreset_size=30, det_ratio=0.2, seed=4))
+        keys = list(zip(coreset.labels.tolist(), coreset.point_ids.tolist()))
+        assert keys == sorted(keys)
+
+    def test_tied_scores_take_the_smallest_point_ids(self):
+        # Six points per class, shuffled across rows, with tied scores: the
+        # plan's order must break the ties by point_id, not by row.
+        labels = np.array([1, 0, 1, 0, 0, 1, 0, 1, 0, 1, 0, 1])
+        ids = np.array([50, 17, 3, 88, 41, 9, 62, 24, 5, 70, 33, 11])
+        data = Dataset(np.zeros((12, 1)), labels, point_ids=ids)
+        coreset = build_coreset(data, uniform_scores(12),
+                                SamplerConfig(8, det_ratio=0.5, seed=3))
+        det = coreset.provenance == "deterministic"
+        for cls in (0, 1):
+            smallest = np.sort(ids[labels == cls])[:2]
+            assert coreset.point_ids[det & (coreset.labels == cls)].tolist() \
+                == smallest.tolist()
         keys = list(zip(coreset.labels.tolist(), coreset.point_ids.tolist()))
         assert keys == sorted(keys)
 

@@ -182,6 +182,15 @@ def real_number(name: str, value) -> float:
     return float(value)
 
 
+def binary_labels(values, what: str) -> np.ndarray:
+    """``values`` as int64 if each is 0 or 1, else a ValueError naming them."""
+    values = np.asarray(values)
+    if not np.all((values == 0) | (values == 1)):
+        raise ValueError(f"{what} must be binary 0/1, got "
+                         f"{np.unique(values).tolist()}")
+    return values.astype(np.int64)
+
+
 def split_fractions(name: str, value) -> tuple[float, float, float]:
     """``value`` as three positive real numbers summing to 1 within 1e-9;
     anything else (a bool, a string, NaN, an infinity) is a SplitError."""
@@ -309,12 +318,10 @@ class SplitBundle:
     validation: Dataset
     test: Dataset
 
+    names = ("train", "validation", "test")
+
     def __iter__(self):
         return iter((self.train, self.validation, self.test))
-
-    @property
-    def names(self) -> tuple[str, str, str]:
-        return ("train", "validation", "test")
 
 
 def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
@@ -369,12 +376,7 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
             if not line:
                 continue
             parts = line.split()
-            try:
-                label = float(parts[0])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: bad label {parts[0]!r}") from None
-            if not label.is_integer():
-                raise ParseError(f"{path}:{lineno}: non-integer label {parts[0]!r}")
+            label = _parse_label(parts[0], path, lineno)
             prev_idx = 0
             for tok in parts[1:]:
                 m = _FEATURE_RE.match(tok)
@@ -424,6 +426,17 @@ def parse_libsvm(path, dimension_hint: int | None = None) -> Dataset:
         features = np.zeros((n, dim))
         features[np.repeat(np.arange(n), np.diff(indptr)), indices] += values
     return Dataset(features, _normalize_labels(np.asarray(labels)))
+
+
+def _parse_label(text: str, path, lineno: int) -> float:
+    """A label cell as an integer-valued float; other text is a ParseError."""
+    try:
+        label = float(text)
+    except ValueError:
+        raise ParseError(f"{path}:{lineno}: bad label {text!r}") from None
+    if not label.is_integer():
+        raise ParseError(f"{path}:{lineno}: non-integer label {text!r}")
+    return label
 
 
 def _normalize_labels(raw: np.ndarray) -> np.ndarray:
@@ -484,12 +497,7 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
         for j, cell in enumerate(row):
             cell = cell.strip()
             if j == label_idx:
-                try:
-                    labels[i] = float(cell)
-                except ValueError:
-                    raise ParseError(f"{path}:{rowno}: bad label {cell!r}") from None
-                if not labels[i].is_integer():  # also nan and inf
-                    raise ParseError(f"{path}:{rowno}: non-integer label {cell!r}")
+                labels[i] = _parse_label(cell, path, rowno)
                 continue
             try:
                 features[i, col] = float(cell)
@@ -512,29 +520,25 @@ def stratified_split(data: Dataset, fractions: tuple[float, float, float],
     """Partition into train/validation/test preserving per-class proportions.
 
     Per-class counts in each split follow largest-remainder rounding of
-    fraction x class count, so they match the exact quota within +-1.
+    fraction x class count, so they match the exact quota within +-1. Every
+    split must hold every class: a class whose count rounds to 0 in some
+    split is a SplitError naming the class, its size and the split.
     Deterministic for a fixed seed.
     """
     fractions = split_fractions("fractions", fractions)
     rng = np.random.default_rng(seed)
-    parts: list[list[np.ndarray]] = [[], [], []]
+    picks = []  # per class, its (train, validation, test) positions
     for cls in data.classes:
         cls_pos = np.flatnonzero(data.labels == cls)
-        if len(cls_pos) < 3:
-            raise SplitError(f"class {int(cls)} has {len(cls_pos)} points, "
-                             "fewer than the 3 splits")
-        cls_pos = cls_pos[rng.permutation(len(cls_pos))]
         counts = largest_remainder(np.asarray(fractions) * len(cls_pos), len(cls_pos))
-        stop = np.cumsum(counts)
-        parts[0].append(cls_pos[:stop[0]])
-        parts[1].append(cls_pos[stop[0]:stop[1]])
-        parts[2].append(cls_pos[stop[1]:])
-    picks = [np.sort(np.concatenate(p)) for p in parts]
-    for name, pick in zip(("train", "validation", "test"), picks):
-        if len(pick) == 0:
-            raise SplitError(f"the {name} split would be empty; use larger "
-                             "classes or fractions")
-    return SplitBundle(*(data.take(p) for p in picks))
+        if not counts.all():
+            empty = SplitBundle.names[int(np.argmin(counts))]
+            raise SplitError(f"class {int(cls)} has {len(cls_pos)} points, too "
+                             f"few to put one in the {empty} split")
+        cls_pos = cls_pos[rng.permutation(len(cls_pos))]
+        picks.append(np.split(cls_pos, np.cumsum(counts)[:2]))
+    return SplitBundle(*(data.take(np.sort(np.concatenate(split)))
+                         for split in zip(*picks)))
 
 
 def write_table(path, columns, rows, header_comment: str | None = None) -> None:
@@ -621,7 +625,7 @@ def load_split_bundle(directory) -> tuple[SplitBundle, dict]:
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     splits = []
-    for name in ("train", "validation", "test"):
+    for name in SplitBundle.names:
         meta = manifest["splits"][name]
         if "sha256" not in meta:
             raise SplitError(f"{manifest_path}: split {name!r} has no content "

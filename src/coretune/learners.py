@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CSRMatrix, as_features, boolean_field, integer_field,
-                   real_field)
+from .data import (CSRMatrix, as_features, binary_labels, boolean_field,
+                   integer_field, real_field)
 
 LOSSES = ("logistic", "hinge")
 
@@ -74,25 +74,20 @@ class LinearModel:
 
 def _as_pm_labels(labels: np.ndarray) -> np.ndarray:
     """{0,1} class ids to {-1,+1}."""
-    labels = np.asarray(labels)
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ValueError("binary learner expects labels in {0,1}, got "
-                         f"{np.unique(labels).tolist()}")
-    return np.where(labels > 0, 1.0, -1.0)
+    return np.where(binary_labels(labels, "labels") > 0, 1.0, -1.0)
 
 
 def _check_train_inputs(features, labels, weights):
     n = features.shape[0]
-    labels = np.asarray(labels)
+    y_pm = _as_pm_labels(labels)
     weights = np.asarray(weights, dtype=np.float64)
-    if len(labels) != n or len(weights) != n:
+    if len(y_pm) != n or len(weights) != n:
         raise ValueError("features, labels, and weights must have equal length")
     feat_values = features.data if isinstance(features, CSRMatrix) else features
     if not np.all(np.isfinite(feat_values)):
         raise ValueError("features contain non-finite values")
     if not np.all(np.isfinite(weights)) or np.any(weights < 0):
         raise ValueError("weights must be finite and >= 0")
-    y_pm = _as_pm_labels(labels)
     pos = weights[y_pm > 0].sum()
     neg = weights[y_pm < 0].sum()
     if pos <= 0 or neg <= 0:

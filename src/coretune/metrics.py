@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import binary_labels
+
 METRIC_NAMES = ("f1", "balanced_accuracy", "accuracy", "roc_auc",
                 "average_precision")
 
@@ -43,17 +45,10 @@ class MetricsReport:
                    confusion=(d["tp"], d["fp"], d["tn"], d["fn"]))
 
 
-def _check_binary(values: np.ndarray, what: str) -> np.ndarray:
-    values = np.asarray(values)
-    if not np.all((values == 0) | (values == 1)):
-        raise ValueError(f"{what} must be binary 0/1")
-    return values.astype(np.int64)
-
-
 def confusion_counts(true_labels, predicted_labels) -> tuple[int, int, int, int]:
     """(tp, fp, tn, fn) for binary labels."""
-    y = _check_binary(true_labels, "true labels")
-    yhat = _check_binary(predicted_labels, "predicted labels")
+    y = binary_labels(true_labels, "true labels")
+    yhat = binary_labels(predicted_labels, "predicted labels")
     if len(y) != len(yhat):
         raise ValueError(f"length mismatch: {len(y)} vs {len(yhat)}")
     return _confusion(y, yhat)
@@ -103,11 +98,13 @@ def _descending(scores: np.ndarray) -> np.ndarray:
     return np.argsort(-scores, kind="stable")
 
 
-def _checked_scores(y: np.ndarray, scores) -> np.ndarray:
+def _checked_scores(true_labels, scores) -> tuple[np.ndarray, np.ndarray]:
+    """The labels as 0/1 int64 and the scores as float64, one per label."""
+    y = binary_labels(true_labels, "true labels")
     scores = np.asarray(scores, dtype=np.float64)
     if len(y) != len(scores):
-        raise ValueError("length mismatch between labels and scores")
-    return scores
+        raise ValueError(f"length mismatch: {len(y)} vs {len(scores)}")
+    return y, scores
 
 
 def _roc_auc(y: np.ndarray, scores: np.ndarray, order: np.ndarray) -> float:
@@ -147,8 +144,7 @@ def roc_auc(true_labels, scores) -> float:
 
     Mann-Whitney rank statistic; equals the trapezoidal ROC area.
     """
-    y = _check_binary(true_labels, "true labels")
-    scores = _checked_scores(y, scores)
+    y, scores = _checked_scores(true_labels, scores)
     return _roc_auc(y, scores, _descending(scores))
 
 
@@ -158,8 +154,7 @@ def average_precision(true_labels, scores) -> float:
     Ties between scores break by ascending position so the ordering is fully
     deterministic.
     """
-    y = _check_binary(true_labels, "true labels")
-    scores = _checked_scores(y, scores)
+    y, scores = _checked_scores(true_labels, scores)
     return _average_precision(y, _descending(scores))
 
 
@@ -167,10 +162,7 @@ def classification_report(true_labels, scores) -> MetricsReport:
     """All metrics from decision scores; labels are predicted at threshold 0
     (a score of exactly 0 maps to class 0). One sort of the scores serves
     both ranking metrics."""
-    scores = np.asarray(scores, dtype=np.float64)
-    y = _check_binary(true_labels, "true labels")
-    if len(y) != len(scores):
-        raise ValueError(f"length mismatch: {len(y)} vs {len(scores)}")
+    y, scores = _checked_scores(true_labels, scores)
     conf = _confusion(y, scores > 0)
     balanced = balanced_accuracy(conf)  # raises "no samples" first
     order = _descending(scores)

@@ -202,13 +202,15 @@ def load_run_config(path: str, overrides: list[str] | None = None,
     The config hash is computed over the effective (post-override) config;
     ``workers`` sets the worker count without entering it.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
+    except OSError as exc:  # missing, a directory, unreadable
+        raise ConfigError(f"{path}: cannot read: {exc.strerror}") from None
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: must hold a JSON object, not {raw!r:.40}")
     for override in overrides or []:
         key, _, value = override.partition("=")
         if not _:

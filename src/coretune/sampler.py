@@ -172,10 +172,12 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
 
     ``policy`` is a ``SamplerConfig.class_allocation``: "proportional"
     follows class sizes; (class, fraction) pairs, or an int-keyed map, give
-    each class a fraction of m. Budgets are rounded by largest remainder,
-    clipped at each class population (overflow redistributes to classes with
-    spare capacity by the same rule), and kept >= 1 per class. Budgets sum
-    to min(m, n).
+    each class a fraction of m and must name exactly the classes of
+    ``class_counts``: a class missing from the map, or one the data lacks,
+    is an AllocationError naming it. Budgets are rounded by largest
+    remainder, clipped at each class population (overflow redistributes to
+    classes with spare capacity by the same rule), and kept >= 1 per class.
+    Budgets sum to min(m, n).
     """
     classes = sorted(int(c) for c in class_counts)
     counts = np.array([class_counts[c] for c in classes], dtype=np.int64)
@@ -193,6 +195,10 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
         missing = [c for c in classes if c not in fractions]
         if missing:
             raise AllocationError(f"allocation map is missing classes {missing}")
+        absent = sorted(set(fractions) - set(classes))
+        if absent:
+            raise AllocationError(f"allocation map names classes {absent}, "
+                                  "which the data lacks")
         quotas = np.array([fractions[c] for c in classes], dtype=np.float64)
     else:
         raise AllocationError(f"unknown allocation policy {policy!r}")

@@ -1,7 +1,10 @@
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ from coretune.cli import main
 from coretune.data import load_split_bundle
 from coretune.runconfig import load_run_config
 from coretune.tuner import TrialResult, curve_rows, run_grid
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture()
@@ -54,6 +59,21 @@ def workdir(tmp_path):
 
 def run(config_path, command, *extra):
     return main([command, "--config", config_path, *extra])
+
+
+def five_point_minority(tmp_path) -> list[str]:
+    """Rewrite the workdir's data.csv as 300 class-0 rows and 5 class-1
+    rows; return the override flags for fractions 0.8/0.1/0.1, under which
+    the minority's counts round to 4/1/0."""
+    rng = np.random.default_rng(1)
+    rows = [f"{a:.17g},{b:.17g},{int(i >= 300)}"
+            for i, (a, b) in enumerate(rng.normal(size=(305, 2)))]
+    (tmp_path / "data.csv").write_text("\n".join(["f0,f1,label", *rows]) + "\n")
+    return ["--override", "split.fractions=[0.8,0.1,0.1]"]
+
+
+# A class -> fraction map that names class 2 of a two-class dataset.
+ABSENT_CLASS_MAP = '{"0": 0.5, "1": 0.3, "2": 0.2}'
 
 
 class TestPipeline:
@@ -415,6 +435,37 @@ class TestErrorsAndExitCodes:
         log = (tmp_path / "run" / "run.log").read_text()
         assert log.count("tune: failed cell") == 2
 
+    def test_allocation_naming_a_class_the_data_lacks(self, workdir, capsys):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune", "--override", "grid.class_allocations="
+                   f'["proportional", {ABSENT_CLASS_MAP}]') == 3
+        failed = [line for line in
+                  (tmp_path / "run" / "run.log").read_text().splitlines()
+                  if "tune: failed cell" in line]
+        assert len(failed) == 8  # the map's half of the 16 cells
+        assert all("allocation map names classes [2]" in line for line in failed)
+        capsys.readouterr()
+        assert run(config_path, "build", "--override",
+                   f"build.class_allocation={ABSENT_CLASS_MAP}") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: AllocationError: allocation map names "
+                              "classes [2]")
+
+    def test_split_missing_a_class_fails_and_leaves_no_store(self, workdir,
+                                                             capsys):
+        tmp_path, config_path, _ = workdir
+        assert run(config_path, "split") == 0
+        flags = five_point_minority(tmp_path)
+        capsys.readouterr()
+        assert run(config_path, "split", *flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: SplitError: class 1 has 5 points")
+        assert "the test split" in err
+        assert not (tmp_path / "run" / "splits").exists()
+        assert run(config_path, "score", *flags) == 2
+        assert "run the split command first" in capsys.readouterr().err
+
     def test_bad_weight_strategy_fails_before_scoring(self, workdir, monkeypatch,
                                                       capsys):
         _, config_path, _ = workdir
@@ -630,6 +681,86 @@ class TestErrorsAndExitCodes:
         log = (tmp_path / "run" / "run.log").read_text()
         assert "score: exit 2\nTraceback (most recent call last)" in log
         assert "SplitError: " in log.split("Traceback (most recent call last)")[1]
+
+
+def _config_file(tmp_path, content: bytes) -> str:
+    path = tmp_path / "other.json"
+    path.write_bytes(content)
+    return str(path)
+
+
+def _build_with_absent_class(tmp_path, config_path) -> list[str]:
+    assert run(config_path, "split") == 0
+    return ["build", "--config", config_path, "--override",
+            f"build.class_allocation={ABSENT_CLASS_MAP}"]
+
+
+NOT_AN_OBJECT = "config error: {config}: must hold a JSON object"
+
+# name -> (exit code, the stderr line's start, with {config} for the
+# --config path, and args builder(tmp_path, config_path)); exit 3 logs one
+# line per failed cell and is not listed.
+ONE_LINE_FAILURES = {
+    "no command": (
+        1, "error: the following arguments are required", lambda tmp, cfg: []),
+    "unknown flag": (
+        1, "error: unrecognized arguments",
+        lambda tmp, cfg: ["split", "--config", cfg, "--bogus"]),
+    "missing config": (
+        1, "config error: {config}: cannot read",
+        lambda tmp, cfg: ["split", "--config", str(tmp / "nope.json")]),
+    "config is a directory": (
+        1, "config error: {config}: cannot read: Is a directory",
+        lambda tmp, cfg: ["split", "--config", str(tmp)]),
+    "config is invalid JSON": (
+        1, "config error: {config}: invalid JSON",
+        lambda tmp, cfg: ["split", "--config", _config_file(tmp, b"{")]),
+    "config is not UTF-8": (
+        1, "config error: {config}: invalid JSON",
+        lambda tmp, cfg: ["split", "--config", _config_file(tmp, b"\xff\xfe{}")]),
+    "config is an array": (
+        1, NOT_AN_OBJECT,
+        lambda tmp, cfg: ["split", "--config", _config_file(tmp, b"[1, 2]")]),
+    "config is a string": (
+        1, NOT_AN_OBJECT,
+        lambda tmp, cfg: ["split", "--config", _config_file(tmp, b'"x"')]),
+    "override through an array config": (
+        1, NOT_AN_OBJECT,
+        lambda tmp, cfg: ["split", "--config", _config_file(tmp, b"[1, 2]"),
+                          "--override", "a.b=1"]),
+    "override without a value": (
+        1, "config error: --override needs key=value",
+        lambda tmp, cfg: ["split", "--config", cfg, "--override", "split.seed"]),
+    "bad field": (
+        1, "config error: {config}: split.fractions",
+        lambda tmp, cfg: ["split", "--config", cfg, "--override",
+                          "split.fractions=[0.5,0.5,0.5]"]),
+    "score before split": (
+        2, "error: no splits under ",
+        lambda tmp, cfg: ["score", "--config", cfg]),
+    "split missing a class": (
+        2, "error: SplitError: class 1 has 5 points",
+        lambda tmp, cfg: ["split", "--config", cfg, *five_point_minority(tmp)]),
+    "allocation naming a class the data lacks": (
+        2, "error: AllocationError: allocation map names classes [2]",
+        _build_with_absent_class),
+}
+
+
+class TestOneStderrLine:
+    @pytest.mark.parametrize("case", ONE_LINE_FAILURES)
+    def test_failure_prints_one_line_and_no_traceback(self, workdir, case):
+        tmp_path, config_path, _ = workdir
+        code, start, make_args = ONE_LINE_FAILURES[case]
+        args = make_args(tmp_path, config_path)
+        path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+        proc = subprocess.run([sys.executable, "-m", "coretune.cli", *args],
+                              env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
+                              capture_output=True, text=True, timeout=300)
+        config = args[args.index("--config") + 1] if "--config" in args else None
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.startswith(start.format(config=config)), proc.stderr
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
 
 class TestOverrides:

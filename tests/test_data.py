@@ -216,6 +216,33 @@ class TestStratifiedSplit:
                 got = int(np.sum(split.labels == cls))
                 assert abs(got - frac * total) <= 1
 
+    @given(seed=st.integers(0, 2**31), n0=st.integers(1, 12),
+           n1=st.integers(1, 12),
+           fractions=st.sampled_from([(0.8, 0.1, 0.1), (0.6, 0.2, 0.2),
+                                      (0.5, 0.3, 0.2)]))
+    @settings(max_examples=100, deadline=None)
+    def test_every_split_holds_every_class_or_split_error(self, seed, n0, n1,
+                                                          fractions):
+        data = Dataset(np.zeros((n0 + n1, 1)), np.array([0] * n0 + [1] * n1))
+        counts = {cls: largest_remainder(np.asarray(fractions) * total, total)
+                  for cls, total in ((0, n0), (1, n1))}
+        if any(0 in c for c in counts.values()):
+            with pytest.raises(SplitError, match="too few to put one in the"):
+                stratified_split(data, fractions, seed)
+            return
+        bundle = stratified_split(data, fractions, seed)
+        for split, frac, *expected in zip(bundle, fractions, counts[0], counts[1]):
+            for cls, total in ((0, n0), (1, n1)):
+                got = int(np.sum(split.labels == cls))
+                assert got == expected[cls] >= 1
+                assert abs(got - frac * total) <= 1
+
+    def test_split_error_names_class_size_and_split(self):
+        data = Dataset(np.zeros((305, 1)), np.array([0] * 300 + [1] * 5))
+        with pytest.raises(SplitError, match="class 1 has 5 points, too few to "
+                                             "put one in the test split"):
+            stratified_split(data, (0.8, 0.1, 0.1), seed=0)
+
 
 class TestLargestRemainder:
     def test_exact_proportions(self):

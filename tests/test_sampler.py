@@ -38,6 +38,12 @@ class TestAllocateClassBudgets:
         with pytest.raises(AllocationError, match=r"\[1\]"):
             allocate_class_budgets(10, {0: 5, 1: 5}, {0: 1.0})
 
+    def test_map_naming_a_class_the_data_lacks(self):
+        # Once renormalized over the classes found: {0: 63, 1: 37}.
+        with pytest.raises(AllocationError, match=r"names classes \[2\]"):
+            allocate_class_budgets(100, {0: 900, 1: 100},
+                                   ((0, 0.5), (1, 0.3), (2, 0.2)))
+
     def test_tiny_class_still_positive(self):
         budgets = allocate_class_budgets(10, {0: 9000, 1: 3}, "proportional")
         assert budgets[1] >= 1

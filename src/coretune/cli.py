@@ -325,12 +325,11 @@ def main(argv: list[str] | None = None) -> int:
         detail = (str(exc) if isinstance(exc, ArtifactMissingError)
                   else f"{type(exc).__name__}: {exc}")
         print(f"error: {detail}", file=sys.stderr)
-        # stderr keeps one line; the traceback goes to the run log.
-        try:
+        # stderr keeps one line; the traceback goes to the run log, if the
+        # output directory can hold one.
+        with contextlib.suppress(OSError):
             _append_run_log(cfg, f"{args.command}: exit {EXIT_RUNTIME}\n"
                                  f"{traceback.format_exc().rstrip()}")
-        except OSError:
-            pass
         return EXIT_RUNTIME
 
 

@@ -191,6 +191,14 @@ def binary_labels(values, what: str) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def nonnegative_weights(values) -> np.ndarray:
+    """``values`` as float64 if each is finite and >= 0, else a ValueError."""
+    values = np.asarray(values, dtype=np.float64)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ValueError("weights must be finite and >= 0")
+    return values
+
+
 def split_fractions(name: str, value) -> tuple[float, float, float]:
     """``value`` as three positive real numbers summing to 1 within 1e-9;
     anything else (a bool, a string, NaN, an infinity) is a SplitError."""
@@ -257,8 +265,7 @@ class Dataset:
                           ("point_ids", self.point_ids)):
             if arr.shape != (n,):
                 raise ValueError(f"{name} has length {arr.shape}, expected ({n},)")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ValueError("weights must be finite and >= 0")
+        nonnegative_weights(self.weights)
         if np.any(self.labels < 0):
             raise ValueError("labels must be nonnegative class ids")
         if count_distinct(self.point_ids) != n:
@@ -330,18 +337,11 @@ def largest_remainder(quotas: np.ndarray, total: int) -> np.ndarray:
     Allocates proportionally to quotas, assigning floor shares first and then
     one extra unit each to the entries with the largest fractional remainders.
     Remainder ties break by ascending index so the result is deterministic.
+    Both callers, :func:`stratified_split` and the sampler's class
+    allocation, pass finite quotas with a positive sum and a total >= 1.
     """
     quotas = np.asarray(quotas, dtype=np.float64)
-    if np.any(quotas < 0) or not np.all(np.isfinite(quotas)):
-        raise ValueError("quotas must be finite and nonnegative")
-    if total < 0:
-        raise ValueError("total must be nonnegative")
-    s = quotas.sum()
-    if s <= 0:
-        if total == 0:
-            return np.zeros(len(quotas), dtype=np.int64)
-        raise ValueError("cannot allocate a positive total across all-zero quotas")
-    scaled = quotas * (total / s)
+    scaled = quotas * (total / quotas.sum())
     base = np.floor(scaled).astype(np.int64)
     leftover = total - int(base.sum())
     if leftover > 0:
@@ -467,6 +467,7 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
                 linenos.append(reader.line_num)
     if not rows:
         raise EmptyInputError(f"{path}: no rows")
+    width = len(rows[0])  # the header's, when there is one
     header = None
     if has_header:
         header = [cell.strip() for cell in rows[0]]
@@ -474,7 +475,6 @@ def parse_csv(path, label_column: str | int, has_header: bool = True) -> Dataset
         linenos = linenos[1:]
         if not rows:
             raise EmptyInputError(f"{path}: header but no data rows")
-    width = len(rows[0])
     if isinstance(label_column, str):
         if header is None:
             raise ParseError(f"{path}: label column given by name {label_column!r} "

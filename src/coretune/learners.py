@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (CSRMatrix, as_features, binary_labels, boolean_field,
-                   integer_field, real_field)
+                   integer_field, nonnegative_weights, real_field)
 
 LOSSES = ("logistic", "hinge")
 
@@ -77,7 +77,10 @@ def _as_pm_labels(labels: np.ndarray) -> np.ndarray:
     return np.where(binary_labels(labels, "labels") > 0, 1.0, -1.0)
 
 
-def _check_train_inputs(features, labels, weights):
+def _checked_inputs(features, labels, weights):
+    """The {-1,+1} labels and float64 weights of a :func:`train` or
+    :func:`weighted_loss` call, checked in this order: binary labels, one
+    label and one weight per row, finite features, the weight rule."""
     n = features.shape[0]
     y_pm = _as_pm_labels(labels)
     weights = np.asarray(weights, dtype=np.float64)
@@ -86,13 +89,7 @@ def _check_train_inputs(features, labels, weights):
     feat_values = features.data if isinstance(features, CSRMatrix) else features
     if not np.all(np.isfinite(feat_values)):
         raise ValueError("features contain non-finite values")
-    if not np.all(np.isfinite(weights)) or np.any(weights < 0):
-        raise ValueError("weights must be finite and >= 0")
-    pos = weights[y_pm > 0].sum()
-    neg = weights[y_pm < 0].sum()
-    if pos <= 0 or neg <= 0:
-        raise ValueError("training needs positive weight in both classes")
-    return y_pm, weights
+    return y_pm, nonnegative_weights(weights)
 
 
 def weighted_logistic_objective(coef: np.ndarray, intercept: float, features,
@@ -357,7 +354,9 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
 def train(features, labels, weights, config: TrainConfig) -> LinearModel:
     """Fit a weighted linear classifier; deterministic for fixed inputs."""
     features = as_features(features)
-    y_pm, weights = _check_train_inputs(features, labels, weights)
+    y_pm, weights = _checked_inputs(features, labels, weights)
+    if weights[y_pm > 0].sum() <= 0 or weights[y_pm < 0].sum() <= 0:
+        raise ValueError("training needs positive weight in both classes")
     if config.loss == "logistic":
         coef, b, converged = _train_logistic(features, y_pm, weights, config)
     else:
@@ -367,10 +366,10 @@ def train(features, labels, weights, config: TrainConfig) -> LinearModel:
 
 def weighted_loss(model: LinearModel, features, labels, weights) -> float:
     """Data term of the training objective (no regularization), so coreset
-    and full-data losses compare like with like."""
-    y_pm = _as_pm_labels(labels)
-    weights = np.asarray(weights, dtype=np.float64)
+    and full-data losses compare like with like. Rejects the inputs
+    :func:`train` rejects, except one class holding all the weight."""
     features = as_features(features)
+    y_pm, weights = _checked_inputs(features, labels, weights)
     z = features @ model.coefficients + model.intercept
     return _data_term(model.loss, y_pm * z, weights)
 

@@ -46,12 +46,11 @@ class MetricsReport:
 
 
 def confusion_counts(true_labels, predicted_labels) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) for binary labels."""
-    y = binary_labels(true_labels, "true labels")
-    yhat = binary_labels(predicted_labels, "predicted labels")
-    if len(y) != len(yhat):
-        raise ValueError(f"length mismatch: {len(y)} vs {len(yhat)}")
-    return _confusion(y, yhat)
+    """(tp, fp, tn, fn) for binary labels; the predicted ones are checked
+    first."""
+    y, yhat = _checked_scores(true_labels,
+                              binary_labels(predicted_labels, "predicted labels"))
+    return _confusion(y, yhat > 0)
 
 
 def _confusion(y: np.ndarray, yhat: np.ndarray) -> tuple[int, int, int, int]:

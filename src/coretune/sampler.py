@@ -133,7 +133,8 @@ class Coreset:
         n = len(self.point_ids)
         for name in ("weights", "labels", "provenance", "counts"):
             if len(getattr(self, name)) != n:
-                raise ValueError(f"{name} length mismatch")
+                raise ValueError(f"{name} has length {len(getattr(self, name))}, "
+                                 f"expected {n}")
         if count_distinct(self.point_ids) != n:
             raise ValueError("coreset point_ids must be unique")
         if not np.all(np.isfinite(self.weights)) or np.any(self.weights <= 0):
@@ -170,27 +171,24 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
                            policy: str | tuple | dict[int, float]) -> dict[int, int]:
     """Split the coreset budget across classes.
 
-    ``policy`` is a ``SamplerConfig.class_allocation``: "proportional"
-    follows class sizes; (class, fraction) pairs, or an int-keyed map, give
-    each class a fraction of m and must name exactly the classes of
-    ``class_counts``: a class missing from the map, or one the data lacks,
-    is an AllocationError naming it. Budgets are rounded by largest
-    remainder, clipped at each class population (overflow redistributes to
-    classes with spare capacity by the same rule), and kept >= 1 per class.
-    Budgets sum to min(m, n).
+    Takes a validated config's knobs, as :class:`SamplingPlan` passes them,
+    and the plan's classes, each of at least one point. ``policy`` is a
+    ``SamplerConfig.class_allocation``: "proportional" follows class sizes;
+    (class, fraction) pairs, or an int-keyed map, give each class a fraction
+    of m and must name exactly the classes of ``class_counts``: a class
+    missing from the map, or one the data lacks, is an AllocationError
+    naming it. Budgets are rounded by largest remainder, clipped at each
+    class population (overflow redistributes to classes with spare capacity
+    by the same rule), and kept >= 1 per class. Budgets sum to min(m, n).
     """
     classes = sorted(int(c) for c in class_counts)
     counts = np.array([class_counts[c] for c in classes], dtype=np.int64)
-    if len(classes) == 0:
-        raise AllocationError("no classes to allocate")
-    if np.any(counts < 1):
-        raise AllocationError("every class must have at least one point")
     if m < len(classes):
         raise AllocationError(f"budget m={m} is smaller than the number of "
                               f"classes ({len(classes)})")
     if policy == "proportional":
         quotas = counts.astype(np.float64)
-    elif isinstance(policy, (dict, tuple)):
+    else:
         fractions = dict(policy)
         missing = [c for c in classes if c not in fractions]
         if missing:
@@ -200,31 +198,25 @@ def allocate_class_budgets(m: int, class_counts: dict[int, int],
             raise AllocationError(f"allocation map names classes {absent}, "
                                   "which the data lacks")
         quotas = np.array([fractions[c] for c in classes], dtype=np.float64)
-    else:
-        raise AllocationError(f"unknown allocation policy {policy!r}")
 
     target = min(int(m), int(counts.sum()))
     budgets = largest_remainder(quotas, target)
     # Clip at class populations; redistribute overflow to classes with room.
+    # A class with room was never clipped, and every quota is positive.
     while True:
         over = budgets > counts
         if not np.any(over):
             break
         excess = int((budgets[over] - counts[over]).sum())
         budgets[over] = counts[over]
-        room = counts - budgets
-        open_quotas = np.where((room > 0) & ~over, quotas, 0.0)
-        if open_quotas.sum() <= 0:
-            open_quotas = np.where(room > 0, room.astype(np.float64), 0.0)
-        extra = largest_remainder(open_quotas, excess)
+        extra = largest_remainder(np.where(budgets < counts, quotas, 0.0), excess)
         # Unclipped: the next pass clips and redistributes any new overflow.
         budgets = budgets + extra
     # Largest-remainder can starve a tiny class; budgets must stay positive.
+    # They sum to min(m, n) >= the class count, so a donor holds at least 2.
     while np.any(budgets == 0):
         needy = int(np.argmin(budgets))
-        donor = int(np.argmax(np.where(budgets > 1, budgets, -1)))
-        if budgets[donor] <= 1:
-            raise AllocationError("cannot give every class a positive budget")
+        donor = int(np.argmax(budgets))
         budgets[needy] += 1
         budgets[donor] -= 1
     return {c: int(b) for c, b in zip(classes, budgets)}
@@ -237,15 +229,10 @@ def select_deterministic(order: np.ndarray, budget: int,
 
     ``order`` ranks the positions by probability descending, ties by
     ascending point_id: a :class:`SamplingPlan` computes it once per class.
-    det_ratio < 1 keeps the deterministic set strictly smaller than the
-    budget.
+    ``det_ratio`` is a validated config's, in [0, 1), so the deterministic
+    set stays strictly smaller than the budget.
     """
-    if not (0.0 <= det_ratio < 1.0):
-        raise ValueError("det_ratio must lie in [0, 1)")
-    k = int(np.floor(det_ratio * budget))
-    if k >= budget:
-        raise ValueError("deterministic set must stay below the budget")
-    return np.sort(order[:k])
+    return np.sort(order[:int(np.floor(det_ratio * budget))])
 
 
 def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
@@ -254,10 +241,9 @@ def sample_residual(probs: np.ndarray, q_positions: np.ndarray, draws: int,
 
     Probabilities over the complement of Q are renormalized to sum 1 and
     drawn by ``rng.choice``; the result is the ascending sampled positions
-    and their multiplicities, which sum to ``draws``.
+    and their multiplicities, which sum to ``draws``, at least 1 as the
+    budget minus its deterministic set.
     """
-    if draws < 1:
-        raise ValueError("draws must be >= 1")
     p = np.asarray(probs, dtype=np.float64)
     mask = np.ones(len(p), dtype=bool)
     mask[np.asarray(q_positions, dtype=np.int64)] = False
@@ -281,7 +267,7 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
     ``positions``), in the same orders. ``probs`` and ``m`` are the sampling
     problem's probabilities and size (the class probabilities and class
     budget when sampling per class); ``prev_w`` is the total source weight of
-    the problem's points.
+    the problem's points. ``strategy`` is a validated config's.
 
     keep: Q keeps its source weights; sampled points get inverse-probability
         weights under the residual-renormalized probabilities, scaled so their
@@ -292,8 +278,6 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
         source weights; the sampled side receives the complement, split
         proportionally to its inverse-probability weights.
     """
-    if strategy not in WEIGHT_STRATEGIES:
-        raise ValueError(f"unknown weight strategy {strategy!r}")
     q_positions = np.asarray(q_positions, dtype=np.int64)
     p = np.asarray(probs, dtype=np.float64)
     in_q = np.zeros(len(p), dtype=bool)

@@ -38,6 +38,10 @@ class DegenerateScoresError(ValueError):
 class SensitivityScores:
     """Positive per-point sensitivity values and their sum.
 
+    ``total`` must be finite, positive and equal the sum of ``values``
+    within 1e-12 relative (absolute below 1), so :func:`to_probabilities`
+    divides by it as it is.
+
     ``converged`` is False when an iterative provider hit its iteration cap;
     ``ridge_fallback`` flags that a singular Gram matrix forced ridge damping.
     """
@@ -55,8 +59,11 @@ class SensitivityScores:
             raise ValueError("values must be a nonempty 1-d array")
         if not np.all(np.isfinite(values)) or np.any(values <= 0):
             raise ValueError("sensitivity values must be positive and finite")
-        if abs(self.total - values.sum()) > 1e-12 * max(1.0, abs(self.total)):
-            raise ValueError("total does not match the sum of values")
+        total = self.total
+        if not (np.isfinite(total) and total > 0
+                and abs(total - values.sum()) <= 1e-12 * max(1.0, abs(total))):
+            raise ValueError(f"total {total!r} must be finite, positive and "
+                             "match the sum of values")
 
     def __len__(self) -> int:
         return len(self.values)
@@ -271,8 +278,6 @@ def _lewis_iteration(A, w: np.ndarray) -> tuple[np.ndarray, bool]:
 
 def to_probabilities(scores: SensitivityScores) -> np.ndarray:
     """Normalize scores to sampling probabilities values[i] / total."""
-    if not np.isfinite(scores.total) or scores.total <= 0:
-        raise ValueError(f"cannot normalize scores with total {scores.total!r}")
     return scores.values / scores.total
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -12,7 +13,7 @@ import pytest
 from conftest import read_table
 from coretune.cli import main
 from coretune.data import load_split_bundle
-from coretune.runconfig import load_run_config
+from coretune.runconfig import ConfigError, RunConfig, atomic_output, load_run_config
 from coretune.tuner import TrialResult, curve_rows, run_grid
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -801,6 +802,55 @@ class TestOverrides:
         _, config_path, _ = workdir
         assert run(config_path, "build", "--override", "det_ratio") == 1
         assert "key=value" in capsys.readouterr().err
+
+
+class TestRunConfigInProcess:
+    CSV = {"dataset": {"path": "d.csv", "format": "csv", "label_column": "y"},
+           "output_dir": "out"}
+
+    def test_csv_dataset_needs_a_label_column(self):
+        with pytest.raises(ConfigError, match="dataset.label_column is required "
+                                              "for csv datasets"):
+            RunConfig({"dataset": {"path": "d.csv", "format": "csv"},
+                       "output_dir": "out"})
+
+    @pytest.mark.parametrize("ratio", [0, 1.5])
+    def test_build_coreset_ratio_lies_in_the_unit_interval(self, ratio):
+        with pytest.raises(ConfigError, match=r"build.coreset_ratio: must lie "
+                                              r"in \(0, 1\]"):
+            RunConfig({**self.CSV, "build": {"coreset_ratio": ratio}})
+
+    @pytest.mark.parametrize("content,match", [
+        (b"\xff\xfe{}", "invalid JSON: 'utf-8' codec can't decode"),
+        (b"{", "invalid JSON: Expecting property name"),
+        (b"[1, 2]", r"must hold a JSON object, not \[1, 2\]"),
+    ])
+    def test_unreadable_config(self, tmp_path, content, match):
+        path = _config_file(tmp_path, content)
+        with pytest.raises(ConfigError, match=f"^{re.escape(path)}: {match}"):
+            load_run_config(path)
+
+    def test_atomic_output_removes_its_temp_file_when_the_writer_fails(
+            self, tmp_path):
+        with pytest.raises(RuntimeError, match="writer failed"):
+            with atomic_output(tmp_path / "a.csv") as tmp:
+                Path(tmp).write_text("half")
+                raise RuntimeError("writer failed")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_tune_without_a_grid(self, workdir, capsys):
+        tmp_path, config_path, config = workdir
+        del config["grid"]
+        Path(config_path).write_text(json.dumps(config))
+        assert run(config_path, "tune") == 1
+        assert "missing config field 'grid'" in capsys.readouterr().err
+
+    def test_split_names_the_row_a_header_outgrows(self, workdir, capsys):
+        tmp_path, config_path, _ = workdir
+        data_path = tmp_path / "data.csv"
+        data_path.write_text("f0,f1,f2,label\n0.5,1\n1.5,0\n")
+        assert run(config_path, "split") == 2
+        assert f"{data_path}:2: expected 4 cells, got 2" in capsys.readouterr().err
 
 
 HASHED = ("scores.csv", "coreset.csv", "trials.csv", "best_config.json",

@@ -1,3 +1,4 @@
+import json
 import pickle
 
 import numpy as np
@@ -96,6 +97,22 @@ class TestParseLibsvm:
                                 "# header\n+1 1:1.0 # trailing\n\n-1 1:2.0\n"))
         assert ds.n == 2
 
+    def test_dimension_hint_must_be_positive(self, tmp_path):
+        path = write(tmp_path, "a.libsvm", "+1 1:1.0\n")
+        with pytest.raises(ValueError, match="dimension_hint must be a positive"):
+            parse_libsvm(path, dimension_hint=0)
+
+    def test_token_without_colon(self, tmp_path):
+        path = write(tmp_path, "a.libsvm", "+1 1:1.0\n-1 2\n")
+        with pytest.raises(ParseError, match=r":2: bad feature token '2'"):
+            parse_libsvm(path)
+
+    def test_index_above_the_hint(self, tmp_path):
+        path = write(tmp_path, "a.libsvm", "+1 1:1.0\n-1 3:1.0\n")
+        with pytest.raises(ParseError, match="feature index 3 exceeds "
+                                             "dimension_hint 2"):
+            parse_libsvm(path, dimension_hint=2)
+
 
 class TestParseCsv:
     def test_two_row_file(self, tmp_path):
@@ -140,6 +157,36 @@ class TestParseCsv:
         path = write(tmp_path, "a.csv", "x,y,label\n1,2,0\n3,1\n")
         with pytest.raises(ParseError, match="expected 3 cells"):
             parse_csv(path, "label")
+
+    @pytest.mark.parametrize("text,expected,got", [
+        ("a,b,label\n1,0\n2,1\n", 3, 2),   # an IndexError before
+        ("label,a\n0,1,2\n1,3,4\n", 2, 3),  # an unnamed feature before
+    ], ids=["wider-header", "narrower-header"])
+    def test_header_width_binds_the_rows(self, tmp_path, text, expected, got):
+        path = write(tmp_path, "a.csv", text)
+        with pytest.raises(ParseError, match=rf"a\.csv:2: expected {expected} "
+                                             rf"cells, got {got}$"):
+            parse_csv(path, "label")
+
+    def test_blank_file(self, tmp_path):
+        path = write(tmp_path, "a.csv", "\n  \n")
+        with pytest.raises(EmptyInputError, match="no rows"):
+            parse_csv(path, "label")
+
+    def test_header_only(self, tmp_path):
+        path = write(tmp_path, "a.csv", "x,label\n\n")
+        with pytest.raises(EmptyInputError, match="header but no data rows"):
+            parse_csv(path, "label")
+
+    def test_label_name_without_header(self, tmp_path):
+        path = write(tmp_path, "a.csv", "0,1.5\n1,2.5\n")
+        with pytest.raises(ParseError, match="'label' but the file has no header"):
+            parse_csv(path, "label", has_header=False)
+
+    def test_label_index_past_the_last_column(self, tmp_path):
+        path = write(tmp_path, "a.csv", "0,1.5,2.5\n1,3.5,4.5\n")
+        with pytest.raises(ParseError, match="index 3 out of range for 3 columns"):
+            parse_csv(path, 3, has_header=False)
 
     def test_label_column_by_index_without_header(self, tmp_path):
         path = write(tmp_path, "a.csv", "0,1.5,2.5\n1,3.5,4.5\n")
@@ -373,6 +420,18 @@ class TestSplitBundleFiles:
         with pytest.raises(FileNotFoundError):
             load_split_bundle(tmp_path / "nope")
 
+    def test_manifest_without_a_digest(self, tmp_path):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.normal(size=(30, 2)), (rng.random(30) < 0.5).astype(int))
+        save_split_bundle(stratified_split(data, (0.6, 0.2, 0.2), seed=1),
+                          tmp_path, 1, (0.6, 0.2, 0.2))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        del manifest["splits"]["validation"]["sha256"]
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SplitError, match="split 'validation' has no content "
+                                             "digest"):
+            load_split_bundle(tmp_path)
+
 
 def csr_with_gaps(seed, n=40, d=12):
     """A scipy CSR matrix with empty rows (0, 7 and the last) and explicit
@@ -468,17 +527,40 @@ class TestCSRMatrix:
         ([1.0, 2.0], [0, 1], [0, 2, 1], (2, 3), "nondecreasing"),
         ([1.0, 2.0], [0], [0, 1], (1, 3), "entries"),
         ([1.0], [0.0], [0, 1], (1, 3), "integer"),
+        ([], [], [], (-1, 3), r"bad CSR shape \(-1, 3\)"),
     ])
     def test_rejects_malformed_arrays(self, data, indices, indptr, shape, match):
         with pytest.raises(ValueError, match=match):
             CSRMatrix(np.asarray(data), np.asarray(indices), np.asarray(indptr),
                       shape)
 
+    def test_products_take_vectors_of_the_matching_length(self):
+        A = as_features(csr_with_gaps(0))
+        n, d = A.shape
+        # One entry too many would index without error.
+        with pytest.raises(ValueError, match="cannot multiply a"):
+            A @ np.ones(d + 1)
+        with pytest.raises(ValueError, match="cannot multiply the transpose"):
+            A.T @ np.ones(n + 1)
+
+    def test_rows_take_a_1d_index(self):
+        A = as_features(csr_with_gaps(0))
+        with pytest.raises(IndexError, match="1-d integer array or boolean mask"):
+            A[np.array([[0, 1]])]
+
 
 class TestDatasetInvariants:
     def test_rejects_negative_weights(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((2, 1)), np.array([0, 1]), weights=np.array([1.0, -1.0]))
+
+    def test_rejects_zero_rows(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            Dataset(np.zeros((0, 2)), np.array([], dtype=int))
+
+    def test_rejects_negative_labels(self):
+        with pytest.raises(ValueError, match="nonnegative class ids"):
+            Dataset(np.zeros((2, 1)), np.array([0, -1]))
 
     def test_rejects_length_mismatch(self):
         with pytest.raises(ValueError):

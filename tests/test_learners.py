@@ -118,6 +118,59 @@ class TestTrainLogistic:
         with pytest.raises(ValueError, match="finite"):
             train(X, np.array([0, 1]), np.ones(2), TrainConfig())
 
+    def test_hinge_gradient_once_every_margin_is_met(self):
+        # The early return gathers no rows; its zeros are +0.0, where the
+        # negated sums over no active point would be -0.0.
+        X = np.array([[-1.0], [1.0]])
+        grad, grad_b = learners._hinge_data_grad(X, np.array([-1.0, 1.0]),
+                                                 np.ones(2), np.array([2.0]), 0.0)
+        assert grad.tolist() == [0.0] and grad_b == 0.0
+        assert not np.signbit(grad).any() and not np.signbit(grad_b)
+
+
+def zero_model():
+    return LinearModel(np.zeros(3), 0.0, "logistic", True)
+
+
+# train and weighted_loss, each as a function of (features, labels, weights).
+INPUT_CHECKED = {
+    "train": lambda X, y, w: train(X, y, w, TrainConfig()),
+    "weighted_loss": lambda X, y, w: weighted_loss(zero_model(), X, y, w),
+}
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("call", INPUT_CHECKED)
+    @pytest.mark.parametrize("change,match", [
+        # Checked in this order: labels, lengths, features, weights.
+        ({"y": [0, 2, 1]}, r"labels must be binary 0/1, got \[0, 1, 2\]"),
+        ({"y": [0, 2]}, r"labels must be binary 0/1, got \[0, 2\]"),
+        ({"y": [1]}, "must have equal length"),
+        ({"w": [1.0, 1.0]}, "must have equal length"),
+        ({"X": [[1.0, 0, 0], [np.nan, 0, 0], [0, 0, 1.0]], "w": [1, -1, 1]},
+         "features contain non-finite values"),
+        ({"w": [1.0, -1.0, 1.0]}, r"weights must be finite and >= 0"),
+        ({"w": [1.0, np.nan, 1.0]}, r"weights must be finite and >= 0"),
+        ({"w": [1.0, np.inf, 1.0]}, r"weights must be finite and >= 0"),
+    ])
+    def test_train_and_weighted_loss_reject_alike(self, call, change, match):
+        inputs = {"X": np.eye(3), "y": [0, 1, 1], "w": np.ones(3)} | change
+        with pytest.raises(ValueError, match=match):
+            INPUT_CHECKED[call](np.asarray(inputs["X"], dtype=float),
+                                np.asarray(inputs["y"]), np.asarray(inputs["w"]))
+
+    def test_only_train_needs_weight_in_both_classes(self):
+        X, y, w = np.eye(3), np.array([0, 1, 1]), np.array([0.0, 1.0, 1.0])
+        with pytest.raises(ValueError, match="positive weight in both classes"):
+            train(X, y, w, TrainConfig())
+        assert weighted_loss(zero_model(), X, y, w) == 2 * math.log(2)
+
+    def test_model_parameters_must_be_finite(self):
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            LinearModel(np.array([1.0, np.nan]), 0.0, "logistic", True)
+        with pytest.raises(ValueError, match="model parameters must be finite"):
+            LinearModel(np.array([1.0]), np.inf, "logistic", True)
+
     def test_sparse_matches_dense(self):
         X, y, w = random_instance(n=60, d=8, seed=17)
         dense = train(X, y, w, TrainConfig())
@@ -403,6 +456,13 @@ class TestExpit:
 
 
 class TestWeightedLoss:
+    def test_pinned_value(self):
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(50, 3))
+        y = (rng.random(50) < 0.5).astype(int)
+        model = train(X, y, np.ones(50), TrainConfig())
+        assert weighted_loss(model, X, y, np.ones(50)) == 29.592350223247365
+
     def test_zero_model_logistic(self):
         n = 7
         model = LinearModel(np.zeros(3), 0.0, "logistic", True)

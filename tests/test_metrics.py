@@ -27,6 +27,15 @@ class TestConfusionCounts:
         with pytest.raises(ValueError, match="mismatch"):
             confusion_counts([0, 1], [0])
 
+    def test_checks_predictions_then_true_labels_then_lengths(self):
+        with pytest.raises(ValueError, match=r"predicted labels must be binary "
+                                             r"0/1, got \[0, 1, 2\]"):
+            confusion_counts([0, 2], [0, 2, 1])
+        with pytest.raises(ValueError, match=r"true labels must be binary"):
+            confusion_counts([0, 2], [0, 1, 1])
+        with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
+            confusion_counts([0, 1], [0, 1, 1])
+
 
 class TestThresholdMetrics:
     def test_hand_arithmetic(self):
@@ -34,6 +43,11 @@ class TestThresholdMetrics:
         assert f1(conf) == pytest.approx(2 / 3)
         assert balanced_accuracy(conf) == pytest.approx(0.75)
         assert accuracy(conf) == pytest.approx(0.75)
+
+    @pytest.mark.parametrize("metric", [balanced_accuracy, accuracy])
+    def test_no_samples_is_undefined(self, metric):
+        with pytest.raises(UndefinedMetricError, match="no samples"):
+            metric((0, 0, 0, 0))
 
     def test_perfect(self):
         conf = (3, 0, 2, 0)
@@ -93,6 +107,9 @@ class TestRocAuc:
 
     def test_all_ties(self):
         assert roc_auc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5]) == 0.5
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(roc_auc([0, 0, 1, 1], [0.1, np.nan, 0.8, 0.9]))
 
     def test_worked_example(self):
         assert roc_auc([0, 0, 1, 1], [0.1, 0.4, 0.35, 0.8]) == pytest.approx(0.75)

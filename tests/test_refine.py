@@ -7,7 +7,7 @@ import pytest
 from conftest import golden_splits
 from coretune.data import Dataset, stratified_split
 from coretune.learners import LinearModel, TrainConfig, decision_scores
-from coretune.refine import (RefineConfig, refine, trace_to_csv,
+from coretune.refine import (RefineConfig, RefineTrace, refine, trace_to_csv,
                              uncertainty_query)
 from coretune.sampler import SamplerConfig, build_coreset, coreset_to_csv
 from coretune.sensitivity import compute_scores
@@ -261,6 +261,11 @@ class TestRefineBehaviour:
         assert lines[0] == "# config_hash=abc"
         assert lines[1] == "round,pool_size,phi_before,phi_after,patience,decision"
         assert len(lines) >= 3
+
+    def test_trace_csv_without_rounds(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        trace_to_csv(RefineTrace(decision="kept_original", phi_original=0.5), path)
+        assert path.read_text().splitlines()[1:] == ["0,0,0.5,0.5,0,kept_original"]
 
 
 # sha256 of refined_coreset.csv's bytes followed by refine_trace.csv's, for a

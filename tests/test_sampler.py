@@ -529,6 +529,18 @@ class TestCoresetInvariantsAndIo:
                     np.array(["sampled", "sampled"], dtype=object),
                     np.array([1, 1]))
 
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="labels has length 1, expected 2"):
+            Coreset(np.array([1, 2]), np.array([1.0, 1.0]), np.array([0]),
+                    np.array(["sampled", "sampled"], dtype=object),
+                    np.array([1, 1]))
+
+    def test_unknown_provenance_rejected(self):
+        with pytest.raises(ValueError, match="provenance tags must be within"):
+            Coreset(np.array([1, 2]), np.array([1.0, 1.0]), np.array([0, 1]),
+                    np.array(["sampled", "guessed"], dtype=object),
+                    np.array([1, 1]))
+
     def test_csv_round_trip(self, tmp_path):
         data = gaussian_instance(n=50, seed=3)
         coreset = build_coreset(data, uniform_scores(50),

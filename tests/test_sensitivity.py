@@ -370,6 +370,25 @@ class TestScoreInvariants:
         with pytest.raises(ValueError):
             SensitivityScores(np.array([1.0, 1.0]), 3.0, "bad")
 
+    @pytest.mark.parametrize("values,total", [
+        ([1.0, 2.0], float("nan")), ([1.0, 2.0], float("inf")),
+        ([1e-300], -5e-13),  # within the absolute tolerance, but negative
+    ])
+    def test_total_must_be_finite_and_positive(self, values, total):
+        with pytest.raises(ValueError, match="must be finite, positive and "
+                                             "match the sum of values"):
+            SensitivityScores(np.array(values), total, "x")
+
+    def test_rejects_empty_values(self):
+        with pytest.raises(ValueError, match="nonempty 1-d array"):
+            SensitivityScores(np.array([]), 0.0, "x")
+
+    def test_all_zero_row_with_no_mix_is_degenerate(self):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
+        with pytest.raises(DegenerateScoresError, match="some scores are "
+                                                        "nonpositive"):
+            leverage_sensitivities(X, mix=0.0, add_intercept=False)
+
 
 class TestProviderRegistry:
     def test_builtins_present(self):

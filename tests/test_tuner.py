@@ -215,6 +215,14 @@ class TestRunGrid:
         assert len(seen) == len(set(seen))
 
 
+    def test_usable_cpus_without_cpu_affinity(self, monkeypatch):
+        import os
+
+        import coretune.tuner
+
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert coretune.tuner._usable_cpus() == (os.cpu_count() or 1)
+
     def test_pool_is_clamped_to_usable_cpus(self, monkeypatch):
         import concurrent.futures
 

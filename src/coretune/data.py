@@ -199,6 +199,21 @@ def nonnegative_weights(values) -> np.ndarray:
     return values
 
 
+def finite_features(features):
+    """``features`` as they are if a dense array is 2-d and the values (a
+    :class:`CSRMatrix`'s stored ones) are finite, else a ValueError."""
+    if isinstance(features, CSRMatrix):
+        values = features.data
+    elif np.ndim(features) != 2:
+        raise ValueError(f"features must be a 2-d matrix, got shape "
+                         f"{np.shape(features)}")
+    else:
+        values = features
+    if not np.all(np.isfinite(values)):
+        raise ValueError("features contain non-finite values")
+    return features
+
+
 def split_fractions(name: str, value) -> tuple[float, float, float]:
     """``value`` as three positive real numbers summing to 1 within 1e-9;
     anything else (a bool, a string, NaN, an infinity) is a SplitError."""
@@ -250,7 +265,7 @@ class Dataset:
     point_ids: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        self.features = as_features(self.features)
+        self.features = finite_features(as_features(self.features))
         n = self.features.shape[0]
         if n < 1:
             raise ValueError("dataset must contain at least one point")

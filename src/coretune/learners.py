@@ -33,7 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import (CSRMatrix, as_features, binary_labels, boolean_field,
-                   integer_field, nonnegative_weights, real_field)
+                   finite_features, integer_field, nonnegative_weights,
+                   real_field)
 
 LOSSES = ("logistic", "hinge")
 
@@ -80,15 +81,13 @@ def _as_pm_labels(labels: np.ndarray) -> np.ndarray:
 def _checked_inputs(features, labels, weights):
     """The {-1,+1} labels and float64 weights of a :func:`train` or
     :func:`weighted_loss` call, checked in this order: binary labels, one
-    label and one weight per row, finite features, the weight rule."""
+    label and one weight per row, 2-d finite features, the weight rule."""
     n = features.shape[0]
     y_pm = _as_pm_labels(labels)
     weights = np.asarray(weights, dtype=np.float64)
     if len(y_pm) != n or len(weights) != n:
         raise ValueError("features, labels, and weights must have equal length")
-    feat_values = features.data if isinstance(features, CSRMatrix) else features
-    if not np.all(np.isfinite(feat_values)):
-        raise ValueError("features contain non-finite values")
+    finite_features(features)
     return y_pm, nonnegative_weights(weights)
 
 
@@ -293,8 +292,6 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
 def _hinge_data_grad(features, y_pm, weights, coef, b):
     margins = y_pm * (features @ coef + b)
     active = margins < 1.0
-    if not np.any(active):
-        return np.zeros_like(coef), 0.0
     r = weights[active] * y_pm[active]
     return -(features[active].T @ r), -float(r.sum())
 

@@ -45,15 +45,8 @@ class MetricsReport:
                    confusion=(d["tp"], d["fp"], d["tn"], d["fn"]))
 
 
-def confusion_counts(true_labels, predicted_labels) -> tuple[int, int, int, int]:
-    """(tp, fp, tn, fn) for binary labels; the predicted ones are checked
-    first."""
-    y, yhat = _checked_scores(true_labels,
-                              binary_labels(predicted_labels, "predicted labels"))
-    return _confusion(y, yhat > 0)
-
-
 def _confusion(y: np.ndarray, yhat: np.ndarray) -> tuple[int, int, int, int]:
+    """(tp, fp, tn, fn) of 0/1 labels ``y`` and boolean predictions."""
     positives = int(np.count_nonzero(y))
     predicted = int(np.count_nonzero(yhat))
     tp = int(np.count_nonzero(y & yhat))

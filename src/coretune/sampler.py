@@ -262,9 +262,10 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
                    prev_w: float) -> tuple[np.ndarray, np.ndarray]:
     """Weight the deterministic set Q and the sampled multiset.
 
-    ``positions`` and ``counts`` are the sampled positions and their
-    multiplicities; the result is (weights of ``q_positions``, weights of
-    ``positions``), in the same orders. ``probs`` and ``m`` are the sampling
+    ``positions`` and ``counts`` are the sampled positions, all outside Q
+    as :func:`sample_residual` draws them, and their multiplicities; the
+    result is (weights of ``q_positions``, weights of ``positions``), in the
+    same orders. ``probs`` and ``m`` are the sampling
     problem's probabilities and size (the class probabilities and class
     budget when sampling per class); ``prev_w`` is the total source weight of
     the problem's points. ``strategy`` is a validated config's.
@@ -280,10 +281,6 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
     """
     q_positions = np.asarray(q_positions, dtype=np.int64)
     p = np.asarray(probs, dtype=np.float64)
-    in_q = np.zeros(len(p), dtype=bool)
-    in_q[q_positions] = True
-    if in_q[positions].any():
-        raise ValueError("deterministic set and sampled counts must be disjoint")
     w = np.asarray(source_weights, dtype=np.float64)
     w_q = w[q_positions]
 
@@ -292,6 +289,8 @@ def assign_weights(strategy: str, q_positions: np.ndarray, positions: np.ndarray
                 counts * w[positions] / (p[positions] * m))
 
     # keep and prop share the residual-renormalized inverse-probability shape.
+    in_q = np.zeros(len(p), dtype=bool)
+    in_q[q_positions] = True
     residual_mass = p[~in_q].sum()
     raw = counts * w[positions] / (p[positions] / residual_mass)
     # Left-to-right, not numpy's pairwise sum: the weights are artifact bytes.

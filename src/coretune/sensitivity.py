@@ -26,12 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CSRMatrix, Dataset, as_features, boolean_field,
-                   integer_field, real_field, real_number, write_table)
-
-
-class DegenerateScoresError(ValueError):
-    """All structured scores vanished and no uniform mixing was requested."""
+from .data import (CSRMatrix, Dataset, as_features, integer_field,
+                   real_field, real_number, write_table)
 
 
 @dataclass(frozen=True)
@@ -84,39 +80,27 @@ def uniform_scores(n: int) -> SensitivityScores:
 _BLOCK_ENTRIES = 1 << 16
 
 
-def _design_matrix(features, add_intercept: bool):
-    """The feature matrix in float64, with a column of ones appended when
-    ``add_intercept``: a CSR input becomes a ``scipy.sparse.csr_matrix``,
-    any other a dense array."""
+def _design_matrix(features):
+    """The feature matrix in float64 with a column of ones appended, the
+    intercept the learners fit by default: a CSR input becomes a
+    ``scipy.sparse.csr_matrix``, any other a dense array. Every row is then
+    nonzero, and the Gram's largest eigenvalue is at least n."""
     features = as_features(features)
     if isinstance(features, CSRMatrix):
         import scipy.sparse as sp
 
         A = sp.csr_matrix((features.data, features.indices, features.indptr),
                           shape=features.shape)
-        if add_intercept:
-            ones = sp.csr_matrix(np.ones((A.shape[0], 1)))
-            A = sp.hstack([A, ones], format="csr")
-        return A
+        ones = sp.csr_matrix(np.ones((A.shape[0], 1)))
+        return sp.hstack([A, ones], format="csr")
     features = np.asarray(features, dtype=np.float64)
-    if add_intercept:
-        features = np.hstack([features, np.ones((features.shape[0], 1))])
-    return features
+    return np.hstack([features, np.ones((features.shape[0], 1))])
 
 
 def _mix_with_uniform(structured: np.ndarray, mix: float, name: str,
                       **flags) -> SensitivityScores:
     n = len(structured)
-    total_structured = structured.sum()
-    if total_structured <= 0:
-        if mix <= 0:
-            raise DegenerateScoresError(
-                f"{name}: structured scores are all zero and mix=0")
-        values = np.full(n, 1.0 / n)
-    else:
-        values = (1.0 - mix) * structured / total_structured + mix / n
-    if np.any(values <= 0):
-        raise DegenerateScoresError(f"{name}: some scores are nonpositive")
+    values = (1.0 - mix) * structured / structured.sum() + mix / n
     return SensitivityScores(values, float(values.sum()), name, **flags)
 
 
@@ -170,24 +154,22 @@ def _inverse_cholesky_factor(gram) -> tuple[np.ndarray, bool]:
     return factor.T, ridge
 
 
-def _check_leverage_params(mix, add_intercept) -> None:
+def _check_leverage_params(mix) -> None:
     if not (0.0 <= real_number("mix", mix) <= 1.0):
         raise ValueError("mix must lie in [0, 1]")
-    boolean_field("add_intercept", add_intercept)
 
 
-def _check_lewis_params(mix, max_iters, tol, add_intercept) -> None:
-    _check_leverage_params(mix, add_intercept)
+def _check_lewis_params(mix, max_iters, tol) -> None:
+    _check_leverage_params(mix)
     integer_field("max_iters", max_iters, minimum=0)
     real_field("tol", tol, minimum=0.0)
 
 
-def leverage_sensitivities(features, mix: float = 0.5,
-                           add_intercept: bool = True) -> SensitivityScores:
+def leverage_sensitivities(features, mix: float = 0.5) -> SensitivityScores:
     """Statistical-leverage scores mixed with a uniform floor.
 
     Leverage l_i is the squared row norm of an orthonormal column basis of
-    the (optionally intercept-augmented) matrix A; the output is
+    the intercept-augmented matrix A; the output is
     (1-mix) * l_i / sum(l) + mix / n.
 
     Dense and CSR A alike use l_i = x_i^T G^+ x_i with the pseudo-inverse of
@@ -199,8 +181,8 @@ def leverage_sensitivities(features, mix: float = 0.5,
     s_max * sqrt(max(n, d) * eps). The scores of a direction with singular
     value s carry a relative error of about eps * (s_max / s)^2.
     """
-    _check_leverage_params(mix, add_intercept)
-    A = _design_matrix(features, add_intercept)
+    _check_leverage_params(mix)
+    A = _design_matrix(features)
     return _mix_with_uniform(_leverage(A), mix, "leverage")
 
 
@@ -214,8 +196,6 @@ def _leverage(A) -> np.ndarray:
 
         # Two d x d arrays at most: the Gram, overwritten, and the eigenvectors.
         lam, V = eigh((A.T @ A).toarray(order="F"), overwrite_a=True)
-    if len(lam) == 0 or lam[-1] <= 0:
-        return np.zeros(A.shape[0])
     # Eigenvalues ascend, so the kept ones are the last.
     first = int(np.sum(lam <= lam[-1] * max(A.shape) * np.finfo(np.float64).eps))
     R = np.ascontiguousarray(V[:, first:])
@@ -225,8 +205,7 @@ def _leverage(A) -> np.ndarray:
 
 
 def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6,
-                               mix: float = 0.5,
-                               add_intercept: bool = True) -> SensitivityScores:
+                               mix: float = 0.5) -> SensitivityScores:
     """l1 Lewis weights by fixed-point iteration, mixed with a uniform floor.
 
     Iterates w_i <- sqrt( x_i^T (X^T diag(w)^{-1} X)^{-1} x_i ) from
@@ -236,17 +215,13 @@ def lewis_weight_sensitivities(features, max_iters: int = 100, tol: float = 1e-6
     and flagged. Dense and CSR X share one update, :func:`_lewis_iteration`;
     a CSR X is never densified.
     """
-    _check_lewis_params(mix, max_iters, tol, add_intercept)
-    A = _design_matrix(features, add_intercept)
+    _check_lewis_params(mix, max_iters, tol)
+    A = _design_matrix(features)
     n, d = A.shape
     w = np.full(n, d / n)
     converged = False
     used_ridge = False
     for _ in range(max_iters):
-        if not np.all(w > 0):
-            # Only an all-zero row gets weight 0, and A / w is then undefined.
-            raise ValueError(f"lewis: row {int(np.argmin(w > 0))} has weight 0; "
-                             "an all-zero row needs add_intercept=True")
         w_new, ridge = _lewis_iteration(A, w)
         used_ridge = used_ridge or ridge
         rel = np.max(np.abs(w_new - w) / w)

@@ -16,8 +16,7 @@ from coretune.learners import (TrainConfig, decision_scores, train,
                                weighted_logistic_gradient,
                                weighted_logistic_objective)
 from coretune.metrics import (average_precision, balanced_accuracy,
-                              classification_report, confusion_counts, f1,
-                              roc_auc)
+                              classification_report, f1, roc_auc)
 from coretune.refine import RefineConfig, refine
 from coretune.sampler import SamplerConfig, allocate_class_budgets, build_coreset
 from coretune.sensitivity import compute_scores
@@ -274,7 +273,7 @@ def test_criterion_6_metric_oracles():
         scores = np.round(rng.normal(size=n), 2)
         assert roc_auc(y, scores) == _pair_count_auc(y, scores)
 
-    conf = confusion_counts([1, 1, 0, 0], [1, 0, 0, 0])
+    conf = classification_report([1, 1, 0, 0], [1, 0, 0, 0]).confusion
     assert conf == (1, 0, 2, 1)
     assert f1(conf) == pytest.approx(2 / 3)
     assert balanced_accuracy(conf) == pytest.approx(0.75)

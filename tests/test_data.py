@@ -571,6 +571,16 @@ class TestDatasetInvariants:
             Dataset(np.zeros((2, 1)), np.array([0, 1]),
                     point_ids=np.array([3, 3]))
 
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    def test_rejects_non_finite_features(self, layout):
+        features = layout(np.array([[1.0, np.nan], [2.0, 3.0]]))
+        with pytest.raises(ValueError, match="features contain non-finite"):
+            Dataset(features, np.array([0, 1]))
+
+    def test_rejects_features_that_are_not_2d(self):
+        with pytest.raises(ValueError, match=r"2-d matrix, got shape \(6,\)"):
+            Dataset(np.arange(6.0), np.array([0, 1] * 3))
+
     def test_subset_by_ids(self):
         ds = Dataset(np.arange(8, dtype=float).reshape(4, 2), np.array([0, 1, 0, 1]),
                      point_ids=np.array([10, 20, 30, 40]))

@@ -7,34 +7,34 @@ from hypothesis import strategies as st
 
 from coretune.metrics import (MetricsReport, UndefinedMetricError, accuracy,
                               average_precision, balanced_accuracy,
-                              classification_report, confusion_counts, f1,
-                              roc_auc)
+                              classification_report, f1, roc_auc)
 
 
-class TestConfusionCounts:
+class TestReportConfusion:
+    """``classification_report(...).confusion`` of 0/1 predictions given
+    as scores: a score of 1 predicts class 1, a score of 0 class 0."""
+
     def test_enumerated_example(self):
-        assert confusion_counts([1, 1, 0, 0], [1, 0, 0, 0]) == (1, 0, 2, 1)
+        report = classification_report([1, 1, 0, 0], [1, 0, 0, 0])
+        assert report.confusion == (1, 0, 2, 1)
 
     def test_perfect_predictions(self):
         y = np.array([1, 1, 1, 0, 0])
-        assert confusion_counts(y, y) == (3, 0, 2, 0)
+        assert classification_report(y, y).confusion == (3, 0, 2, 0)
 
     def test_inverted_predictions(self):
         y = np.array([1, 1, 1, 0, 0])
-        assert confusion_counts(y, 1 - y) == (0, 2, 0, 3)
+        assert classification_report(y, 1 - y).confusion == (0, 2, 0, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            confusion_counts([0, 1], [0])
+            classification_report([0, 1], [0])
 
-    def test_checks_predictions_then_true_labels_then_lengths(self):
-        with pytest.raises(ValueError, match=r"predicted labels must be binary "
-                                             r"0/1, got \[0, 1, 2\]"):
-            confusion_counts([0, 2], [0, 2, 1])
+    def test_checks_true_labels_then_lengths(self):
         with pytest.raises(ValueError, match=r"true labels must be binary"):
-            confusion_counts([0, 2], [0, 1, 1])
+            classification_report([0, 2], [0, 1, 1])
         with pytest.raises(ValueError, match=r"^length mismatch: 2 vs 3$"):
-            confusion_counts([0, 1], [0, 1, 1])
+            classification_report([0, 1], [0, 1, 1])
 
 
 class TestThresholdMetrics:
@@ -56,8 +56,7 @@ class TestThresholdMetrics:
         assert accuracy(conf) == 1.0
 
     def test_all_negative_convention(self):
-        conf = confusion_counts([0, 0, 0], [0, 0, 0])
-        assert conf == (0, 0, 3, 0)
+        conf = (0, 0, 3, 0)
         assert f1(conf) == 0.0
         assert accuracy(conf) == 1.0
         assert balanced_accuracy(conf) == 1.0  # only the negative rate is defined
@@ -67,7 +66,7 @@ class TestThresholdMetrics:
         for _ in range(50):
             y = rng.integers(0, 2, size=30)
             yhat = rng.integers(0, 2, size=30)
-            tp, fp, tn, fn = confusion_counts(y, yhat)
+            tp, fp, tn, fn = confusion_oracle(y, yhat)
             precision = tp / (tp + fp) if tp + fp else 0.0
             recall = tp / (tp + fn) if tp + fn else 0.0
             expected = (2 * precision * recall / (precision + recall)
@@ -80,8 +79,8 @@ class TestThresholdMetrics:
     def test_label_swap_symmetry(self, pairs):
         y = np.array([p[0] for p in pairs])
         yhat = np.array([p[1] for p in pairs])
-        a = balanced_accuracy(confusion_counts(y, yhat))
-        b = balanced_accuracy(confusion_counts(1 - y, 1 - yhat))
+        a = balanced_accuracy(confusion_oracle(y, yhat))
+        b = balanced_accuracy(confusion_oracle(1 - y, 1 - yhat))
         assert a == pytest.approx(b)
 
 
@@ -217,7 +216,7 @@ class TestClassificationReport:
         y[0], y[1] = 0, 1
         scores = rng.normal(size=50)
         report = classification_report(y, scores)
-        conf = confusion_counts(y, (scores > 0).astype(int))
+        conf = confusion_oracle(y, scores)
         assert report.confusion == conf
         assert report.f1 == f1(conf)
         assert report.balanced_accuracy == balanced_accuracy(conf)

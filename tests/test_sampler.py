@@ -252,12 +252,6 @@ class TestAssignWeights:
             assign_weights("keep", np.array([0]), np.array([1]), np.array([1]),
                            probs, m=3, source_weights=source, prev_w=5.0)
 
-    def test_overlap_rejected(self):
-        probs = np.array([0.5, 0.5])
-        with pytest.raises(ValueError, match="disjoint"):
-            assign_weights("inv", np.array([0]), np.array([0]), np.array([1]),
-                           probs, m=2, source_weights=np.ones(2), prev_w=2.0)
-
 
 def gaussian_instance(n=200, d=4, pos_fraction=0.4, seed=0):
     rng = np.random.default_rng(seed)

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from coretune.data import Dataset
-from coretune.sensitivity import (DegenerateScoresError, SensitivityScores,
-                                  available_providers, check_provider_params,
-                                  compute_scores, leverage_sensitivities,
+from coretune.sensitivity import (SensitivityScores, available_providers,
+                                  check_provider_params, compute_scores,
+                                  leverage_sensitivities,
                                   lewis_weight_sensitivities, to_probabilities,
                                   uniform_scores)
 
@@ -25,6 +25,11 @@ class TestUniformScores:
     def test_n0_rejected(self):
         with pytest.raises(ValueError):
             uniform_scores(0)
+
+
+def with_ones(X):
+    """X with the column of ones that scoring appends."""
+    return np.hstack([X, np.ones((X.shape[0], 1))])
 
 
 def hat_diagonal(X):
@@ -43,14 +48,15 @@ def svd_leverage(A):
 
 class TestLeverage:
     def test_identity_rows(self):
-        scores = leverage_sensitivities(np.eye(3), mix=0.0, add_intercept=False)
+        # [I | 1] has rank 3 = n, so every row has leverage 1.
+        scores = leverage_sensitivities(np.eye(3), mix=0.0)
         assert np.allclose(scores.values, [1 / 3] * 3)
 
     def test_hand_projection_oracle(self):
-        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        expected_lev = hat_diagonal(X)
+        X = np.array([[1.0], [1.0], [0.0]])
+        expected_lev = hat_diagonal(with_ones(X))
         assert np.allclose(expected_lev, [0.5, 0.5, 1.0])
-        scores = leverage_sensitivities(X, mix=0.0, add_intercept=False)
+        scores = leverage_sensitivities(X, mix=0.0)
         assert np.allclose(scores.values, expected_lev / expected_lev.sum())
         assert np.allclose(scores.values, [0.25, 0.25, 0.5])
 
@@ -63,18 +69,19 @@ class TestLeverage:
     @pytest.mark.parametrize("layout", ["dense", "csr"])
     def test_no_columns_score_uniform(self, layout):
         X = np.zeros((5, 0)) if layout == "dense" else sp.csr_matrix((5, 0))
-        scores = leverage_sensitivities(X, add_intercept=False)
+        scores = leverage_sensitivities(X)
         assert scores.values.tolist() == [0.2] * 5
 
-    def test_zero_matrix_mix_zero_degenerate(self):
-        with pytest.raises(DegenerateScoresError):
-            leverage_sensitivities(np.zeros((4, 2)), mix=0.0, add_intercept=False)
+    def test_zero_matrix_scores_uniform_without_mix(self):
+        # Only the ones column is left, and it gives every row 1/n.
+        scores = leverage_sensitivities(np.zeros((4, 2)), mix=0.0)
+        assert np.allclose(scores.values, [0.25] * 4)
 
     @given(hnp.arrays(np.float64, st.tuples(st.integers(6, 30), st.integers(1, 5)),
                       elements=st.floats(-10, 10, allow_nan=False)))
     @settings(max_examples=60, deadline=None)
     def test_leverage_sum_equals_augmented_rank(self, X):
-        A = np.hstack([X, np.ones((X.shape[0], 1))])
+        A = with_ones(X)
         rank = np.linalg.matrix_rank(A)
         scores = leverage_sensitivities(X, mix=0.0)
         assert abs(svd_leverage(A).sum() - rank) < 1e-8
@@ -83,25 +90,27 @@ class TestLeverage:
 
     @given(d=st.integers(1, 8), extra_rows=st.integers(0, 60),
            seed=st.integers(0, 2**32 - 1),
-           exponents=st.lists(st.floats(0, 2), min_size=8, max_size=8),
-           scale=st.integers(-30, 30))
+           exponents=st.lists(st.floats(-1, 1), min_size=8, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_well_conditioned_leverage_matches_the_svd(self, d, extra_rows, seed,
-                                                        exponents, scale):
-        # A = Q1 diag(s) Q2^T with s_max / s_min <= 100. Leverage from the
-        # Gram errs by about eps * (s_max / s_min)^2: 1e-12 here, but 0.5 at
-        # the rank rule's edge, s_min = s_max * sqrt(max(n, d) * eps).
+                                                        exponents):
+        # X = Q1 diag(s) Q2^T with Q1 orthogonal to the ones column, whose
+        # singular value is sqrt(n); each s lies within 10x of sqrt(n), so
+        # [X | 1] has s_max / s_min <= 100. Leverage from the Gram errs by
+        # about eps * (s_max / s_min)^2: 1e-12 here, but 0.5 at the rank
+        # rule's edge, s_min = s_max * sqrt(max(n, d) * eps).
         rng = np.random.default_rng(seed)
-        n = d + extra_rows
+        n = d + 1 + extra_rows
         rows = rng.normal(size=(n, d)) * 10.0 ** rng.uniform(-2, 2, size=(n, 1))
-        Q1 = np.linalg.qr(rows)[0]
+        Q1 = np.linalg.qr(np.hstack([np.ones((n, 1)), rows]))[0][:, 1:]
         Q2 = np.linalg.qr(rng.normal(size=(d, d)))[0]
-        singular = 10.0 ** -np.array(exponents[:d])
-        A = (Q1 * singular) @ Q2.T * 10.0 ** scale
+        singular = np.sqrt(n) * 10.0 ** -np.array(exponents[:d])
+        X = (Q1 * singular) @ Q2.T
+        A = with_ones(X)
         s = np.linalg.svd(A, compute_uv=False)
-        assert s[-1] > s[0] * np.sqrt(max(n, d) * np.finfo(np.float64).eps)
+        assert s[-1] > s[0] * np.sqrt(max(A.shape) * np.finfo(np.float64).eps)
         expected = svd_leverage(A)
-        got = leverage_sensitivities(A, mix=0.0, add_intercept=False).values
+        got = leverage_sensitivities(X, mix=0.0).values
         expected /= expected.sum()
         assert np.linalg.norm(got - expected) < 1e-10 * np.linalg.norm(expected)
 
@@ -120,21 +129,22 @@ def lewis_fixed_point_oracle(X, tol=1e-10, max_iters=10000):
 
 
 class TestLewisWeights:
-    def test_orthogonal_square_fixed_point(self):
-        # Rows of an orthogonal matrix: x_i^T (X^T X)^-1 x_i = 1 = w_i.
+    def test_square_design_fixed_point(self):
+        # [X | 1] is square and invertible: x_i^T (A^T A)^-1 x_i = 1 = w_i.
         theta = 0.3
         X = np.array([[np.cos(theta), -np.sin(theta)],
-                      [np.sin(theta), np.cos(theta)]])
-        scores = lewis_weight_sensitivities(X, mix=0.0, add_intercept=False)
+                      [np.sin(theta), np.cos(theta)],
+                      [0.0, 0.0]])
+        scores = lewis_weight_sensitivities(X, mix=0.0)
         assert scores.converged
-        assert np.allclose(scores.values, [0.5, 0.5])
+        assert np.allclose(scores.values, [1 / 3] * 3)
 
     def test_repeated_row_oracle(self):
-        X = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        expected = lewis_fixed_point_oracle(X)
+        X = np.array([[1.0], [1.0], [0.0]])
+        expected = lewis_fixed_point_oracle(with_ones(X))
         assert np.allclose(expected, [0.5, 0.5, 1.0], atol=1e-8)
         scores = lewis_weight_sensitivities(X, max_iters=500, tol=1e-12,
-                                            mix=0.0, add_intercept=False)
+                                            mix=0.0)
         got = scores.values * expected.sum()  # undo the sum normalization
         assert np.allclose(got, expected, atol=1e-6)
         assert got[2] > got[0]
@@ -142,29 +152,26 @@ class TestLewisWeights:
 
     def test_zero_iterations_returns_init(self):
         X = np.random.default_rng(0).normal(size=(8, 3))
-        scores = lewis_weight_sensitivities(X, max_iters=0, mix=0.0,
-                                            add_intercept=False)
+        scores = lewis_weight_sensitivities(X, max_iters=0, mix=0.0)
         assert not scores.converged
         assert np.allclose(scores.values, [1 / 8] * 8)  # d/n normalized
 
     def test_weight_sum_near_rank(self):
         rng = np.random.default_rng(3)
         X = rng.normal(size=(40, 4))
-        scores = lewis_weight_sensitivities(X, mix=0.0, add_intercept=True,
-                                            tol=1e-10, max_iters=2000)
+        scores = lewis_weight_sensitivities(X, mix=0.0, tol=1e-10,
+                                            max_iters=2000)
         # recover unnormalized weights via the oracle total
-        A = np.hstack([X, np.ones((40, 1))])
-        w = lewis_fixed_point_oracle(A)
+        w = lewis_fixed_point_oracle(with_ones(X))
         assert abs(w.sum() - 5) / 5 < 0.05
 
     def test_fixed_point_stability(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 3))
         tol = 1e-9
-        scores = lewis_weight_sensitivities(X, tol=tol, max_iters=5000, mix=0.0,
-                                            add_intercept=True)
+        scores = lewis_weight_sensitivities(X, tol=tol, max_iters=5000, mix=0.0)
         assert scores.converged
-        A = np.hstack([X, np.ones((30, 1))])
+        A = with_ones(X)
         w = scores.values * lewis_fixed_point_oracle(A, tol=tol).sum()
         from coretune.sensitivity import _lewis_iteration
         w_next, _ = _lewis_iteration(A, w)
@@ -173,14 +180,12 @@ class TestLewisWeights:
     def test_ridge_fallback_on_rank_deficient(self):
         X = np.zeros((6, 3))
         X[:, 0] = 1.0
-        scores = lewis_weight_sensitivities(X, mix=0.5, add_intercept=False,
-                                            max_iters=5)
+        scores = lewis_weight_sensitivities(X, mix=0.5, max_iters=5)
         assert scores.ridge_fallback
 
 
 def sparse_design(n, d, density, seed):
-    """A CSR matrix of normal entries plus one entry in every row, so that
-    no row is all zero without the intercept."""
+    """A CSR matrix of normal entries plus one entry in every row."""
     rng = np.random.default_rng(seed)
     X = sp.random(n, d, density=density, format="csr", random_state=rng,
                   data_rvs=lambda k: rng.normal(size=k))
@@ -200,29 +205,23 @@ class TestSparseScoring:
     against the explicit-inverse oracle; comparing the two layouts checks
     only that they agree."""
 
-    @pytest.mark.parametrize("add_intercept", [True, False])
     @pytest.mark.parametrize("layout", ["dense", "csr"])
-    def test_lewis_matches_the_explicit_inverse_oracle(self, layout,
-                                                       add_intercept):
+    def test_lewis_matches_the_explicit_inverse_oracle(self, layout):
         X = sparse_design(300, 40, 0.05, seed=5)
-        A = X.toarray()
-        if add_intercept:
-            A = np.hstack([A, np.ones((300, 1))])
-        expected = lewis_fixed_point_oracle(A, tol=1e-14)
+        expected = lewis_fixed_point_oracle(with_ones(X.toarray()), tol=1e-14)
         features = X.toarray() if layout == "dense" else X
         scores = lewis_weight_sensitivities(features, tol=1e-14, max_iters=500,
-                                            mix=0.0, add_intercept=add_intercept)
+                                            mix=0.0)
         assert scores.converged and not scores.ridge_fallback
         assert relative_error(scores.values, expected / expected.sum()) < 1e-10
 
-    @pytest.mark.parametrize("add_intercept", [True, False])
     @pytest.mark.parametrize("score", [leverage_sensitivities,
                                        lewis_weight_sensitivities])
-    def test_csr_matches_dense(self, score, add_intercept):
+    def test_csr_matches_dense(self, score):
         X = sparse_design(300, 40, 0.05, seed=5)
         assert sp.issparse(X) and X.nnz < 0.1 * 300 * 40
-        dense = score(X.toarray(), mix=0.0, add_intercept=add_intercept)
-        csr = score(X, mix=0.0, add_intercept=add_intercept)
+        dense = score(X.toarray(), mix=0.0)
+        csr = score(X, mix=0.0)
         assert relative_error(csr.values, dense.values) < 1e-10
         assert (csr.converged, csr.ridge_fallback) == \
             (dense.converged, dense.ridge_fallback) == (True, False)
@@ -238,9 +237,8 @@ class TestSparseScoring:
         X = sp.hstack([sparse_design(60, 5, 0.2, seed=7),
                        sp.csr_matrix((60, 1))], format="csr")
         assert X[:, 5].nnz == 0
-        csr = lewis_weight_sensitivities(X, max_iters=5, add_intercept=False)
-        dense = lewis_weight_sensitivities(X.toarray(), max_iters=5,
-                                           add_intercept=False)
+        csr = lewis_weight_sensitivities(X, max_iters=5)
+        dense = lewis_weight_sensitivities(X.toarray(), max_iters=5)
         assert csr.ridge_fallback and dense.ridge_fallback
         assert relative_error(csr.values, dense.values) < 1e-8
 
@@ -248,21 +246,28 @@ class TestSparseScoring:
     def test_lewis_rejects_a_non_finite_or_null_gram(self, layout):
         X = np.ones((5, 2))
         X[1, 0] = np.nan
+        from coretune.sensitivity import _inverse_cholesky_factor
+
+        X = np.ones((5, 2))
+        X[1, 0] = np.nan
         with pytest.raises(ValueError, match="infs or NaNs"):
             lewis_weight_sensitivities(layout(X))
         # A zero Gram stays singular after ridge damping.
         with pytest.raises(np.linalg.LinAlgError, match="singular"):
-            lewis_weight_sensitivities(layout(np.zeros((5, 2))),
-                                       add_intercept=False)
+            _inverse_cholesky_factor(layout(np.zeros((2, 2))))
 
-    def test_all_zero_row_without_intercept_is_an_error(self):
+    @pytest.mark.parametrize("score", [leverage_sensitivities,
+                                       lewis_weight_sensitivities])
+    def test_all_zero_row_scores_positive(self, score):
+        # The ones column leaves no row all zero.
         X = sparse_design(40, 5, 0.3, seed=8).tolil()
         X[3, :] = 0.0
         X = X.tocsr()
         X.eliminate_zeros()
-        for features in (X, X.toarray()):
-            with pytest.raises(ValueError, match="row 3 has weight 0"):
-                lewis_weight_sensitivities(features, add_intercept=False)
+        dense = score(X.toarray(), mix=0.0)
+        csr = score(X, mix=0.0)
+        assert dense.values[3] > 0
+        assert relative_error(csr.values, dense.values) < 1e-10
 
     @pytest.mark.parametrize("seed", [9, 10, 11, 12])
     @pytest.mark.parametrize("dependent", ["duplicate", "combination"])
@@ -275,7 +280,7 @@ class TestSparseScoring:
                  else 0.1 * X[:, [3]] + 0.7 * X[:, [5]])
         X = sp.hstack([X, extra], format="csr")
         features = X.toarray() if layout == "dense" else X
-        A = _design_matrix(features, add_intercept=True)
+        A = _design_matrix(features)
         dense_A = A if layout == "dense" else A.toarray()
         # The Gram's rounding-level eigenvalue is positive for some seeds.
         rank = np.linalg.matrix_rank(dense_A)
@@ -303,8 +308,7 @@ class TestSparseScoring:
 class TestProviderParams:
     @pytest.mark.parametrize("params", [
         {"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0},
-        {"max_iters": 2.5}, {"max_iters": -1}, {"add_intercept": "yes"},
-        {"mix": float("nan")}])
+        {"max_iters": 2.5}, {"max_iters": -1}, {"mix": float("nan")}])
     def test_lewis_rejects_malformed_params(self, params):
         X = np.random.default_rng(0).normal(size=(8, 2))
         name = next(iter(params))
@@ -316,6 +320,10 @@ class TestProviderParams:
     def test_unknown_keyword_is_a_type_error(self):
         with pytest.raises(TypeError, match="mixx"):
             check_provider_params("leverage", {"mixx": 0.3})
+        # Scores always include the intercept column; no param drops it.
+        for name in ("leverage", "lewis"):
+            with pytest.raises(TypeError, match="add_intercept"):
+                check_provider_params(name, {"add_intercept": True})
         with pytest.raises(TypeError, match="mix"):
             check_provider_params("uniform", {"mix": 0.5})
 
@@ -382,12 +390,6 @@ class TestScoreInvariants:
     def test_rejects_empty_values(self):
         with pytest.raises(ValueError, match="nonempty 1-d array"):
             SensitivityScores(np.array([]), 0.0, "x")
-
-    def test_all_zero_row_with_no_mix_is_degenerate(self):
-        X = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateScoresError, match="some scores are "
-                                                        "nonpositive"):
-            leverage_sensitivities(X, mix=0.0, add_intercept=False)
 
 
 class TestProviderRegistry:

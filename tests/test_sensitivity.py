@@ -244,8 +244,6 @@ class TestSparseScoring:
 
     @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
     def test_lewis_rejects_a_non_finite_or_null_gram(self, layout):
-        X = np.ones((5, 2))
-        X[1, 0] = np.nan
         from coretune.sensitivity import _inverse_cholesky_factor
 
         X = np.ones((5, 2))
@@ -268,6 +266,21 @@ class TestSparseScoring:
         csr = score(X, mix=0.0)
         assert dense.values[3] > 0
         assert relative_error(csr.values, dense.values) < 1e-10
+
+    @pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix])
+    @pytest.mark.parametrize("score", [leverage_sensitivities,
+                                       lewis_weight_sensitivities])
+    def test_shifting_a_column_leaves_scores_unchanged(self, score, layout):
+        # [X + c e_j^T | 1] = [X | 1] T with T invertible, and both providers
+        # see the design only through its column space. Without the ones
+        # column the shift would move the scores.
+        X = sparse_design(300, 40, 0.05, seed=5).toarray()
+        shifted = X.copy()
+        shifted[:, 7] += 3.0
+        assert relative_error(svd_leverage(shifted), svd_leverage(X)) > 0.1
+        base = score(layout(X), mix=0.0)
+        moved = score(layout(shifted), mix=0.0)
+        assert relative_error(moved.values, base.values) < 1e-10
 
     @pytest.mark.parametrize("seed", [9, 10, 11, 12])
     @pytest.mark.parametrize("dependent", ["duplicate", "combination"])

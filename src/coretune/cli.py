@@ -68,8 +68,6 @@ def build_parser() -> _Parser:
             ("report", "compare the tuned best with the baselines")]:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
-        cmd.add_argument("--seed", type=int, default=None,
-                         help="override split.seed, grid.base_seed, and build.seed")
         cmd.add_argument("--workers", type=int, default=None,
                          help="worker processes for tune")
         cmd.add_argument("--override", action="append", default=[],
@@ -312,7 +310,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
     try:
         cfg = load_run_config(args.config, overrides=args.override,
-                              seed=args.seed, workers=args.workers)
+                              workers=args.workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

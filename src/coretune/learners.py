@@ -1,7 +1,8 @@
 """Weighted linear classifiers for coreset and full-data training.
 
-Both learners minimize a weighted empirical risk with an L2 penalty on the
-coefficients (the intercept is never regularized):
+Both learners fit coefficients and an intercept, minimizing a weighted
+empirical risk with an L2 penalty on the coefficients (the intercept is
+never regularized):
 
     sum_i w_i * loss(y_i * (x_i . beta + b)) + ||beta||^2 / (2 C)
 
@@ -20,10 +21,11 @@ below ``min(0.5, ||g||)`` times the gradient norm ``||g||``, the forcing
 term of Dembo, Eisenstat & Steihaug ("Inexact Newton methods", SIAM J.
 Numer. Anal. 1982; Nocedal & Wright, Numerical Optimization, §7.1). It
 keeps Newton's quadratic convergence, while the early steps, far from the
-optimum, take few products. Dense input forms the Hessian and numpy solves
-it directly. Training imports nothing from scipy: a ``scipy.sparse``
-matrix passed to :func:`train`, :func:`weighted_loss` or
-:func:`decision_scores` is read as a :class:`~coretune.data.CSRMatrix`.
+optimum, take few products. Dense input forms the Hessian, bordered by the
+intercept's row and column, and numpy solves it directly. Training imports
+nothing from scipy: a ``scipy.sparse`` matrix passed to :func:`train`,
+:func:`weighted_loss` or :func:`decision_scores` is read as a
+:class:`~coretune.data.CSRMatrix`.
 """
 
 from __future__ import annotations
@@ -32,9 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import (CSRMatrix, as_features, binary_labels, boolean_field,
-                   finite_features, integer_field, nonnegative_weights,
-                   real_field)
+from .data import (CSRMatrix, as_features, binary_labels, finite_features,
+                   integer_field, nonnegative_weights, real_field)
 
 LOSSES = ("logistic", "hinge")
 
@@ -56,7 +57,9 @@ class TrainConfig:
             "tolerance", self.tolerance, minimum=0.0))
         object.__setattr__(self, "max_iterations", integer_field(
             "max_iterations", self.max_iterations, minimum=1))
-        boolean_field("fit_intercept", self.fit_intercept)
+        if self.fit_intercept is not True:  # every model fits an intercept
+            raise ValueError(
+                f"fit_intercept must be true, got {self.fit_intercept!r}")
 
 
 @dataclass(frozen=True)
@@ -153,20 +156,16 @@ def _ridge(diagonal: np.ndarray) -> float:
 
 
 def _dense_newton_step(features, dw, grad, C):
-    """Solve the Newton system ``H p = grad`` for a dense feature matrix,
-    with ``H`` bordered by the intercept row when ``grad`` has d + 1
-    entries."""
+    """Solve the Newton system ``H p = grad`` for a dense feature matrix:
+    ``H`` is the (d + 1) x (d + 1) Hessian of the coefficients bordered by
+    the intercept's row and column."""
     d = features.shape[1]
-    core = features.T @ (features * dw[:, None])
-    if len(grad) > d:
-        cross = features.T @ dw
-        H = np.empty((d + 1, d + 1))
-        H[:d, :d] = core
-        H[:d, d] = cross
-        H[d, :d] = cross
-        H[d, d] = dw.sum()
-    else:
-        H = core
+    cross = features.T @ dw
+    H = np.empty((d + 1, d + 1))
+    H[:d, :d] = features.T @ (features * dw[:, None])
+    H[:d, d] = cross
+    H[d, :d] = cross
+    H[d, d] = dw.sum()
     diagonal = np.arange(d)
     H[diagonal, diagonal] += 1.0 / C
     try:
@@ -183,8 +182,8 @@ def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations,
     by Jacobi-preconditioned conjugate gradients, never forming ``H``,
     until the residual satisfies ``||H p - grad|| <= tolerance * ||grad||``.
 
-    ``H u = Aᵀ(dw ∘ (A u + c)) + u / C`` for coefficients ``u`` and, when
-    ``grad`` has d + 1 entries, intercept ``c``, whose row is
+    ``H u = Aᵀ(dw ∘ (A u + c)) + u / C`` for coefficients ``u`` and
+    intercept ``c``, the last of the d + 1 unknowns, whose row is
     ``Σ dw ∘ (A u + c)``. H's diagonal is the Jacobi preconditioner; an
     entry of zero, as saturated sigmoids leave the intercept's, shifts
     ``H`` by the dense solve's ridge. After ``max_iterations``, or on
@@ -195,22 +194,14 @@ def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations,
     solved only as tightly as quadratic convergence needs.
     """
     d = features.shape[1]
-    fit_b = len(grad) > d
-    diagonal = features.weighted_square_column_sums(dw) + 1.0 / C
-    if fit_b:
-        diagonal = np.append(diagonal, dw.sum())
+    diagonal = np.append(features.weighted_square_column_sums(dw) + 1.0 / C,
+                         dw.sum())
     shift = 0.0 if np.all(diagonal > 0) else _ridge(diagonal)
     diagonal = diagonal + shift
 
     def product(u):
-        q = features @ u[:d]
-        if fit_b:
-            q += u[d]
-        q *= dw
-        hu = features.T @ q + u[:d] / C
-        if fit_b:
-            hu = np.append(hu, q.sum())
-        return hu + shift * u
+        q = dw * (features @ u[:d] + u[d])
+        return np.append(features.T @ q + u[:d] / C, q.sum()) + shift * u
 
     x = np.zeros(len(grad))
     r = grad.copy()
@@ -237,20 +228,19 @@ def _sparse_newton_step(features: CSRMatrix, dw, grad, C, max_iterations,
 def _train_logistic(features, y_pm, weights, config: TrainConfig):
     n, d = features.shape
     C = config.regularization
-    fit_b = config.fit_intercept
     coef = np.zeros(d)
     b = 0.0
     converged = False
     sparse = isinstance(features, CSRMatrix)
     if sparse:
-        cg_cap = _CG_ITERATIONS_PER_UNKNOWN * (d + fit_b)
+        cg_cap = _CG_ITERATIONS_PER_UNKNOWN * (d + 1)
     # The margins at (coef, b) and, once known, the objective there.
     z = features @ coef + b
     obj = None
     for _ in range(config.max_iterations):
         grad_coef, grad_b, s = _logistic_gradient_at(z, coef, features, y_pm,
                                                      weights, C)
-        grad = np.append(grad_coef, grad_b) if fit_b else grad_coef
+        grad = np.append(grad_coef, grad_b)
         grad_norm = np.linalg.norm(grad)
         if grad_norm < config.tolerance:
             converged = True
@@ -273,7 +263,7 @@ def _train_logistic(features, y_pm, weights, config: TrainConfig):
         t = 1.0
         while t > 1e-12:
             cand_coef = coef - t * step[:d]
-            cand_b = b - t * step[d] if fit_b else b
+            cand_b = b - t * step[d]
             cand_z = features @ cand_coef + cand_b
             if not armijo:
                 cand_obj = None
@@ -307,7 +297,6 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
     """
     n, d = features.shape
     C = config.regularization
-    fit_b = config.fit_intercept
     total_w = weights.sum()
     radius = np.sqrt(2.0 * C * total_w)
     coef = np.zeros(d)
@@ -326,8 +315,7 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
         norm = np.linalg.norm(coef)
         if norm > radius:
             coef = coef * (radius / norm)
-        if fit_b:
-            b = b - eta * g_b
+        b = b - eta * g_b
         if t > half:
             sum_coef += coef
             sum_b += b
@@ -335,7 +323,7 @@ def _train_hinge(features, y_pm, weights, config: TrainConfig):
         if t == half + (T - half) // 2:
             mid_coef, mid_b, mid_n = sum_coef.copy(), sum_b, n_avg
     avg_coef = sum_coef / max(n_avg, 1)
-    avg_b = sum_b / max(n_avg, 1) if fit_b else 0.0
+    avg_b = sum_b / max(n_avg, 1)
     converged = False
     if mid_coef is not None and mid_n > 0:
         mid_coef = mid_coef / mid_n

@@ -195,9 +195,8 @@ def _section(name: str):
 
 
 def load_run_config(path: str, overrides: list[str] | None = None,
-                    seed: int | None = None,
                     workers: int | None = None) -> RunConfig:
-    """Read a JSON run config, then apply --override/--seed/--workers flags.
+    """Read a JSON run config, then apply the --override and --workers flags.
 
     The config hash is computed over the effective (post-override) config;
     ``workers`` sets the worker count without entering it.
@@ -216,11 +215,6 @@ def load_run_config(path: str, overrides: list[str] | None = None,
         if not _:
             raise ConfigError(f"--override needs key=value, got {override!r}")
         _set_path(raw, key.strip(), _parse_override_value(value), path)
-    if seed is not None:
-        _set_path(raw, "split.seed", seed, path)
-        if "grid" in raw:
-            _set_path(raw, "grid.base_seed", seed, path)
-        _set_path(raw, "build.seed", seed, path)
     cfg = RunConfig(raw, path=path)
     if workers is not None:  # results do not depend on it: not hashed
         if workers < 1:

@@ -82,7 +82,7 @@ _BLOCK_ENTRIES = 1 << 16
 
 def _design_matrix(features):
     """The feature matrix in float64 with a column of ones appended, the
-    intercept the learners fit by default: a CSR input becomes a
+    intercept every learner fits: a CSR input becomes a
     ``scipy.sparse.csr_matrix``, any other a dense array. Every row is then
     nonzero, and the Gram's largest eigenvalue is at least n."""
     features = as_features(features)

@@ -287,6 +287,19 @@ class TestTrialRecord:
             assert run(config_path, command) == 2, command
             assert "rerun the tune command" in capsys.readouterr().err
 
+    def test_record_of_a_fit_without_intercept_is_refused(self, workdir,
+                                                          capsys):
+        tmp_path, config_path, _ = workdir
+        path = tmp_path / "run" / "best_config.json"
+        assert run(config_path, "split") == 0
+        assert run(config_path, "tune") == 0
+        record = json.loads(path.read_text())
+        record["train"]["fit_intercept"] = False
+        path.write_text(json.dumps(record))
+        capsys.readouterr()
+        assert run(config_path, "refine") == 2
+        assert "fit_intercept must be true" in capsys.readouterr().err
+
 
 class TestSparseLibsvmPipeline:
     def test_one_hot_data_with_lewis_and_hinge(self, tmp_path):
@@ -523,6 +536,7 @@ class TestErrorsAndExitCodes:
         ("split", 'dataset.has_header="no"'),
         ("tune", 'dataset.has_header="no"'),
         ("split", 'train.fit_intercept="no"'),
+        ("split", "train.fit_intercept=false"),
         ("split", "dataset.label_column=3.7"),
         ("split", "dataset.label_column=true"),
         ("split", "dataset.label_column=-1"),
@@ -616,11 +630,13 @@ class TestErrorsAndExitCodes:
         assert err.startswith("config error: ") and named in err
         assert not (tmp_path / "run" / "splits").exists()
 
-    def test_seed_flag_through_a_non_object_section(self, workdir, capsys):
+    def test_override_through_a_non_object_section(self, workdir, capsys):
         _, config_path, _ = workdir
         assert run(config_path, "split", "--override", "build=5",
-                   "--seed", "3") == 1
-        assert capsys.readouterr().err.startswith("config error: ")
+                   "--override", "build.seed=3") == 1
+        assert capsys.readouterr().err.startswith(
+            f"config error: {config_path}: cannot override through non-object "
+            "field 'build'")
 
     def test_dataset_file_missing(self, workdir, capsys):
         tmp_path, config_path, config = workdir
@@ -634,7 +650,6 @@ class TestErrorsAndExitCodes:
         ["--override", "split.seed=1.5"],
         ["--override", "split.seed=true"],
         ["--override", "split.seed=-1"],
-        ["--seed", "-1"],
         ["--override", "build.seed=0.5"],
         ["--override", "build.seed=-2"],
         ["--override", "grid.base_seed=2.5"],
@@ -707,6 +722,9 @@ ONE_LINE_FAILURES = {
     "unknown flag": (
         1, "error: unrecognized arguments",
         lambda tmp, cfg: ["split", "--config", cfg, "--bogus"]),
+    "retired seed flag": (
+        1, "error: unrecognized arguments",
+        lambda tmp, cfg: ["split", "--config", cfg, "--seed", "3"]),
     "missing config": (
         1, "config error: {config}: cannot read",
         lambda tmp, cfg: ["split", "--config", str(tmp / "nope.json")]),
@@ -777,26 +795,17 @@ class TestOverrides:
         assert base != overridden
         assert base.splitlines()[0] != overridden.splitlines()[0]  # hash moved
 
-    def test_seed_flag_rewrites_seeds(self, workdir):
+    def test_seed_overrides_move_the_coreset(self, workdir):
         tmp_path, config_path, _ = workdir
         out = tmp_path / "run"
         run(config_path, "split")
         run(config_path, "build")
         base = (out / "coreset.csv").read_text()
         # split.seed is a split-store key: the store must be remade first
-        assert run(config_path, "split", "--seed", "99") == 0
-        assert run(config_path, "build", "--seed", "99") == 0
+        seeds = ["--override", "split.seed=99", "--override", "build.seed=99"]
+        assert run(config_path, "split", *seeds) == 0
+        assert run(config_path, "build", *seeds) == 0
         assert (out / "coreset.csv").read_text() != base
-
-    def test_seed_flag_without_grid_section(self, workdir):
-        tmp_path, _, config = workdir
-        del config["grid"]
-        config_path = tmp_path / "no_grid.json"
-        config_path.write_text(json.dumps(config))
-        assert run(str(config_path), "split", "--seed", "3") == 0
-        manifest = json.loads(
-            (tmp_path / "run" / "splits" / "manifest.json").read_text())
-        assert manifest["seed"] == 3
 
     def test_override_requires_key_value(self, workdir, capsys):
         _, config_path, _ = workdir
@@ -882,10 +891,11 @@ class TestSplitStoreKey:
         for command in ("split", *DOWNSTREAM):
             assert run(config_path, command) == 0, command
         assert all((out / name).exists() for name in HASHED)
-        assert run(config_path, "split", "--seed", "5") == 0
+        reseed = ("--override", "split.seed=5")
+        assert run(config_path, "split", *reseed) == 0
         assert not any((out / name).exists() for name in HASHED)
         capsys.readouterr()
-        assert run(config_path, "report", "--seed", "5") == 2
+        assert run(config_path, "report", *reseed) == 2
         assert "run the tune command first" in capsys.readouterr().err
         assert not (out / "comparison.csv").exists()
 

@@ -177,23 +177,19 @@ class TestInputChecks:
         assert np.linalg.norm(dense.coefficients - sparse.coefficients) < 1e-8
         assert abs(dense.intercept - sparse.intercept) < 1e-8
 
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_wide_sparse_matches_dense(self, fit_intercept):
-        # 151 or 150 unknowns: the dense fit solves each Newton system
-        # directly, the CSR fit by conjugate gradients.
+    def test_wide_sparse_matches_dense(self):
+        # 151 unknowns: the dense fit solves each Newton system directly, the
+        # CSR fit by conjugate gradients.
         X, y, w = sparse_instance(n=300, d=150, seed=23)
-        config = TrainConfig(fit_intercept=fit_intercept)
-        dense = train(X.toarray(), y, w, config)
-        sparse = train(X, y, w, config)
+        dense = train(X.toarray(), y, w, TrainConfig())
+        sparse = train(X, y, w, TrainConfig())
         assert dense.converged and sparse.converged
         assert np.linalg.norm(dense.coefficients - sparse.coefficients) < 1e-8
         assert abs(dense.intercept - sparse.intercept) < 1e-8
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_sparse_matches_dense_on_coreset_like_weights(self, seed, C,
-                                                          fit_intercept):
+    def test_sparse_matches_dense_on_coreset_like_weights(self, seed, C):
         # Inverse-probability weights of a skewed sampling distribution span
         # orders of magnitude, as a sensitivity coreset's do; CSR steps are
         # inexact, dense ones direct, and both fits stop at one tolerance.
@@ -204,7 +200,7 @@ class TestInputChecks:
         y = (X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) > 0).astype(int)
         w = 1.0 / (n * rng.dirichlet(np.full(n, 0.3)))
         w *= 8000.0 / w.sum()
-        config = TrainConfig(regularization=C, fit_intercept=fit_intercept)
+        config = TrainConfig(regularization=C)
         dense = train(X.toarray(), y, w, config)
         sparse = train(X, y, w, config)
         assert dense.converged and sparse.converged
@@ -213,12 +209,11 @@ class TestInputChecks:
         assert (np.linalg.norm(got - want)
                 <= 1e-8 * max(1.0, C) * np.linalg.norm(want))
 
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_sparse_fit_takes_few_conjugate_gradient_products(
-            self, fit_intercept, monkeypatch):
+    def test_sparse_fit_takes_few_conjugate_gradient_products(self,
+                                                              monkeypatch):
         # One forward product per CG iteration. Solving every Newton system
-        # to a 1e-12 residual took 208 products here, with or without the
-        # intercept; the forcing term min(0.5, ||g||) takes 33 and 35.
+        # to a 1e-12 residual took 208 products here; the forcing term
+        # min(0.5, ||g||) takes 33.
         products = []
         in_step = []
         matmul = CSRMatrix.__matmul__
@@ -239,7 +234,7 @@ class TestInputChecks:
         monkeypatch.setattr(CSRMatrix, "__matmul__", matmul_spy)
         monkeypatch.setattr(learners, "_sparse_newton_step", step_spy)
         X, y, w = sparse_instance(n=300, d=150, seed=23)
-        model = train(X, y, w, TrainConfig(fit_intercept=fit_intercept))
+        model = train(X, y, w, TrainConfig())
         assert model.converged
         assert 0 < len(products) <= 50
 
@@ -341,9 +336,6 @@ PINNED_FITS = {
     "dense-logistic": (
         False, TrainConfig(),
         "4d040358fb7c4fe5c20cee7b7052f64e49bff91cbb85bff05e6127de99ad186d"),
-    "dense-logistic-no-intercept": (
-        False, TrainConfig(fit_intercept=False),
-        "daaf11076ed632dd900e985d5c06ddf1a3f564a63978f766d66d814d25efadf1"),
     "csr-logistic": (
         True, TrainConfig(),
         "205001ce989ab48c64d9fad8de64b01c1078a22c972e93b2fbb92739fa3ce3b3"),
@@ -388,55 +380,48 @@ def sparse_step(X, dw, grad, tolerance, C=1.0, max_iterations=1000):
 
 class TestSparseNewtonStep:
     @staticmethod
-    def system(fit_intercept, seed=0):
+    def system(seed=0):
+        """40 features and the intercept: 41 unknowns."""
         X, _, _ = sparse_instance(n=200, d=40, seed=seed)
         rng = np.random.default_rng(seed + 1)
-        dw = rng.uniform(0.0, 0.25, size=200)
-        grad = rng.normal(size=40 + fit_intercept)
-        return X, dw, grad
+        return X, rng.uniform(0.0, 0.25, size=200), rng.normal(size=41)
 
     @staticmethod
-    def dense_hessian(X, dw, C, fit_intercept):
-        A = X.toarray()
-        if fit_intercept:
-            A = np.hstack([A, np.ones((len(A), 1))])
+    def dense_hessian(X, dw, C):
+        A = np.hstack([X.toarray(), np.ones((X.shape[0], 1))])
         H = A.T @ (A * dw[:, None])
         H[np.arange(40), np.arange(40)] += 1.0 / C  # intercept unpenalized
         return H
 
-    @pytest.mark.parametrize("fit_intercept", [True, False])
-    def test_matches_direct_solve_of_the_same_hessian(self, fit_intercept):
-        X, dw, grad = self.system(fit_intercept)
+    def test_matches_direct_solve_of_the_same_hessian(self):
+        X, dw, grad = self.system()
         C = 0.5
-        expected = np.linalg.solve(self.dense_hessian(X, dw, C, fit_intercept),
-                                   grad)
+        expected = np.linalg.solve(self.dense_hessian(X, dw, C), grad)
         got = sparse_step(X, dw, grad, 1e-12, C)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
     def test_zero_curvature_takes_the_dense_ridge(self):
         # Saturated sigmoids: no point carries curvature, so the intercept's
         # diagonal entry is 0 and only the ridge makes H invertible.
-        X, _, grad = self.system(True)
+        X, _, grad = self.system()
         dw = np.zeros(X.shape[0])
         got = sparse_step(X, dw, grad, 1e-12)
         assert np.all(np.isfinite(got)) and grad @ got > 0
         expected = learners._dense_newton_step(X.toarray(), dw, grad, 1.0)
         assert np.linalg.norm(got - expected) <= 1e-10 * np.linalg.norm(expected)
 
-    @pytest.mark.parametrize("fit_intercept", [True, False])
     @pytest.mark.parametrize("tolerance", [0.5, 1e-3])
-    def test_inexact_step_meets_the_forcing_tolerance(self, tolerance,
-                                                      fit_intercept):
-        X, dw, grad = self.system(fit_intercept, seed=2)
+    def test_inexact_step_meets_the_forcing_tolerance(self, tolerance):
+        X, dw, grad = self.system(seed=2)
         C = 0.5
-        H = self.dense_hessian(X, dw, C, fit_intercept)
+        H = self.dense_hessian(X, dw, C)
         got = sparse_step(X, dw, grad, tolerance, C)
         assert np.linalg.norm(H @ got - grad) <= tolerance * np.linalg.norm(grad)
         assert grad @ got > 0
 
     @pytest.mark.parametrize("cap", [1, 3])
     def test_capped_step_is_a_descent_direction(self, cap):
-        X, dw, grad = self.system(True, seed=4)
+        X, dw, grad = self.system(seed=4)
         got = sparse_step(X, dw, grad, 1e-12, max_iterations=cap)
         assert grad @ got > 0
         assert not np.allclose(got, sparse_step(X, dw, grad, 1e-12))
@@ -522,6 +507,7 @@ class TestTrainConfig:
     @pytest.mark.parametrize("field,value", [
         ("max_iterations", 2.0), ("max_iterations", True),
         ("fit_intercept", "no"), ("fit_intercept", 1),
+        ("fit_intercept", False),
         ("regularization", "1.0"), ("tolerance", True)])
     def test_rejects_mistyped_fields(self, field, value):
         with pytest.raises(ValueError, match=field):

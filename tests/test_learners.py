@@ -189,15 +189,20 @@ class TestInputChecks:
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
-    def test_sparse_matches_dense_on_coreset_like_weights(self, seed, C):
+    @pytest.mark.parametrize("offset", [0.0, 1.5])
+    def test_sparse_matches_dense_on_coreset_like_weights(self, seed, C,
+                                                          offset):
         # Inverse-probability weights of a skewed sampling distribution span
         # orders of magnitude, as a sensitivity coreset's do; CSR steps are
         # inexact, dense ones direct, and both fits stop at one tolerance.
+        # An offset in the labels' rule skews the classes, so the CSR
+        # system's intercept row carries a large unpenalized unknown.
         rng = np.random.default_rng(seed)
         n, d = 400, 200
         X = sp.random(n, d, density=0.03, format="csr", random_state=rng,
                       data_rvs=lambda k: rng.normal(size=k))
-        y = (X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) > 0).astype(int)
+        y = (X @ rng.normal(size=d) + 0.3 * rng.normal(size=n) + offset
+             > 0).astype(int)
         w = 1.0 / (n * rng.dirichlet(np.full(n, 0.3)))
         w *= 8000.0 / w.sum()
         config = TrainConfig(regularization=C)
@@ -241,6 +246,44 @@ class TestInputChecks:
     def test_converges_on_well_conditioned_instance(self):
         X, y, w = random_instance(seed=19)
         assert train(X, y, w, TrainConfig()).converged
+
+
+LAYOUTS = pytest.mark.parametrize("layout", [np.asarray, sp.csr_matrix],
+                                  ids=["dense", "csr"])
+
+
+class TestIntercept:
+    """Every model fits an unpenalized intercept, dense and CSR alike."""
+
+    @LAYOUTS
+    @pytest.mark.parametrize("share", [0.1, 0.5, 0.9])
+    def test_heavy_penalty_leaves_the_weighted_log_odds(self, layout, share):
+        # With the coefficients pinned near zero, only the intercept can fit
+        # the data: sigmoid(b) is the weighted share of positives.
+        X, y, w = random_instance(n=60, d=4, seed=21)
+        w = w * np.where(y == 1, share / w[y == 1].sum(),
+                         (1 - share) / w[y == 0].sum())
+        model = train(layout(X), y, w, TrainConfig(regularization=1e-8))
+        assert model.converged
+        assert np.abs(model.coefficients).max() < 1e-7
+        assert abs(model.intercept - math.log(share / (1 - share))) < 1e-6
+
+    @LAYOUTS
+    @pytest.mark.parametrize("C", [0.01, 1.0, 100.0])
+    def test_shifting_a_column_moves_only_the_intercept(self, layout, C):
+        # X + 1 c^T with b - c . beta gives the same margins and penalty, so
+        # the optimum keeps its coefficients and moves only its intercept.
+        X, y, w = random_instance(n=80, d=5, seed=25)
+        c = np.array([3.0, 0.0, -2.0, 0.0, 0.5])
+        config = TrainConfig(regularization=C)
+        base = train(layout(X), y, w, config)
+        shifted = train(layout(X + c), y, w, config)
+        assert base.converged and shifted.converged
+        scale = max(1.0, np.linalg.norm(base.coefficients))
+        assert (np.linalg.norm(shifted.coefficients - base.coefficients)
+                <= 1e-7 * scale)
+        assert (abs(shifted.intercept - (base.intercept - c @ base.coefficients))
+                <= 1e-7 * scale)
 
 
 # Dense Newton systems of a grid's size (21 unknowns) and larger ones.

@@ -286,9 +286,9 @@ class Dataset:
         if count_distinct(self.point_ids) != n:
             raise ValueError("point_ids must be unique")
         if isinstance(self.features, np.ndarray):
-            self.features.flags.writeable = False
-        for arr in (self.labels, self.weights, self.point_ids):
-            arr.flags.writeable = False
+            self.features = _read_only(self.features)
+        self.labels, self.weights, self.point_ids = map(
+            _read_only, (self.labels, self.weights, self.point_ids))
 
     @property
     def n(self) -> int:

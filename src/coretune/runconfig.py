@@ -1,8 +1,8 @@
 """Structured run configuration: one JSON file drives the whole pipeline.
 
 All randomness flows from the seeds recorded here, and every artifact embeds
-the sha256 hash of the canonical config serialization, so any output can be
-traced back to the exact configuration that produced it.
+the sha256 hash of the canonical config serialization less ``workers``, so
+any output can be traced back to the exact configuration that produced it.
 """
 
 from __future__ import annotations
@@ -181,7 +181,8 @@ class RunConfig:
             self.build = SamplerConfig(1, **build)
 
     def config_hash(self) -> str:
-        return config_hash(self.raw)
+        # The worker count changes no output, so it is no part of the hash.
+        return config_hash({k: v for k, v in self.raw.items() if k != "workers"})
 
 
 @contextmanager
@@ -194,13 +195,9 @@ def _section(name: str):
         raise ValueError(f"{name}: {exc}") from None
 
 
-def load_run_config(path: str, overrides: list[str] | None = None,
-                    workers: int | None = None) -> RunConfig:
-    """Read a JSON run config, then apply the --override and --workers flags.
-
-    The config hash is computed over the effective (post-override) config;
-    ``workers`` sets the worker count without entering it.
-    """
+def load_run_config(path: str, overrides: list[str] | None = None) -> RunConfig:
+    """Read a JSON run config, then apply the --override flags; the config
+    hash covers the effective (post-override) config less ``workers``."""
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -215,12 +212,7 @@ def load_run_config(path: str, overrides: list[str] | None = None,
         if not _:
             raise ConfigError(f"--override needs key=value, got {override!r}")
         _set_path(raw, key.strip(), _parse_override_value(value), path)
-    cfg = RunConfig(raw, path=path)
-    if workers is not None:  # results do not depend on it: not hashed
-        if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
-        cfg.workers = workers
-    return cfg
+    return RunConfig(raw, path=path)
 
 
 def _parse_override_value(text: str):

@@ -85,11 +85,11 @@ class Cell:
     index: int
     coreset_ratio: float
     knobs: SamplerConfig
-    regularization: float | None
+    train_config: TrainConfig
     vanilla: bool = False
 
     def key(self):
-        return (self.coreset_ratio, self.knobs, self.regularization)
+        return (self.coreset_ratio, self.knobs, self.train_config)
 
 
 @dataclass(frozen=True)
@@ -191,11 +191,13 @@ def coreset_size_for(ratio: float, n: int, n_classes: int) -> int:
     return int(min(n, max(n_classes, round(ratio * n))))
 
 
-def enumerate_cells(grid: GridSpec) -> list[Cell]:
+def enumerate_cells(grid: GridSpec, train_config: TrainConfig) -> list[Cell]:
     """Vanilla cells (coreset ratio x regularization) followed by the
     Cartesian product of the grid axes, deduplicated keeping the first
-    occurrence."""
-    regs = grid.regularizations if grid.regularizations is not None else (None,)
+    occurrence. Each cell trains with ``train_config`` at one of the grid's
+    regularizations, or as given when the grid has none."""
+    regs = grid.regularizations or (train_config.regularization,)
+    train_configs = [replace(train_config, regularization=r) for r in regs]
     tuned = [replace(VANILLA, det_ratio=det, weight_strategy=strategy,
                      class_allocation=alloc)
              for det, strategy, alloc in itertools.product(
@@ -203,9 +205,9 @@ def enumerate_cells(grid: GridSpec) -> list[Cell]:
     cells: list[Cell] = []
     seen = set()
     for vanilla, knob_sets in ((True, [VANILLA]), (False, tuned)):
-        for ratio, knobs, reg in itertools.product(grid.coreset_ratios,
-                                                   knob_sets, regs):
-            cell = Cell(len(cells), ratio, knobs, reg, vanilla)
+        for ratio, knobs, cfg in itertools.product(grid.coreset_ratios,
+                                                   knob_sets, train_configs):
+            cell = Cell(len(cells), ratio, knobs, cfg, vanilla)
             if cell.key() not in seen:
                 seen.add(cell.key())
                 cells.append(cell)
@@ -221,28 +223,25 @@ def _fit_and_score(splits: SplitBundle, features, labels, weights,
                  for split in (splits.validation, splits.test))
 
 
-def _run_cell(splits, scores, plan: SamplingPlan, train_config: TrainConfig,
-              task: tuple[Cell, int, int]):
+def _run_cell(splits, plan: SamplingPlan, task: tuple[Cell, int, int]):
     """Build -> train -> evaluate one (cell, repeat, seed) trial; ``plan`` is
-    the SamplingPlan of (splits.train, scores)."""
+    the SamplingPlan of splits.train and its scores."""
     cell, repeat, seed = task
     m = coreset_size_for(cell.coreset_ratio, splits.train.n, len(plan.class_counts))
     config = replace(cell.knobs, coreset_size=m, seed=seed)
-    cfg = train_config
-    if cell.regularization is not None:
-        cfg = replace(train_config, regularization=cell.regularization)
     try:
-        coreset = build_coreset(splits.train, scores, config, plan)
-        val, test = _fit_and_score(splits, *coreset.materialize(splits.train), cfg)
+        coreset = build_coreset(splits.train, plan.scores, config, plan)
+        val, test = _fit_and_score(splits, *coreset.materialize(splits.train),
+                                   cell.train_config)
     except (AllocationError, StrategyInfeasibleError) as exc:
         return FailedCell(cell.index, repeat, seed, str(exc))
-    return TrialResult(cell.index, repeat, seed, scores.provider_name, config,
-                       cell.coreset_ratio, cfg, val, test,
+    return TrialResult(cell.index, repeat, seed, plan.scores.provider_name, config,
+                       cell.coreset_ratio, cell.train_config, val, test,
                        CoresetStats.of(coreset), vanilla=cell.vanilla)
 
 
-# A pool worker's (splits, scores, plan, train_config), stored once per
-# worker process by the pool's initializer.
+# A pool worker's (splits, plan), stored once per worker process by the
+# pool's initializer.
 _pool_inputs: tuple = ()
 
 
@@ -278,10 +277,10 @@ def run_grid(splits: SplitBundle, grid: GridSpec, train_config: TrainConfig,
     if scores is None:
         scores = compute_scores(grid.sensitivity_provider, splits.train,
                                 **grid.provider_params)
-    cells = enumerate_cells(grid)
+    cells = enumerate_cells(grid, train_config)
     tasks = [(cell, repeat, grid.base_seed + i) for i, (cell, repeat) in
              enumerate(itertools.product(cells, range(grid.repeats)))]
-    inputs = (splits, scores, SamplingPlan(splits.train, scores), train_config)
+    inputs = (splits, SamplingPlan(splits.train, scores))
     workers = min(workers, _usable_cpus())
     if workers > 1 and len(tasks) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -166,15 +166,24 @@ class TestPipeline:
         assert len(logged) == 1 and "after 1 rounds; pool exhausted;" in logged[0]
 
     def test_workers_flag_is_not_hashed(self, workdir):
-        tmp_path, config_path, _ = workdir
+        # The worker count, from the file or an override, moves no byte.
+        tmp_path, config_path, config = workdir
         out = tmp_path / "run"
+        pooled = tmp_path / "pooled.json"
+        pooled.write_text(json.dumps(dict(config, workers=2)))
         assert run(config_path, "split") == 0
-        assert run(config_path, "tune", "--workers", "2") == 0
         manifest = json.loads((out / "splits" / "manifest.json").read_text())
-        assert (out / "trials.csv").read_text().splitlines()[0] == \
-            f"# config_hash={manifest['config_hash']}"
-        best = json.loads((out / "best_config.json").read_text())
-        assert best["config_hash"] == manifest["config_hash"]
+        tuned = ("trials.csv", "best_config.json", "curves.csv")
+        written = []
+        for args in ([config_path], [config_path, "--override", "workers=2"],
+                     [str(pooled)]):
+            assert run(args[0], "tune", *args[1:]) == 0, args
+            written.append({name: (out / name).read_bytes() for name in tuned})
+            assert (out / "trials.csv").read_text().splitlines()[0] == \
+                f"# config_hash={manifest['config_hash']}"
+            best = json.loads((out / "best_config.json").read_text())
+            assert best["config_hash"] == manifest["config_hash"]
+        assert written == [written[0]] * 3
 
 
 def tune_in_process(config_path):
@@ -663,7 +672,6 @@ class TestErrorsAndExitCodes:
         ["--override", "workers=true"],
         ["--override", "workers=0"],
         ["--override", "workers=-3"],
-        ["--workers", "0"],
     ], ids=" ".join)
     def test_integer_fields_must_be_integers(self, workdir, capsys, args):
         tmp_path, config_path, _ = workdir
@@ -725,6 +733,9 @@ ONE_LINE_FAILURES = {
     "retired seed flag": (
         1, "error: unrecognized arguments",
         lambda tmp, cfg: ["split", "--config", cfg, "--seed", "3"]),
+    "retired workers flag": (
+        1, "error: unrecognized arguments",
+        lambda tmp, cfg: ["tune", "--config", cfg, "--workers", "2"]),
     "missing config": (
         1, "config error: {config}: cannot read",
         lambda tmp, cfg: ["split", "--config", str(tmp / "nope.json")]),

@@ -605,6 +605,22 @@ class TestDatasetInvariants:
         assert ds.weights.tolist() == [1.0, 2.0, 3.0, 4.0]
         assert ds.point_ids.tolist() == [10, 20, 30, 40]
 
+    def test_callers_arrays_stay_writeable(self):
+        given = {"features": np.arange(8, dtype=np.float64).reshape(4, 2),
+                 "labels": np.array([0, 1, 0, 1], dtype=np.int64),
+                 "weights": np.array([1.0, 2.0, 3.0, 4.0]),
+                 "point_ids": np.array([10, 20, 30, 40], dtype=np.int64)}
+        copies = {name: arr.copy() for name, arr in given.items()}
+        ds = Dataset(**given)
+        for name, arr in given.items():
+            held = getattr(ds, name)
+            assert np.shares_memory(held, arr), name
+            assert not held.flags.writeable, name
+            assert arr.flags.writeable, name
+            assert np.array_equal(arr, copies[name]), name
+        given["features"][0, 0] = 1.0  # the caller may still write its own
+        assert ds.features[0, 0] == 1.0
+
 
 class TestRealField:
     def test_accepts_finite_reals_above_the_bound(self):

@@ -3,8 +3,10 @@ import types
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import coretune
+from coretune.runconfig import load_run_config
 
 # The names the benchmark harness (perfbench/run.py) imports from coretune.
 HARNESS_NAMES = ("TrainConfig", "build_coreset", "train", "weighted_loss",
@@ -42,9 +44,9 @@ def test_readme_library_example_runs():
     assert namespace["trace"].decision in ("kept_original", "kept_refined")
 
 
-def _tracing_module():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _perfbench_module(name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -54,7 +56,7 @@ def _tracing_module():
 # renamed or moved one would fail only that pass.
 def test_tracer_function_targets_resolve():
     unresolved = [(module, attr) for module, attr, _, _ in
-                  _tracing_module().FUNCTION_TARGETS
+                  _perfbench_module("tracing").FUNCTION_TARGETS
                   if not callable(getattr(importlib.import_module(module), attr,
                                           None))]
     assert unresolved == []
@@ -62,7 +64,23 @@ def test_tracer_function_targets_resolve():
 
 def test_tracer_method_targets_are_class_attributes():
     unresolved = [(module, cls, attr) for module, cls, attr, _ in
-                  _tracing_module().METHOD_TARGETS
+                  _perfbench_module("tracing").METHOD_TARGETS
                   if attr not in vars(getattr(importlib.import_module(module),
                                               cls))]
     assert unresolved == []
+
+
+# The benchmark's configs set fields a change could retire (workers,
+# train.fit_intercept); one that did would end the benchmark run with an
+# error.
+@pytest.mark.parametrize("workload", ["cli_dense", "cli_sparse_lewis"])
+def test_benchmark_cli_configs_load(tmp_path, workload):
+    workloads = _perfbench_module("workloads")
+    name = workloads.write_cli_inputs(workload, 1, str(tmp_path))
+    assert load_run_config(str(tmp_path / name)).grid is not None
+
+
+def test_benchmark_grid_and_train_settings_build():
+    workloads = _perfbench_module("workloads")
+    coretune.GridSpec(base_seed=1, **workloads.GRID_AXES)
+    coretune.TrainConfig(**workloads.TRAIN)

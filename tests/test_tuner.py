@@ -46,7 +46,7 @@ class TestEnumerateCells:
             weight_strategies=("inv", "prop", "keep"),
             class_allocations=tuple({0: p / 100, 1: 1 - p / 100}
                                     for p in (80, 75, 70, 65, 60, 55, 50)))
-        cells = enumerate_cells(grid)
+        cells = enumerate_cells(grid, TrainConfig())
         product = 5 * 6 * 3 * 7
         vanilla = 5
         assert len(cells) == product + vanilla
@@ -56,12 +56,12 @@ class TestEnumerateCells:
         grid = GridSpec(coreset_ratios=(0.1,), det_ratios=(0.0,),
                         weight_strategies=("inv",),
                         class_allocations=("proportional",))
-        cells = enumerate_cells(grid)
+        cells = enumerate_cells(grid, TrainConfig())
         assert len(cells) == 1  # the product cell IS the vanilla cell
         assert cells[0].vanilla
 
     def test_vanilla_cells_use_vanilla_knobs(self):
-        cells = enumerate_cells(SMALL_GRID)
+        cells = enumerate_cells(SMALL_GRID, TrainConfig())
         vanilla = [c for c in cells if c.vanilla]
         assert [c.coreset_ratio for c in vanilla] == list(SMALL_GRID.coreset_ratios)
         for cell in vanilla:
@@ -75,12 +75,12 @@ class TestEnumerateCells:
                                            {"1": 0.35, "0": 0.65},
                                            ((0, 0.65), (1, 0.35))))
         assert grid.class_allocations == (((0, 0.65), (1, 0.35)),) * 3
-        tuned = [c for c in enumerate_cells(grid) if not c.vanilla]
+        tuned = [c for c in enumerate_cells(grid, TrainConfig()) if not c.vanilla]
         assert len(tuned) == 1
         assert tuned[0].knobs.class_allocation == ((0, 0.65), (1, 0.35))
 
     def test_indices_are_serial(self):
-        cells = enumerate_cells(SMALL_GRID)
+        cells = enumerate_cells(SMALL_GRID, TrainConfig())
         assert [c.index for c in cells] == list(range(len(cells)))
 
     def test_cells_without_an_axis_keep_their_order(self):
@@ -92,17 +92,18 @@ class TestEnumerateCells:
             (r, d, s, a, False) for r, d, s, a in itertools.product(
                 grid.coreset_ratios, grid.det_ratios, grid.weight_strategies,
                 grid.class_allocations) if (d, s, a) != vanilla]
-        cells = enumerate_cells(grid)
+        cells = enumerate_cells(grid, TrainConfig())
         assert [(c.coreset_ratio, c.knobs.det_ratio, c.knobs.weight_strategy,
                  c.knobs.class_allocation, c.vanilla) for c in cells] == expected
-        assert all(c.regularization is None for c in cells)
+        assert all(c.train_config == TrainConfig() for c in cells)
 
     def test_vanilla_cells_cross_the_regularization_axis(self):
         grid = replace(SMALL_GRID, regularizations=(0.1, 10.0))
-        cells = enumerate_cells(grid)
-        vanilla = [(c.coreset_ratio, c.regularization) for c in cells if c.vanilla]
-        assert vanilla == list(itertools.product(grid.coreset_ratios, (0.1, 10.0)))
-        assert len(cells) == 2 * len(enumerate_cells(SMALL_GRID))
+        cells = enumerate_cells(grid, TrainConfig())
+        vanilla = [(c.coreset_ratio, c.train_config) for c in cells if c.vanilla]
+        assert vanilla == list(itertools.product(grid.coreset_ratios, (
+            TrainConfig(regularization=0.1), TrainConfig(regularization=10.0))))
+        assert len(cells) == 2 * len(enumerate_cells(SMALL_GRID, TrainConfig()))
         assert len({c.key() for c in cells}) == len(cells)
 
 
@@ -125,7 +126,7 @@ class TestRunGrid:
         grid = GridSpec(coreset_ratios=(0.1, 0.3), det_ratios=(0.0, 0.2))
         result = run_grid(splits, grid, TrainConfig())
         assert result.trials == []
-        assert len(result.failures) == len(enumerate_cells(grid))
+        assert len(result.failures) == len(enumerate_cells(grid, TrainConfig()))
         for failure in result.failures:
             assert "source weight 0" in failure.error
 
